@@ -629,8 +629,10 @@ def finite_difference_check(
     """Max relative error between autodiff and central differences.
 
     ``f`` maps a dict of named scalars to a scalar loss and must be
-    deterministic.  Relative error is |fd - grad| / (|grad| + 1e-8),
-    maximized over parameters.
+    deterministic.  Relative error is the part of |fd - grad| above the
+    central difference's rounding bound eps * (|f(x+h)| + |f(x-h)|) / (2h),
+    divided by |grad| + 1e-8 and maximized over parameters; the bound keeps
+    the rounding of fd from reading as error where the gradient is 0.
     """
     tape = Tape()
     tracked = {k: tape.parameter(v, k) for k, v in params.items()}
@@ -649,7 +651,9 @@ def finite_difference_check(
         lo = dict(params)
         hi[name] = value + h
         lo[name] = value - h
-        fd = (eval_at(hi) - eval_at(lo)) / (2.0 * h)
-        rel = abs(fd - grads[name]) / (abs(grads[name]) + 1e-8)
+        f_hi, f_lo = eval_at(hi), eval_at(lo)
+        fd = (f_hi - f_lo) / (2.0 * h)
+        rounding = np.finfo(float).eps * (abs(f_hi) + abs(f_lo)) / (2.0 * h)
+        rel = max(abs(fd - grads[name]) - rounding, 0.0) / (abs(grads[name]) + 1e-8)
         worst = max(worst, rel)
     return worst

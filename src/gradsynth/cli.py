@@ -35,7 +35,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Mapping, Optional
 
@@ -303,29 +303,11 @@ def cmd_match(args) -> int:
     loss_cfg = run.loss
     if loss_cfg.cells != "output":
         # a bare WAV exposes only the final signal
-        loss_cfg = LossConfig(
-            cells="output",
-            windows=loss_cfg.windows,
-            processings=loss_cfg.processings,
-            norm_p=loss_cfg.norm_p,
-            transform=loss_cfg.transform,
-            beta=loss_cfg.beta,
-            regression_kind=loss_cfg.regression_kind,
-            cumsum_normalize=loss_cfg.cumsum_normalize,
-            n_mels=loss_cfg.n_mels,
-        )
+        loss_cfg = replace(loss_cfg, cells="output")
         log.info("loss cells forced to 'output' for WAV matching")
     opt_cfg = run.optimizer
     if args.jobs is not None:
-        opt_cfg = OptimizerConfig(
-            steps=opt_cfg.steps,
-            learning_rate=opt_cfg.learning_rate,
-            algorithm=opt_cfg.algorithm,
-            beta_schedule=opt_cfg.beta_schedule,
-            restarts=opt_cfg.restarts,
-            seed=opt_cfg.seed,
-            jobs=args.jobs,
-        )
+        opt_cfg = replace(opt_cfg, jobs=args.jobs)
 
     result = match(target, chain, loss_cfg, opt_cfg, render_config=render_config)
 

@@ -148,28 +148,6 @@ def loss_surface_sweep(
     )
 
 
-def _variant_features(signal, transform: str, processing: str) -> np.ndarray:
-    """Feature matrix for one loss variant.
-
-    Mel magnitudes are log-compressed before any cumulative sum; raw mel
-    energies are dominated by the strongest partial and order tones by
-    level rather than position, which is not what the mel rows probe.
-    """
-    if transform == "mel":
-        spec = process(
-            mel_spectrogram(signal, BENCHMARK_WINDOW, n_mels=BENCHMARK_N_MELS), "log"
-        )
-    elif transform == "spectrogram":
-        spec = stft_magnitude(signal, BENCHMARK_WINDOW)
-    else:
-        raise ValueError(f"unknown transform {transform!r}")
-    if processing != "identity":
-        if processing not in ("cumsum_time", "cumsum_freq"):
-            raise ValueError(f"unknown processing {processing!r}")
-        spec = process(spec, processing)
-    return spec.values
-
-
 def _check_variants(variants) -> tuple:
     variants = tuple(variants)
     for variant in variants:
@@ -192,7 +170,7 @@ def _distance_cents(distance: Union[str, float]) -> float:
 
 
 def _trial_block(args: tuple) -> list:
-    """Trials [start, stop) for every requested variant, renders shared."""
+    """Trials [start, stop) for every requested variant, renders and STFTs shared."""
     waveform, distance, variants, seed, start, stop, render_config = args
     cents = _distance_cents(distance)
     out = []
@@ -216,12 +194,21 @@ def _trial_block(args: tuple) -> list:
             )
             for freq in (f, pred, pert)
         }
+        # one STFT per signal; every variant is derived from it
+        stfts = {freq: stft_magnitude(x, BENCHMARK_WINDOW) for freq, x in signals.items()}
+        specs = {"spectrogram": stfts}
+        if any(transform == "mel" for transform, _ in variants):
+            # Mel magnitudes are log-compressed before any cumulative sum;
+            # raw mel energies are dominated by the strongest partial and
+            # order tones by level rather than position, which is not what
+            # the mel rows probe.
+            specs["mel"] = {
+                freq: process(mel_spectrogram(spec, n_mels=BENCHMARK_N_MELS), "log")
+                for freq, spec in stfts.items()
+            }
         row = {}
         for transform, processing in variants:
-            feats = {
-                freq: _variant_features(signals[freq], transform, processing)
-                for freq in signals
-            }
+            feats = {freq: process(spec, processing).values for freq, spec in specs[transform].items()}
             loss_pred = float(np.abs(feats[pred] - feats[f]).sum())
             loss_pert = float(np.abs(feats[pert] - feats[f]).sum())
             row[(transform, processing)] = PerturbTrial(

@@ -169,12 +169,11 @@ def signal_chain_loss(
     total: Scalar = 0.0
     for predicted, target in _select_signals(trace, target_trace, cfg):
         for window in cfg.windows:
+            spec_a = stft_magnitude(predicted, window)
+            spec_b = stft_magnitude(target, window)
             if cfg.transform == "mel":
-                spec_a = mel_spectrogram(predicted, window, cfg.n_mels)
-                spec_b = mel_spectrogram(target, window, cfg.n_mels)
-            else:
-                spec_a = stft_magnitude(predicted, window)
-                spec_b = stft_magnitude(target, window)
+                spec_a = mel_spectrogram(spec_a, n_mels=cfg.n_mels)
+                spec_b = mel_spectrogram(spec_b, n_mels=cfg.n_mels)
             for kind in cfg.processings:
                 fa = process(spec_a, kind, normalize=cfg.cumsum_normalize)
                 fb = process(spec_b, kind, normalize=cfg.cumsum_normalize)

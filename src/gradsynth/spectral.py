@@ -3,13 +3,15 @@ applied before spectral distances (identity, log, cumulative sums).
 
 Frames are Hann-windowed with hop = window/4 and reflect center padding.
 The padding is realized as an index map into the original buffer, so the
-whole framing step is a single differentiable gather.
+whole framing step is a single differentiable gather.  A mel spectrogram
+is a pooling of an STFT already taken, never a second STFT.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -47,6 +49,7 @@ class Spectrogram:
     magnitudes: DiffBuffer
     window_size: int
     hop: int
+    sample_rate: int
     scale: str  # "linear" or "mel"
 
     @property
@@ -58,29 +61,28 @@ class Spectrogram:
         return self.magnitudes.values.shape
 
 
-_frame_index_cache: dict = {}
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """Cached arrays are shared by every caller, so none may write to them."""
+    arr.flags.writeable = False
+    return arr
 
 
+@lru_cache
 def _frame_indices(n: int, window: int, hop: int) -> np.ndarray:
     """(frames x window) indices into the raw buffer, center padding folded in."""
-    key = (n, window, hop)
-    cached = _frame_index_cache.get(key)
-    if cached is not None:
-        return cached
     pad = window // 2
     padded = np.pad(np.arange(n), pad, mode="reflect")
     n_frames = (len(padded) - window) // hop + 1
     starts = np.arange(n_frames) * hop
-    idx = padded[starts[:, None] + np.arange(window)[None, :]]
-    _frame_index_cache[key] = idx
-    return idx
+    return _read_only(padded[starts[:, None] + np.arange(window)[None, :]])
 
 
+@lru_cache
 def _hann_periodic(window: int) -> np.ndarray:
-    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window)
+    return _read_only(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window))
 
 
-def stft_magnitude(signal: Signal, window_size: int, hop: Optional[int] = None) -> Spectrogram:
+def stft_magnitude(signal: Signal, window_size: int, *, hop: Optional[int] = None) -> Spectrogram:
     """Hann-windowed, reflect-center-padded magnitude STFT."""
     if window_size not in WINDOW_SIZES:
         raise SpectralConfigError(
@@ -97,7 +99,7 @@ def stft_magnitude(signal: Signal, window_size: int, hop: Optional[int] = None) 
     frames = ad.gather(signal.samples, idx)
     windowed = frames * ad.buffer(_hann_periodic(window_size))
     mag = ad.rfft_magnitude(windowed)
-    return Spectrogram(ad.transpose(mag), window_size, hop, "linear")
+    return Spectrogram(ad.transpose(mag), window_size, hop, signal.sample_rate, "linear")
 
 
 def _hz_to_mel(f):
@@ -113,15 +115,9 @@ def _mel_to_hz(m):
     return np.where(m < 15.0, 200.0 * m / 3.0, 1000.0 * np.exp(log_step * (m - 15.0)))
 
 
-_mel_fb_cache: dict = {}
-
-
+@lru_cache
 def mel_filterbank(sample_rate: int, window_size: int, n_mels: int) -> np.ndarray:
     """(n_mels x bins) triangular filters, 0 Hz to Nyquist, area-normalized."""
-    key = (sample_rate, window_size, n_mels)
-    cached = _mel_fb_cache.get(key)
-    if cached is not None:
-        return cached
     n_bins = window_size // 2 + 1
     if n_mels >= n_bins:
         raise SpectralConfigError(
@@ -138,18 +134,13 @@ def mel_filterbank(sample_rate: int, window_size: int, n_mels: int) -> np.ndarra
         down = (right - bin_freqs) / (right - center)
         tri = np.maximum(0.0, np.minimum(up, down))
         fb[m] = tri * (2.0 / (right - left))
-    _mel_fb_cache[key] = fb
-    return fb
+    return _read_only(fb)
 
 
-def mel_spectrogram(
-    signal: Signal, window_size: int, hop: Optional[int] = None, n_mels: int = 128
-) -> Spectrogram:
-    """Mel-pooled magnitude STFT (Slaney-style filterbank)."""
-    base = stft_magnitude(signal, window_size, hop)
-    fb = mel_filterbank(signal.sample_rate, window_size, n_mels)
-    pooled = ad.const_matmul(fb, base.magnitudes)
-    return Spectrogram(pooled, base.window_size, base.hop, "mel")
+def mel_spectrogram(spec: Spectrogram, n_mels: int = 128) -> Spectrogram:
+    """Pool a linear magnitude STFT into ``n_mels`` Slaney mel bands."""
+    fb = mel_filterbank(spec.sample_rate, spec.window_size, n_mels)
+    return replace(spec, magnitudes=ad.const_matmul(fb, spec.magnitudes), scale="mel")
 
 
 def _mass_normalized(mag, axis: int):

@@ -407,3 +407,24 @@ def test_random_smooth_expressions_match_fd(data):
 
     err = ad.finite_difference_check(f, {"x": x0, "y": y0}, step=1e-6)
     assert err < 1e-4
+
+
+def test_fd_check_reads_zero_gradient_rounding_as_no_error():
+    # dy of sigmoid(x - y)**2 + 0.5 x + 0.25 y is exactly 0 at x = y; the
+    # central difference returns ~1e-10 of rounding there, which a bare
+    # |fd - g| / (|g| + 1e-8) reads as a relative error of ~0.01.
+    def f(p):
+        s = ad.sigmoid(p["x"] - p["y"])
+        return s * s + p["x"] * 0.5 + p["y"] * 0.25
+
+    assert ad.finite_difference_check(f, {"x": 1.5, "y": 1.5}, step=1e-6) < 1e-4
+
+
+def test_fd_check_still_sees_a_slightly_wrong_vjp():
+    def wrong_sin(x):
+        return ad._unary(x, np.sin, lambda v: 1.001 * np.cos(v))
+
+    def f(p):
+        return wrong_sin(p["x"]) * p["y"]
+
+    assert ad.finite_difference_check(f, {"x": 0.7, "y": 1.3}, step=1e-6) > 1e-4

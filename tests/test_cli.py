@@ -2,6 +2,7 @@ import json
 import logging
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -326,6 +327,35 @@ def test_match_explicit_render_mismatch_exits_2(tmp_path, osc_chain):
     cfg.write_text("render.duration = 0.5\noptimizer.steps = 5\noptimizer.restarts = 1\n")
     assert main(["-q", "match", str(tmp_path / "target.wav"), str(osc_chain),
                  "--config", str(cfg)]) == 2
+
+
+def test_match_keeps_every_config_field_but_cells_and_jobs(tmp_path, osc_chain, monkeypatch):
+    params = {"params": {"0,0": {"amp": 0.7, "freq": 440.0, "waveform": "sine", "active": "on"}}}
+    (tmp_path / "t.json").write_text(json.dumps(params))
+    assert main(["-q", "render", str(osc_chain), "--params", str(tmp_path / "t.json"),
+                 "--out", str(tmp_path / "target.wav"), "--duration", "0.25"]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "loss.cells = all\nloss.n_mels = 64\nloss.cumsum_normalize = true\n"
+        "loss.transform = mel\noptimizer.steps = 7\noptimizer.seed = 5\n"
+    )
+    captured = {}
+
+    class Captured(Exception):
+        pass
+
+    def fake_match(target, chain, loss_cfg, opt_cfg, render_config):
+        captured.update(loss=loss_cfg, optimizer=opt_cfg)
+        raise Captured
+
+    monkeypatch.setattr("gradsynth.cli.match", fake_match)
+    with pytest.raises(Captured):
+        main(["-q", "match", str(tmp_path / "target.wav"), str(osc_chain),
+              "--config", str(cfg), "--jobs", "2"])
+    run, _ = load_run_config(cfg)
+    assert captured["loss"] == replace(run.loss, cells="output")
+    assert captured["optimizer"] == replace(run.optimizer, jobs=2)
+    assert (captured["loss"].n_mels, captured["loss"].cumsum_normalize) == (64, True)
 
 
 # -- plumbing -------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import csv
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -198,6 +200,24 @@ def test_benchmark_table_layout():
     assert len(rows) == 4
     assert [r.distance for r in rows] == ["epsilon", "epsilon", "300", "300"]
     assert all(r.trials == 10 and 0.0 <= r.accuracy <= 1.0 for r in rows)
+
+
+# Losses of perturbation_trials(waveform, 300.0, trials=20, seed=3) for all
+# six variants, recorded from an implementation that took a separate STFT
+# per variant.  A change to the shared spectral-feature path that would move
+# acceptance criterion 2 fails here in seconds rather than in its
+# 1000-trial gate.
+GOLDEN = json.loads((Path(__file__).parent / "data" / "perturb_golden.json").read_text())
+
+
+@pytest.mark.parametrize("waveform", ["square", "saw"])
+def test_perturbation_losses_match_recorded_values(waveform):
+    result = perturbation_trials(waveform, 300.0, trials=20, seed=3)
+    assert set(GOLDEN[waveform]) == {f"{t}/{p}" for t, p in BENCHMARK_VARIANTS}
+    for (transform, processing), trials in result.items():
+        recorded = GOLDEN[waveform][f"{transform}/{processing}"]
+        got = [[t.predicted_loss, t.perturbed_loss] for t in trials]
+        np.testing.assert_allclose(got, recorded, rtol=1e-12, atol=0)
 
 
 # -- why log-mel Identity beats chance at square/+-300 cents -------------------

@@ -24,7 +24,7 @@ from gradsynth.losses import (
     parameter_loss,
     signal_chain_loss,
 )
-from gradsynth.spectral import stft_magnitude
+from gradsynth.spectral import mel_spectrogram, stft_magnitude
 
 CFG = RenderConfig(duration=0.25)
 
@@ -225,6 +225,21 @@ def test_chain_loss_mel_transform_runs():
     tb = generate_signal(OSC_CHAIN, osc_assignment(0.5, 550.0), CFG)
     cfg = LossConfig(cells="output", windows=(1024,), transform="mel", n_mels=64)
     assert signal_chain_loss(ta, tb, cfg).value > 0.0
+
+
+@pytest.mark.parametrize("n_mels", [32, 64])
+def test_chain_loss_n_mels_sets_the_filter_count(n_mels):
+    one_second = RenderConfig(duration=1.0)
+    ta = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), one_second)
+    tb = generate_signal(OSC_CHAIN, osc_assignment(0.5, 470.0), one_second)
+    cfg = LossConfig(cells="output", windows=(1024,), transform="mel", n_mels=n_mels)
+    mel_a, mel_b = (
+        mel_spectrogram(stft_magnitude(t.output, 1024), n_mels=n_mels).values for t in (ta, tb)
+    )
+    assert mel_a.shape == (n_mels, 63)
+    assert signal_chain_loss(ta, tb, cfg).value == pytest.approx(
+        np.abs(mel_a - mel_b).sum(), rel=1e-12
+    )
 
 
 def test_chain_loss_gradient_matches_fd():

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,7 @@ from gradsynth.modules import render_oscillator
 from gradsynth.spectral import (
     LOG_OFFSET,
     SpectralConfigError,
-    Spectrogram,
+    _frame_indices,
     _hz_to_mel,
     _mel_to_hz,
     mel_filterbank,
@@ -32,7 +34,7 @@ def sine(freq, amp=1.0, config=CFG):
 def test_zeros_give_zero_spectrogram():
     spec = stft_magnitude(zeros(CFG), 1024)
     assert not spec.values.any()
-    mel = mel_spectrogram(zeros(CFG), 1024)
+    mel = mel_spectrogram(spec)
     assert not mel.values.any()
 
 
@@ -146,9 +148,38 @@ def test_mel_rejects_too_many_bands():
         mel_filterbank(16000, 256, 129)
 
 
+def test_stft_carries_sample_rate_and_takes_hop_by_keyword():
+    x = Signal.from_values(np.zeros(4000), 8000)
+    spec = stft_magnitude(x, 512, hop=256)
+    assert (spec.sample_rate, spec.window_size, spec.hop, spec.scale) == (8000, 512, 256, "linear")
+    assert spec.shape == (257, 4000 // 256 + 1)
+    with pytest.raises(TypeError):
+        stft_magnitude(x, 512, 256)
+
+
+def test_mel_pools_the_given_stft():
+    spec = stft_magnitude(sine(440.0), 1024)
+    mel = mel_spectrogram(spec, n_mels=64)
+    assert mel.shape == (64, 63)
+    assert (mel.sample_rate, mel.window_size, mel.hop, mel.scale) == (16000, 1024, 256, "mel")
+    np.testing.assert_array_equal(mel.values, mel_filterbank(16000, 1024, 64) @ spec.values)
+
+
+def test_cached_arrays_are_read_only():
+    spec = stft_magnitude(sine(440.0), 1024)
+    total = mel_spectrogram(spec).values.sum()
+    fb = mel_filterbank(16000, 1024, 128)
+    with pytest.raises(ValueError):
+        fb *= 0
+    idx = _frame_indices(16000, 1024, 256)
+    with pytest.raises(ValueError):
+        idx[0, 0] = 5
+    assert mel_spectrogram(stft_magnitude(sine(440.0), 1024)).values.sum() == total
+
+
 def test_mel_argmax_moves_up_with_frequency():
-    lo = mel_spectrogram(sine(400.0), 1024)
-    hi = mel_spectrogram(sine(500.0), 1024)
+    lo = mel_spectrogram(stft_magnitude(sine(400.0), 1024))
+    hi = mel_spectrogram(stft_magnitude(sine(500.0), 1024))
     band_lo = np.argmax(lo.values.mean(axis=1))
     band_hi = np.argmax(hi.values.mean(axis=1))
     assert band_hi > band_lo
@@ -181,7 +212,7 @@ def test_process_rejects_unknown_kind():
 
 def test_cumsum_commutes_with_scaling():
     spec = stft_magnitude(sine(440.0), 512)
-    scaled = Spectrogram(spec.magnitudes * 3.0, spec.window_size, spec.hop, spec.scale)
+    scaled = replace(spec, magnitudes=spec.magnitudes * 3.0)
     for kind in ("cumsum_time", "cumsum_freq"):
         a = process(scaled, kind).values
         b = process(spec, kind).values * 3.0
@@ -190,7 +221,7 @@ def test_cumsum_commutes_with_scaling():
 
 def test_normalized_cumsum_is_scale_invariant():
     spec = stft_magnitude(sine(440.0), 512)
-    scaled = Spectrogram(spec.magnitudes * 5.0, spec.window_size, spec.hop, spec.scale)
+    scaled = replace(spec, magnitudes=spec.magnitudes * 5.0)
     a = process(spec, "cumsum_freq", normalize=True).values
     b = process(scaled, "cumsum_freq", normalize=True).values
     np.testing.assert_allclose(a, b, rtol=1e-6, atol=1e-9)
@@ -206,10 +237,9 @@ def test_processed_spectrogram_gradients_match_fd(kind, transform):
             {"amp": p["amp"], "freq": 440.0, "waveform": "sine", "active": "on"},
             cfg,
         )
+        spec = stft_magnitude(out, 512)
         if transform == "mel":
-            spec = mel_spectrogram(out, 512)
-        else:
-            spec = stft_magnitude(out, 512)
+            spec = mel_spectrogram(spec)
         proc = process(spec, kind)
         return ad.bsum(proc.magnitudes * proc.magnitudes)
 
