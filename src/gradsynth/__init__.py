@@ -2,8 +2,7 @@
 
 from gradsynth.autodiff import (
     AutodiffError,
-    DiffBuffer,
-    DiffScalar,
+    DiffValue,
     DuplicateParameterError,
     NumericDomainError,
     Tape,
@@ -13,8 +12,7 @@ from gradsynth.autodiff import (
 
 __all__ = [
     "AutodiffError",
-    "DiffBuffer",
-    "DiffScalar",
+    "DiffValue",
     "DuplicateParameterError",
     "NumericDomainError",
     "Tape",

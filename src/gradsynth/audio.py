@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.io import wavfile
 
-from gradsynth.autodiff import DiffBuffer
+from gradsynth.autodiff import DiffValue
 
 __all__ = ["AudioIOError", "RenderConfig", "Signal", "read_wav", "write_wav", "zeros"]
 
@@ -52,19 +52,19 @@ class Signal:
     """A mono buffer of amplitudes (nominal range [-1, 1]) at a fixed rate.
 
     Immutable after construction; the sample buffer may be a tracked
-    :class:`DiffBuffer` so downstream losses stay differentiable.
+    :class:`DiffValue` so downstream losses stay differentiable.
     """
 
-    samples: DiffBuffer
+    samples: DiffValue
     sample_rate: int
 
     @classmethod
     def from_values(cls, values, sample_rate: int) -> "Signal":
-        return cls(DiffBuffer(np.asarray(values, dtype=np.float64)), sample_rate)
+        return cls(DiffValue(values), sample_rate)
 
     @property
     def values(self) -> np.ndarray:
-        return self.samples.values
+        return self.samples.value
 
     def __len__(self) -> int:
         return len(self.samples)

@@ -7,45 +7,40 @@ FFT magnitudes, convolution, cumulative sums) record a single node with
 an adjoint closure instead of one node per sample, so a one-second
 16 kHz buffer costs one tape entry per operation, not 16000.
 
-Values are python floats or float64 ndarrays; gradients accumulate in
-float64 throughout.  Constants (no tape attached) flow through every
-operation without recording anything, which doubles as the fast
-inference path.
+Every tracked or constant operand is a :class:`DiffValue` holding a
+python float (a scalar) or a float64 ndarray (a buffer); gradients
+accumulate in float64 throughout.  Constants (no tape attached) flow
+through every operation without recording anything, which doubles as
+the fast inference path.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Union
 
 import numpy as np
 
 __all__ = [
     "AutodiffError",
-    "DiffBuffer",
-    "DiffScalar",
+    "DiffValue",
     "DuplicateParameterError",
     "NumericDomainError",
     "Tape",
     "TapeError",
     "absolute",
     "add",
-    "buffer",
     "clamp",
     "const_matmul",
     "convolve_same",
-    "cos",
     "cumsum",
     "div",
     "exp",
     "finite_difference_check",
     "gather",
     "ln",
-    "maximum",
-    "minimum",
     "mod",
     "mul",
     "neg",
-    "power",
     "rfft_magnitude",
     "sigmoid",
     "sign_surrogate",
@@ -54,7 +49,6 @@ __all__ = [
     "sub",
     "sum_axis",
     "bsum",
-    "tanh",
     "transpose",
 ]
 
@@ -100,38 +94,36 @@ class Tape:
 
     def __init__(self):
         self._nodes: list[_Node] = []
-        self._params: dict[str, DiffScalar] = {}
+        # nodes, not values: a value points at its tape, so holding values
+        # here would make every tape a reference cycle
+        self._params: dict[str, _Node] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def parameter(self, value: float, name: str) -> "DiffScalar":
+    def parameter(self, value: float, name: str) -> "DiffValue":
         """Register a named trainable scalar."""
         value = float(value)
         if not np.isfinite(value):
             raise NumericDomainError("parameter", f"{name!r} initialized to {value}")
         if name in self._params:
             raise DuplicateParameterError(f"parameter {name!r} already registered")
-        out = DiffScalar(value, self, self._record((), ()))
-        self._params[name] = out
-        return out
-
-    @property
-    def parameter_names(self) -> tuple:
-        return tuple(self._params)
+        node = self._record((), ())
+        self._params[name] = node
+        return DiffValue(value, self, node)
 
     def _record(self, parents: tuple, vjps: tuple) -> _Node:
         node = _Node(len(self._nodes), parents, vjps)
         self._nodes.append(node)
         return node
 
-    def backward(self, loss: "DiffScalar") -> dict:
+    def backward(self, loss: "DiffValue") -> dict:
         """Return d(loss)/d(p) for every registered parameter.
 
         Repeated calls recompute from scratch; nothing accumulates
         across calls.
         """
-        if not isinstance(loss, DiffScalar):
+        if not isinstance(loss, DiffValue) or loss.shape != ():
             raise TapeError("backward expects a scalar loss")
         if loss.node is None or loss.tape is not self:
             raise TapeError("loss is not recorded on this tape")
@@ -145,28 +137,39 @@ class Tape:
                 prev = adjoints.get(parent.index)
                 adjoints[parent.index] = contrib if prev is None else prev + contrib
         return {
-            name: float(adjoints.get(p.node.index, 0.0))
-            for name, p in self._params.items()
+            name: float(adjoints.get(node.index, 0.0))
+            for name, node in self._params.items()
         }
 
 
-class DiffScalar:
-    """A real value participating in gradient computation.
+class DiffValue:
+    """A scalar or a float64 array (1-D or 2-D) in gradient computation.
 
-    ``DiffScalar(x)`` with no tape is a constant and contributes zero
-    gradient everywhere.
+    ``value`` is a python float for a scalar and an ndarray otherwise;
+    an array is tracked as a single tape node.  ``DiffValue(x)`` with no
+    tape is a constant and contributes zero gradient everywhere.
     """
 
     __slots__ = ("value", "tape", "node")
 
-    def __init__(self, value: float, tape: Tape = None, node: _Node = None):
-        self.value = float(value)
+    def __init__(self, value, tape: Tape = None, node: _Node = None):
+        value = np.asarray(value, dtype=np.float64)
+        self.value = value if value.ndim else float(value)
         self.tape = tape
         self.node = node
 
+    @property
+    def shape(self) -> tuple:
+        return np.shape(self.value)
+
+    def __len__(self):
+        return len(self.value)
+
     def __repr__(self):
         tag = "const" if self.node is None else f"node {self.node.index}"
-        return f"DiffScalar({self.value!r}, {tag})"
+        if self.shape:
+            return f"DiffValue(shape={self.shape}, {tag})"
+        return f"DiffValue({self.value!r}, {tag})"
 
     def __add__(self, other):
         return add(self, other)
@@ -192,92 +195,25 @@ class DiffScalar:
 
     def __neg__(self):
         return neg(self)
-
-    def __pow__(self, other):
-        return power(self, other)
 
     def __abs__(self):
         return absolute(self)
 
 
-class DiffBuffer:
-    """A float64 array (1-D or 2-D) tracked as a single tape node."""
-
-    __slots__ = ("values", "tape", "node")
-
-    def __init__(self, values: np.ndarray, tape: Tape = None, node: _Node = None):
-        values = np.asarray(values, dtype=np.float64)
-        self.values = values
-        self.tape = tape
-        self.node = node
-
-    @property
-    def shape(self):
-        return self.values.shape
-
-    def __len__(self):
-        return self.values.shape[0]
-
-    def __repr__(self):
-        tag = "const" if self.node is None else f"node {self.node.index}"
-        return f"DiffBuffer(shape={self.values.shape}, {tag})"
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-
-def buffer(values, tape: Tape = None) -> DiffBuffer:
-    """Wrap an array as a constant buffer."""
-    del tape  # constants carry no tape; kept for call-site symmetry
-    return DiffBuffer(np.asarray(values, dtype=np.float64))
-
-
-Operand = Union[DiffScalar, DiffBuffer, float, int, np.ndarray]
+Operand = Union[DiffValue, float, int, np.ndarray]
 
 
 def _unwrap(x: Operand):
     """Return (raw value, node, tape) for any operand."""
-    if isinstance(x, DiffScalar):
-        return x.value, x.node, x.tape
-    if isinstance(x, DiffBuffer):
-        return x.values, x.node, x.tape
-    if isinstance(x, np.ndarray):
-        return np.asarray(x, dtype=np.float64), None, None
-    return float(x), None, None
+    if not isinstance(x, DiffValue):
+        x = DiffValue(x)
+    return x.value, x.node, x.tape
 
 
 def _join_tape(ta: Tape, tb: Tape) -> Tape:
     if ta is not None and tb is not None and ta is not tb:
         raise TapeError("operands recorded on different tapes")
     return ta if ta is not None else tb
-
-
-def _wrap(value, tape: Tape, node: _Node):
-    if isinstance(value, np.ndarray) and value.ndim > 0:
-        return DiffBuffer(value, tape, node)
-    return DiffScalar(float(value), tape, node)
 
 
 def _reduce_to(grad, shape) -> Union[float, np.ndarray]:
@@ -301,10 +237,10 @@ def _record_op(tape: Tape, out_value, parent_specs: Iterable[tuple]):
     """parent_specs: (node, vjp) pairs for tracked operands only."""
     specs = [(n, v) for n, v in parent_specs if n is not None]
     if tape is None or not specs:
-        return _wrap(out_value, None, None)
+        return DiffValue(out_value)
     parents = tuple(n for n, _ in specs)
     vjps = tuple(v for _, v in specs)
-    return _wrap(out_value, tape, tape._record(parents, vjps))
+    return DiffValue(out_value, tape, tape._record(parents, vjps))
 
 
 def _binary(a: Operand, b: Operand, forward, partial_a, partial_b):
@@ -327,7 +263,7 @@ def _unary(x: Operand, forward, partial):
     v, n, tape = _unwrap(x)
     out = forward(v)
     if n is None:
-        return _wrap(out, None, None)
+        return DiffValue(out)
     p = partial(v)
     s = _shape_of(v)
     return _record_op(tape, out, [(n, lambda adj: _reduce_to(adj * p, s))])
@@ -373,14 +309,6 @@ def sin(x):
     return _unary(x, np.sin, np.cos)
 
 
-def cos(x):
-    return _unary(x, np.cos, lambda v: -np.sin(v))
-
-
-def tanh(x):
-    return _unary(x, np.tanh, lambda v: 1.0 - np.tanh(v) ** 2)
-
-
 def exp(x):
     return _unary(x, np.exp, np.exp)
 
@@ -413,37 +341,6 @@ def sigmoid(x):
         return out if out.ndim else float(out)
 
     return _unary(x, fwd, lambda v: fwd(v) * (1.0 - fwd(v)))
-
-
-def power(x, p):
-    """x**p.  A tracked exponent requires a positive base."""
-    vp, np_, tp = _unwrap(p)
-    if np_ is not None:
-        return exp(mul(p, ln(x)))
-    vx = _unwrap(x)[0]
-    if float(vp) != int(vp) and np.any(vx < 0.0):
-        raise NumericDomainError("power", "fractional power of negative base")
-    c = float(vp)
-    return _unary(x, lambda v: v ** c, lambda v: c * v ** (c - 1.0) if c != 0.0 else 0.0)
-
-
-def minimum(a, b):
-    # ties take the left branch
-    return _binary(
-        a, b,
-        np.minimum,
-        lambda x, y: (x <= y) * 1.0,
-        lambda x, y: (x > y) * 1.0,
-    )
-
-
-def maximum(a, b):
-    return _binary(
-        a, b,
-        np.maximum,
-        lambda x, y: (x >= y) * 1.0,
-        lambda x, y: (x < y) * 1.0,
-    )
 
 
 def clamp(x, lo: float, hi: float):
@@ -482,22 +379,22 @@ def sign_surrogate(x, steepness: float = 100.0):
 # -- buffer reductions and reshapes ---------------------------------------
 
 
-def bsum(x) -> DiffScalar:
+def bsum(x) -> DiffValue:
     """Sum all entries into a scalar."""
     v, n, tape = _unwrap(x)
     out = float(np.sum(v))
     if n is None:
-        return DiffScalar(out)
+        return DiffValue(out)
     shape = v.shape
     return _record_op(tape, out, [(n, lambda adj: np.full(shape, adj, dtype=np.float64))])
 
 
-def cumsum(x, axis: int = -1) -> DiffBuffer:
+def cumsum(x, axis: int = -1) -> DiffValue:
     """Running sum along an axis; adjoint is the reversed running sum."""
     v, n, tape = _unwrap(x)
     out = np.cumsum(v, axis=axis)
     if n is None:
-        return DiffBuffer(out)
+        return DiffValue(out)
 
     def vjp(adj, axis=axis):
         adj = np.asarray(adj, dtype=np.float64)
@@ -506,30 +403,27 @@ def cumsum(x, axis: int = -1) -> DiffBuffer:
     return _record_op(tape, out, [(n, vjp)])
 
 
-def sum_axis(x, axis: int, keepdims: bool = True) -> DiffBuffer:
-    """Sum along one axis; the adjoint broadcasts back over that axis."""
+def sum_axis(x, axis: int) -> DiffValue:
+    """Sum along one axis, kept with length 1; the adjoint broadcasts back."""
     v, n, tape = _unwrap(x)
-    out = np.sum(v, axis=axis, keepdims=keepdims)
+    out = np.sum(v, axis=axis, keepdims=True)
     if n is None:
-        return DiffBuffer(out)
+        return DiffValue(out)
     shape = v.shape
 
-    def vjp(adj, axis=axis, keepdims=keepdims):
-        adj = np.asarray(adj, dtype=np.float64)
-        if not keepdims:
-            adj = np.expand_dims(adj, axis)
-        return np.broadcast_to(adj, shape)
+    def vjp(adj):
+        return np.broadcast_to(np.asarray(adj, dtype=np.float64), shape)
 
     return _record_op(tape, out, [(n, vjp)])
 
 
-def gather(x, index: np.ndarray) -> DiffBuffer:
+def gather(x, index: np.ndarray) -> DiffValue:
     """Fancy-index a 1-D buffer; the adjoint scatter-adds back."""
     v, n, tape = _unwrap(x)
     index = np.asarray(index)
     out = v[index]
     if n is None:
-        return DiffBuffer(out)
+        return DiffValue(out)
     size = v.shape[0]
     flat_index = index.ravel()
 
@@ -543,25 +437,25 @@ def gather(x, index: np.ndarray) -> DiffBuffer:
     return _record_op(tape, out, [(n, vjp)])
 
 
-def transpose(x) -> DiffBuffer:
+def transpose(x) -> DiffValue:
     v, n, tape = _unwrap(x)
     out = v.T
     if n is None:
-        return DiffBuffer(out)
+        return DiffValue(out)
     return _record_op(tape, out, [(n, lambda adj: np.asarray(adj).T)])
 
 
-def const_matmul(matrix: np.ndarray, x) -> DiffBuffer:
+def const_matmul(matrix: np.ndarray, x) -> DiffValue:
     """matrix @ x with a constant left factor."""
     matrix = np.asarray(matrix, dtype=np.float64)
     v, n, tape = _unwrap(x)
     out = matrix @ v
     if n is None:
-        return DiffBuffer(out)
+        return DiffValue(out)
     return _record_op(tape, out, [(n, lambda adj: matrix.T @ np.asarray(adj))])
 
 
-def rfft_magnitude(frames) -> DiffBuffer:
+def rfft_magnitude(frames) -> DiffValue:
     """Magnitude of the real FFT of each row of a 2-D frame matrix.
 
     The adjoint routes d(loss)/d|X| back through the FFT analytically:
@@ -575,7 +469,7 @@ def rfft_magnitude(frames) -> DiffBuffer:
     spectrum = np.fft.rfft(v, axis=1)
     mag = np.abs(spectrum)
     if n is None:
-        return DiffBuffer(mag)
+        return DiffValue(mag)
 
     def vjp(adj):
         adj = np.asarray(adj, dtype=np.float64)
@@ -588,7 +482,7 @@ def rfft_magnitude(frames) -> DiffBuffer:
     return _record_op(tape, mag, [(n, vjp)])
 
 
-def convolve_same(x, kernel) -> DiffBuffer:
+def convolve_same(x, kernel) -> DiffValue:
     """'Same' zero-padded convolution of a 1-D buffer with a short kernel.
 
     Differentiable with respect to both the signal and the kernel taps.
@@ -622,7 +516,7 @@ def convolve_same(x, kernel) -> DiffBuffer:
 
 
 def finite_difference_check(
-    f: Callable[[Mapping[str, DiffScalar]], DiffScalar],
+    f: Callable[[Mapping[str, DiffValue]], DiffValue],
     params: Mapping[str, float],
     step: Union[float, Mapping[str, float]],
 ) -> float:
@@ -639,7 +533,7 @@ def finite_difference_check(
     grads = tape.backward(f(tracked))
 
     def eval_at(values: Mapping[str, float]) -> float:
-        out = f({k: DiffScalar(v) for k, v in values.items()})
+        out = f({k: DiffValue(v) for k, v in values.items()})
         return out.value
 
     worst = 0.0

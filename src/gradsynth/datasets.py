@@ -252,6 +252,8 @@ def generate_dataset(
         raise ChainValidationError(violations)
     if n < 0:
         raise ValueError(f"record count must be >= 0, got {n}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
     job_args = [(chain, seed, index, render_config, str(out)) for index in range(n)]
     try:

@@ -243,6 +243,8 @@ def perturbation_trials(
     _distance_cents(distance)
     if trials <= 0:
         raise ValueError(f"trials must be positive, got {trials}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     if jobs > 1 and trials > 1:
         block = math.ceil(trials / jobs)
         blocks = [

@@ -13,7 +13,7 @@ from typing import Union
 import numpy as np
 
 from .audio import RenderConfig, Signal
-from .autodiff import DiffScalar, absolute, bsum, sqrt
+from .autodiff import DiffValue, absolute, bsum, sqrt
 from .chains import (
     AssignmentError,
     CellAddress,
@@ -37,8 +37,6 @@ __all__ = [
 # Hard categorical predictions enter cross-entropy as an indicator
 # smoothed by this amount, keeping -ln(q) finite on mismatches.
 CATEGORICAL_SMOOTHING = 1e-6
-
-Scalar = Union[DiffScalar, float]
 
 
 class LossConfigError(ValueError):
@@ -90,6 +88,8 @@ class LossConfig:
             raise LossConfigError(
                 f"regression_kind must be 'L1' or 'L2', got {self.regression_kind!r}"
             )
+        if self.n_mels < 1:
+            raise LossConfigError(f"n_mels must be >= 1, got {self.n_mels}")
 
 
 def parameter_loss(
@@ -98,7 +98,7 @@ def parameter_loss(
     target: ParameterAssignment,
     regression_kind: str = "L1",
     render_config: RenderConfig = RenderConfig(),
-) -> DiffScalar:
+) -> DiffValue:
     """Range-normalized regression loss plus categorical cross-entropy.
 
     Continuous parameters are mapped to [0, 1] by their catalog range
@@ -112,7 +112,7 @@ def parameter_loss(
         raise AssignmentError("predicted and target assignments cover different cells")
 
     cell_map = chain.cell_map()
-    total: Scalar = 0.0
+    total = DiffValue(0.0)
     for address in sorted(predicted.values):
         kind = cell_map.get(address)
         if kind is None:
@@ -136,9 +136,7 @@ def parameter_loss(
             match = pred_params[param.name] == targ_params[param.name]
             q = 1.0 - CATEGORICAL_SMOOTHING if match else CATEGORICAL_SMOOTHING
             total = total + (-math.log(q))
-    if isinstance(total, DiffScalar):
-        return total
-    return DiffScalar(float(total), None)
+    return total
 
 
 def _select_signals(
@@ -160,13 +158,13 @@ def _select_signals(
 
 def signal_chain_loss(
     trace: RenderTrace, target_trace: RenderTrace, cfg: LossConfig
-) -> DiffScalar:
+) -> DiffValue:
     """Spectral distance summed over cells x windows x processings.
 
     Each term is the entrywise p-norm of the processed-spectrogram
     difference; p = 2 uses the Frobenius norm.
     """
-    total: Scalar = 0.0
+    total = DiffValue(0.0)
     for predicted, target in _select_signals(trace, target_trace, cfg):
         for window in cfg.windows:
             spec_a = stft_magnitude(predicted, window)
@@ -182,12 +180,10 @@ def signal_chain_loss(
                     total = total + bsum(absolute(diff))
                 else:
                     total = total + sqrt(bsum(diff * diff))
-    if isinstance(total, DiffScalar):
-        return total
-    return DiffScalar(float(total), None)
+    return total
 
 
-def combined_loss(param_part: Scalar, chain_part: Scalar, beta: float) -> Scalar:
+def combined_loss(param_part: DiffValue, chain_part: DiffValue, beta: float) -> DiffValue:
     """Total loss: parameter part plus beta-weighted spectral part."""
     if beta < 0:
         raise LossConfigError(f"beta must be >= 0, got {beta}")

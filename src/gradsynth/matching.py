@@ -17,7 +17,7 @@ from typing import Mapping, Optional, Union
 import numpy as np
 
 from .audio import RenderConfig, Signal
-from .autodiff import DiffScalar, Tape, exp, sigmoid
+from .autodiff import DiffValue, Tape, exp, sigmoid
 from .chains import (
     CellAddress,
     ChainSpec,
@@ -154,20 +154,20 @@ def _categorical_combos(chain: ChainSpec, fixed: FixedParams):
 
 def _reparam(
     chain: ChainSpec,
-    theta: Mapping[tuple[CellAddress, str], DiffScalar],
+    theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
     render_config: RenderConfig,
     fixed: FixedParams,
 ):
     """Map unconstrained scalars onto catalog ranges, cell by cell.
 
-    Returns {(address, name): DiffScalar} with every value strictly
+    Returns {(address, name): DiffValue} with every value strictly
     inside its range; the ADSR time triple is jointly rescaled so that
     attack + decay + release never exceeds the render duration (minus
     whatever the caller fixed of the triple).
     """
     cell_map = chain.cell_map()
     values = {}
-    by_cell: dict[CellAddress, dict[str, DiffScalar]] = {}
+    by_cell: dict[CellAddress, dict[str, Union[DiffValue, float]]] = {}
     for (address, name), raw in theta.items():
         by_cell.setdefault(address, {})[name] = raw
     for address, raw_params in by_cell.items():
@@ -181,7 +181,7 @@ def _reparam(
                 for n in ADSR_BUDGET_PARAMS
                 if (address, n) in fixed
             )
-            remaining: Union[DiffScalar, float] = max(render_config.duration - spent, 0.0)
+            remaining = DiffValue(max(render_config.duration - spent, 0.0))
             for n in budget:
                 piece = remaining * sigmoid(raw_params[n])
                 values[(address, n)] = piece
@@ -201,7 +201,7 @@ def _reparam(
 
 def _assignment_from(
     chain: ChainSpec,
-    continuous: Mapping[tuple[CellAddress, str], Union[DiffScalar, float]],
+    continuous: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
     combo: Mapping[tuple[CellAddress, str], str],
     fixed: FixedParams,
 ) -> ParameterAssignment:
@@ -209,7 +209,7 @@ def _assignment_from(
     for cell in chain.cells:
         if cell.kind == "empty":
             continue
-        params: dict[str, Union[DiffScalar, float, str]] = {}
+        params: dict[str, Union[DiffValue, float, str]] = {}
         catalog = CATALOG[cell.kind]
         for p in catalog.continuous:
             key = (cell.address, p.name)
@@ -222,7 +222,7 @@ def _assignment_from(
 
 def _step_loss(
     chain: ChainSpec,
-    theta: Mapping[tuple[CellAddress, str], Union[DiffScalar, float]],
+    theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
     combo_map: Mapping[tuple[CellAddress, str], str],
     fixed: FixedParams,
     target_trace: RenderTrace,
@@ -231,15 +231,14 @@ def _step_loss(
     beta: float,
     render_config: RenderConfig,
 ):
-    tracked = {k: v if isinstance(v, DiffScalar) else DiffScalar(v) for k, v in theta.items()}
-    continuous = _reparam(chain, tracked, render_config, fixed)
+    continuous = _reparam(chain, theta, render_config, fixed)
     assignment = _assignment_from(chain, continuous, combo_map, fixed)
-    param_part: Union[DiffScalar, float] = 0.0
+    param_part = DiffValue(0.0)
     if target_params is not None:
         param_part = parameter_loss(
             chain, assignment, target_params, loss_cfg.regression_kind, render_config
         )
-    spectral_part: Union[DiffScalar, float] = 0.0
+    spectral_part = DiffValue(0.0)
     if beta > 0.0:
         trace = generate_signal(chain, assignment, render_config)
         spectral_part = signal_chain_loss(trace, target_trace, loss_cfg)
@@ -299,12 +298,12 @@ def _run_branch(args) -> BranchResult:
             beta,
             render_config,
         )
-        value = total.value if isinstance(total, DiffScalar) else float(total)
+        value = total.value
         trajectory.append(value)
         if not np.isfinite(value):
             diverged = True
             break
-        if not isinstance(total, DiffScalar) or total.node is None:
+        if total.node is None:
             continue  # nothing differentiable this step (e.g. all params fixed)
         grads = tape.backward(total)
         lr = opt_cfg.learning_rate
@@ -337,7 +336,7 @@ def _run_branch(args) -> BranchResult:
             final_beta,
             render_config,
         )
-        final_loss = final.value if isinstance(final, DiffScalar) else float(final)
+        final_loss = final.value
     return BranchResult(
         combo=combo,
         restart=restart,
@@ -424,8 +423,7 @@ def match(
         raise MatcherConfigError("all optimization branches diverged")
     best_branch = min(finished, key=lambda b: b.final_loss)
 
-    theta = {k: DiffScalar(v) for k, v in best_branch.theta}
-    continuous = _reparam(chain, theta, render_config, fixed)
+    continuous = _reparam(chain, dict(best_branch.theta), render_config, fixed)
     flat = {k: v.value for k, v in continuous.items()}
     best = _assignment_from(chain, flat, dict(best_branch.combo), fixed)
 

@@ -1,7 +1,7 @@
 """Sound generators and processors: each a pure differentiable function
 from parameters (plus optional input signals) to one signal.
 
-Continuous parameters accept floats or tracked :class:`DiffScalar`
+Continuous parameters accept floats or tracked scalar :class:`DiffValue`
 values; categorical and activation parameters are plain string labels
 and are never differentiated.
 """
@@ -15,7 +15,7 @@ from typing import Mapping, Optional, Sequence, Union
 import numpy as np
 
 from gradsynth import autodiff as ad
-from gradsynth.autodiff import DiffScalar
+from gradsynth.autodiff import DiffValue
 from gradsynth.audio import RenderConfig, Signal, zeros
 
 __all__ = [
@@ -182,14 +182,14 @@ def resolve_range(param: ContinuousParam, config: RenderConfig) -> tuple:
     return param.low, high
 
 
-Paramlike = Union[DiffScalar, float, int]
+Paramlike = Union[DiffValue, float, int]
 
 
-def _as_scalar(value: Paramlike) -> DiffScalar:
-    return value if isinstance(value, DiffScalar) else DiffScalar(float(value))
+def _as_scalar(value: Paramlike) -> DiffValue:
+    return value if isinstance(value, DiffValue) else DiffValue(float(value))
 
 
-def _checked(kind: str, name: str, value: Paramlike, config: RenderConfig) -> DiffScalar:
+def _checked(kind: str, name: str, value: Paramlike, config: RenderConfig) -> DiffValue:
     spec = next(p for p in CATALOG[kind].continuous if p.name == name)
     low, high = resolve_range(spec, config)
     scalar = _as_scalar(value)
@@ -216,7 +216,7 @@ def _label(params: Mapping, name: str, kind: str) -> str:
     return value
 
 
-def _wave_from_cycles(waveform: str, cycles, amp) -> "ad.DiffBuffer":
+def _wave_from_cycles(waveform: str, cycles, amp) -> DiffValue:
     """Waveform value at a running cycle count (phase / 2π)."""
     if waveform == "sine":
         return ad.sin(cycles * TWO_PI) * amp
@@ -235,7 +235,7 @@ def render_oscillator(params: Mapping, config: RenderConfig) -> Signal:
     amp = _checked("osc", "amp", params["amp"], config)
     freq = _checked("osc", "freq", params["freq"], config)
     waveform = _label(params, "waveform", "osc")
-    cycles = ad.buffer(config.times()) * freq
+    cycles = DiffValue(config.times()) * freq
     return Signal(_wave_from_cycles(waveform, cycles, amp), config.sample_rate)
 
 
@@ -244,7 +244,7 @@ def render_lfo(params: Mapping, config: RenderConfig) -> Signal:
     if _label(params, "active", "lfo") == "off":
         return zeros(config)
     freq = _checked("lfo", "freq", params["freq"], config)
-    phase = ad.buffer(config.times()) * freq * TWO_PI
+    phase = DiffValue(config.times()) * freq * TWO_PI
     return Signal(ad.sin(phase), config.sample_rate)
 
 
@@ -259,7 +259,7 @@ def render_fm_oscillator(
     freq = _checked("fm_osc", "freq_c", params["freq_c"], config)
     waveform = _label(params, "waveform", "fm_osc")
     fm_on = _label(params, "fm_active", "fm_osc") == "on"
-    cycles = ad.buffer(config.times()) * freq
+    cycles = DiffValue(config.times()) * freq
     if fm_on:
         if modulator is None:
             raise MissingInputError("fm_osc: fm_active=on requires a modulator input")
@@ -280,25 +280,25 @@ def apply_adsr(input_signal: Signal, params: Mapping, config: RenderConfig) -> S
         raise ParameterRangeError(
             f"adsr: attack+decay+release = {total} exceeds duration {config.duration}"
         )
-    t = ad.buffer(config.times())
+    t = DiffValue(config.times())
     duration = config.duration
 
     if attack.value > 0.0:
         env = ad.clamp(t / attack, 0.0, 1.0)
     else:
-        env = ad.buffer(np.ones(config.num_samples))
+        env = DiffValue(np.ones(config.num_samples))
     if decay.value > 0.0:
         ramp = ad.clamp((t - attack) / decay, 0.0, 1.0)
     else:
         # instant drop to sustain once the attack completes
-        ramp = ad.buffer((config.times() >= attack.value) * 1.0)
+        ramp = DiffValue((config.times() >= attack.value) * 1.0)
     env = env * (ramp * (sustain - 1.0) + 1.0)
     if release.value > 0.0:
         env = env * ad.clamp((duration - t) / release, 0.0, 1.0)
     return Signal(input_signal.samples * env, config.sample_rate)
 
 
-def _lowpass_kernel(cutoff: DiffScalar, sample_rate: int):
+def _lowpass_kernel(cutoff: DiffValue, sample_rate: int):
     """Hamming-windowed sinc taps, closed-form in the cutoff frequency,
     normalized to unit DC gain."""
     half = (LOWPASS_TAPS - 1) // 2
@@ -306,11 +306,11 @@ def _lowpass_kernel(cutoff: DiffScalar, sample_rate: int):
     center = offsets == 0.0
     safe = np.where(center, 1.0, offsets)
     omega = cutoff * (TWO_PI / sample_rate)
-    off_taps = ad.sin(omega * ad.buffer(safe)) / ad.buffer(np.pi * safe)
-    carved = off_taps * ad.buffer(np.where(center, 0.0, 1.0))
-    peak = (omega * (1.0 / np.pi)) * ad.buffer(center * 1.0)
+    off_taps = ad.sin(omega * DiffValue(safe)) / DiffValue(np.pi * safe)
+    carved = off_taps * DiffValue(np.where(center, 0.0, 1.0))
+    peak = (omega * (1.0 / np.pi)) * DiffValue(center * 1.0)
     window = np.hamming(LOWPASS_TAPS)
-    taps = (carved + peak) * ad.buffer(window)
+    taps = (carved + peak) * DiffValue(window)
     return taps / ad.bsum(taps)
 
 

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from gradsynth import autodiff as ad
-from gradsynth.autodiff import DiffBuffer
+from gradsynth.autodiff import DiffValue
 from gradsynth.audio import Signal
 
 __all__ = [
@@ -46,7 +46,7 @@ class SpectralConfigError(Exception):
 class Spectrogram:
     """Magnitude time-frequency matrix, (freq bins x time frames)."""
 
-    magnitudes: DiffBuffer
+    magnitudes: DiffValue
     window_size: int
     hop: int
     sample_rate: int
@@ -54,11 +54,11 @@ class Spectrogram:
 
     @property
     def values(self) -> np.ndarray:
-        return self.magnitudes.values
+        return self.magnitudes.value
 
     @property
     def shape(self):
-        return self.magnitudes.values.shape
+        return self.magnitudes.shape
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -97,7 +97,7 @@ def stft_magnitude(signal: Signal, window_size: int, *, hop: Optional[int] = Non
         )
     idx = _frame_indices(n, window_size, hop)
     frames = ad.gather(signal.samples, idx)
-    windowed = frames * ad.buffer(_hann_periodic(window_size))
+    windowed = frames * DiffValue(_hann_periodic(window_size))
     mag = ad.rfft_magnitude(windowed)
     return Spectrogram(ad.transpose(mag), window_size, hop, signal.sample_rate, "linear")
 
@@ -144,7 +144,7 @@ def mel_spectrogram(spec: Spectrogram, n_mels: int = 128) -> Spectrogram:
 
 
 def _mass_normalized(mag, axis: int):
-    total = ad.sum_axis(mag, axis=axis, keepdims=True)
+    total = ad.sum_axis(mag, axis=axis)
     return mag / (total + LOG_OFFSET)
 
 

@@ -2,13 +2,24 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gradsynth import autodiff as ad
-from gradsynth.autodiff import DiffScalar, Tape
+from gradsynth.autodiff import DiffValue, Tape
+
+
+def _cos(v):
+    return ad.sin(v + np.pi / 2)
+
+
+def _tanh(u):
+    return ad.sigmoid(u * 2.0) * 2.0 - 1.0
 
 
 def test_product_gradient():
@@ -37,19 +48,6 @@ def test_clamp_band_edges_inclusive():
         tape = Tape()
         p = tape.parameter(edge, "p")
         assert tape.backward(ad.clamp(p, 0.0, 1.0))["p"] == 1.0
-
-
-def test_min_max_tie_takes_left_branch():
-    tape = Tape()
-    a = tape.parameter(1.0, "a")
-    b = tape.parameter(1.0, "b")
-    grads = tape.backward(ad.minimum(a, b))
-    assert (grads["a"], grads["b"]) == (1.0, 0.0)
-    tape = Tape()
-    a = tape.parameter(1.0, "a")
-    b = tape.parameter(1.0, "b")
-    grads = tape.backward(ad.maximum(a, b))
-    assert (grads["a"], grads["b"]) == (1.0, 0.0)
 
 
 def test_mod_gradient_one_away_from_wrap_zero_at_wrap():
@@ -92,7 +90,7 @@ def test_smooth_ops_match_finite_differences_at_random_points():
 
     def f(p):
         x, y = p["x"], p["y"]
-        t = ad.sin(x * 3.0) + ad.cos(y) * ad.tanh(x * y)
+        t = ad.sin(x * 3.0) + _cos(y) * _tanh(x * y)
         t = t + ad.sigmoid(x - y) + ad.ln(ad.exp(x) + 1.5)
         return t * t + ad.sqrt(x * x + y * y + 0.1)
 
@@ -124,7 +122,7 @@ def test_constants_record_nothing():
     tape = Tape()
     tape.parameter(1.0, "p")
     before = len(tape)
-    out = ad.sin(DiffScalar(2.0)) * DiffScalar(3.0) + 1.0
+    out = ad.sin(DiffValue(2.0)) * DiffValue(3.0) + 1.0
     assert out.node is None and out.tape is None
     assert len(tape) == before
 
@@ -149,7 +147,23 @@ def test_foreign_and_constant_losses_rejected():
     with pytest.raises(ad.TapeError):
         tape_b.backward(pa * 2.0)
     with pytest.raises(ad.TapeError):
-        tape_a.backward(DiffScalar(1.0))
+        tape_a.backward(DiffValue(1.0))
+    with pytest.raises(ad.TapeError):
+        tape_a.backward(DiffValue(np.ones(3)) * pa)
+
+
+def test_used_tape_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        tape = Tape()
+        p = tape.parameter(0.5, "p")
+        loss = ad.bsum(ad.sin(DiffValue(np.arange(4.0)) * p))
+        tape.backward(loss)
+        alive = weakref.ref(tape)
+        del tape, p, loss
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_mixing_tapes_in_one_op_rejected():
@@ -167,7 +181,6 @@ def test_mixing_tapes_in_one_op_rejected():
         lambda p: ad.sqrt(p - 2.0),
         lambda p: p / 0.0,
         lambda p: ad.mod(p, 0.0),
-        lambda p: ad.power(p - 2.0, 0.5),
     ],
 )
 def test_domain_errors(call):
@@ -175,14 +188,6 @@ def test_domain_errors(call):
     p = tape.parameter(1.0, "p")
     with pytest.raises(ad.NumericDomainError):
         call(p)
-
-
-def test_power_with_tracked_exponent():
-    def f(p):
-        return ad.power(p["base"], p["expo"])
-
-    err = ad.finite_difference_check(f, {"base": 2.5, "expo": 1.7}, step=1e-6)
-    assert err < 1e-6
 
 
 # -- buffer operations -----------------------------------------------------
@@ -202,7 +207,7 @@ def test_buffer_broadcast_scalar_gradient():
     x = np.array([1.0, -2.0, 3.0])
     tape = Tape()
     s = tape.parameter(2.0, "s")
-    loss = ad.bsum(ad.buffer(x) * s)
+    loss = ad.bsum(DiffValue(x) * s)
     assert tape.backward(loss)["s"] == pytest.approx(x.sum())
 
 
@@ -212,9 +217,9 @@ def test_elementwise_buffer_ops_match_fd():
     w = rng.normal(size=50)
 
     def build(s):
-        b = ad.buffer(x) * s
-        out = ad.sin(b) + ad.tanh(b * 0.5) - ad.absolute(b) * 0.1
-        return ad.bsum(out * ad.buffer(w))
+        b = DiffValue(x) * s
+        out = ad.sin(b) + _tanh(b * 0.5) - ad.absolute(b) * 0.1
+        return ad.bsum(out * DiffValue(w))
 
     _directional_check(build)
 
@@ -223,7 +228,7 @@ def test_cumsum_vjp_matches_fd():
     rng = np.random.default_rng(8)
     x = rng.normal(size=40)
     w = rng.normal(size=40)
-    _directional_check(lambda s: ad.bsum(ad.cumsum(ad.buffer(x) * s) * ad.buffer(w)))
+    _directional_check(lambda s: ad.bsum(ad.cumsum(DiffValue(x) * s) * DiffValue(w)))
 
 
 def test_cumsum_2d_axis_vjp_matches_fd():
@@ -231,17 +236,17 @@ def test_cumsum_2d_axis_vjp_matches_fd():
     x = rng.normal(size=(6, 11))
     w = rng.normal(size=(6, 11))
     _directional_check(
-        lambda s: ad.bsum(ad.cumsum(ad.buffer(x) * s, axis=0) * ad.buffer(w))
+        lambda s: ad.bsum(ad.cumsum(DiffValue(x) * s, axis=0) * DiffValue(w))
     )
     _directional_check(
-        lambda s: ad.bsum(ad.cumsum(ad.buffer(x) * s, axis=1) * ad.buffer(w))
+        lambda s: ad.bsum(ad.cumsum(DiffValue(x) * s, axis=1) * DiffValue(w))
     )
 
 
 def test_gather_scatter_adds_repeated_indices():
     tape = Tape()
     s = tape.parameter(1.0, "s")
-    x = ad.buffer(np.array([2.0, 5.0])) * s
+    x = DiffValue(np.array([2.0, 5.0])) * s
     picked = ad.gather(x, np.array([0, 0, 1, 0]))
     grads = tape.backward(ad.bsum(picked))
     # three picks of x[0] and one of x[1]
@@ -254,7 +259,7 @@ def test_gather_2d_index_vjp_matches_fd():
     idx = rng.integers(0, 30, size=(4, 9))
     w = rng.normal(size=(4, 9))
     _directional_check(
-        lambda s: ad.bsum(ad.gather(ad.buffer(x) * s, idx) * ad.buffer(w))
+        lambda s: ad.bsum(ad.gather(DiffValue(x) * s, idx) * DiffValue(w))
     )
 
 
@@ -264,10 +269,10 @@ def test_sum_axis_vjp_matches_fd():
     w0 = rng.normal(size=(1, 7))
     w1 = rng.normal(size=(5, 1))
     _directional_check(
-        lambda s: ad.bsum(ad.sum_axis(ad.buffer(x) * s, axis=0) * ad.buffer(w0))
+        lambda s: ad.bsum(ad.sum_axis(DiffValue(x) * s, axis=0) * DiffValue(w0))
     )
     _directional_check(
-        lambda s: ad.bsum(ad.sum_axis(ad.buffer(x) * s, axis=1) * ad.buffer(w1))
+        lambda s: ad.bsum(ad.sum_axis(DiffValue(x) * s, axis=1) * DiffValue(w1))
     )
 
 
@@ -278,7 +283,7 @@ def test_transpose_and_const_matmul_vjp_match_fd():
     w = rng.normal(size=(3, 5))
     _directional_check(
         lambda s: ad.bsum(
-            ad.transpose(ad.const_matmul(mat, ad.buffer(x) * s)) * ad.buffer(w)
+            ad.transpose(ad.const_matmul(mat, DiffValue(x) * s)) * DiffValue(w)
         )
     )
 
@@ -288,7 +293,7 @@ def test_rfft_magnitude_vjp_matches_fd():
     frames = rng.normal(size=(3, 32))
     w = rng.normal(size=(3, 17))
     _directional_check(
-        lambda s: ad.bsum(ad.rfft_magnitude(ad.buffer(frames) * s) * ad.buffer(w)),
+        lambda s: ad.bsum(ad.rfft_magnitude(DiffValue(frames) * s) * DiffValue(w)),
         tol=1e-5,
     )
 
@@ -296,7 +301,7 @@ def test_rfft_magnitude_vjp_matches_fd():
 def test_rfft_magnitude_zero_bin_subgradient_is_zero():
     tape = Tape()
     s = tape.parameter(0.0, "s")
-    frames = ad.buffer(np.ones((1, 8))) * s
+    frames = DiffValue(np.ones((1, 8))) * s
     grads = tape.backward(ad.bsum(ad.rfft_magnitude(frames)))
     assert np.isfinite(grads["s"]) and grads["s"] == 0.0
 
@@ -307,7 +312,7 @@ def test_convolve_same_signal_vjp_matches_fd():
     k = rng.normal(size=9)
     w = rng.normal(size=64)
     _directional_check(
-        lambda s: ad.bsum(ad.convolve_same(ad.buffer(x) * s, ad.buffer(k)) * ad.buffer(w)),
+        lambda s: ad.bsum(ad.convolve_same(DiffValue(x) * s, DiffValue(k)) * DiffValue(w)),
         tol=1e-5,
     )
 
@@ -319,7 +324,7 @@ def test_convolve_same_kernel_vjp_matches_fd(klen):
     k = rng.normal(size=klen)
     w = rng.normal(size=57)
     _directional_check(
-        lambda s: ad.bsum(ad.convolve_same(ad.buffer(x), ad.buffer(k) * s) * ad.buffer(w)),
+        lambda s: ad.bsum(ad.convolve_same(DiffValue(x), DiffValue(k) * s) * DiffValue(w)),
         tol=1e-5,
     )
 
@@ -328,14 +333,14 @@ def test_convolve_same_matches_numpy_forward():
     rng = np.random.default_rng(14)
     x = rng.normal(size=33)
     k = rng.normal(size=7)
-    out = ad.convolve_same(ad.buffer(x), ad.buffer(k)).values
+    out = ad.convolve_same(DiffValue(x), DiffValue(k)).value
     np.testing.assert_allclose(out, np.convolve(x, k, mode="same"), atol=1e-12)
 
 
 def test_buffer_node_count_is_per_operation():
     tape = Tape()
     s = tape.parameter(1.0, "s")
-    x = ad.buffer(np.zeros(16000)) * s
+    x = DiffValue(np.zeros(16000)) * s
     n0 = len(tape)
     y = ad.sin(x)
     y = ad.cumsum(y)
@@ -358,7 +363,7 @@ def test_backward_is_linear_in_the_loss(a, b, ca, cb):
         tape = Tape()
         x = tape.parameter(a, "x")
         y = tape.parameter(b, "y")
-        l1 = ad.sin(x) * y + ad.tanh(x * y)
+        l1 = ad.sin(x) * y + _tanh(x * y)
         l2 = ad.exp(ad.clamp(x - y, -2.0, 2.0))
         return tape.backward(combine(l1, l2))
 
@@ -386,7 +391,7 @@ def test_random_smooth_expressions_match_fd(data):
     rights = rng.integers(0, 100, size=n_ops)
 
     def f(p):
-        vals = [p["x"], p["y"], DiffScalar(1.0)]
+        vals = [p["x"], p["y"], DiffValue(1.0)]
         for op, c, li, ri in zip(picks, consts, lefts, rights):
             u = vals[int(li) % len(vals)]
             v = vals[int(ri) % len(vals)]
@@ -395,13 +400,13 @@ def test_random_smooth_expressions_match_fd(data):
             elif op == 1:
                 vals.append(u * v)
             elif op == 2:
-                vals.append(ad.sin(u) + ad.cos(v))
+                vals.append(ad.sin(u) + _cos(v))
             elif op == 3:
-                vals.append(ad.tanh(u * c))
+                vals.append(_tanh(u * c))
             elif op == 4:
                 vals.append(ad.sigmoid(u - v))
             else:
-                vals.append(ad.exp(ad.tanh(u)) * c)
+                vals.append(ad.exp(_tanh(u)) * c)
         out = vals[-1]
         return out * out + p["x"] * 0.5 + p["y"] * 0.25
 

@@ -202,6 +202,15 @@ def test_dataset_metadata_line_works_as_params_file(tmp_path, basic_chain):
     assert (tmp_path / "re.wav").read_bytes() == (out / "000001.wav").read_bytes()
 
 
+def test_dataset_nonpositive_jobs_exit_2(tmp_path, basic_chain):
+    out = tmp_path / "ds"
+    assert main(
+        ["-q", "dataset", str(basic_chain), "--n", "2", "--seed", "9",
+         "--out", str(out), "--duration", "0.125", "--jobs", "0"]
+    ) == 2
+    assert not out.exists()
+
+
 # -- sweep ----------------------------------------------------------------------
 
 
@@ -275,6 +284,10 @@ def test_bench_bad_inputs_exit_2(tmp_path):
                  "--processing", "identity", "--out", str(tmp_path / "b.csv")]) == 2
     assert main(["-q", "bench", "--waveform", "square", "--distance", "300",
                  "--processing", "mystery", "--out", str(tmp_path / "b.csv")]) == 2
+    assert main(["-q", "bench", "--waveform", "square", "--distance", "300",
+                 "--processing", "identity", "--jobs", "-2",
+                 "--out", str(tmp_path / "b.csv")]) == 2
+    assert not (tmp_path / "b.csv").exists()
 
 
 # -- gradcheck ------------------------------------------------------------------

@@ -229,6 +229,9 @@ def test_invalid_chain_rejected_before_writing(tmp_path):
 def test_negative_count_rejected(tmp_path):
     with pytest.raises(ValueError):
         generate_dataset(MIX_CHAIN, -1, seed=1, out_dir=tmp_path, render_config=CFG)
+    with pytest.raises(ValueError, match="jobs"):
+        generate_dataset(MIX_CHAIN, 2, seed=1, out_dir=tmp_path / "ds", render_config=CFG, jobs=0)
+    assert not (tmp_path / "ds").exists()
 
 
 def test_load_records_rejects_bad_json(tmp_path):

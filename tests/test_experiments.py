@@ -187,6 +187,10 @@ def test_bad_benchmark_inputs_rejected():
         perturbation_benchmark("square", -10.0, "spectrogram", "identity", trials=5)
     with pytest.raises(ValueError, match="trials"):
         perturbation_benchmark("square", 300.0, "spectrogram", "identity", trials=0)
+    with pytest.raises(ValueError, match="jobs"):
+        perturbation_benchmark("square", 300.0, "spectrogram", "identity", trials=5, jobs=0)
+    with pytest.raises(ValueError, match="jobs"):
+        perturbation_trials("saw", 300.0, trials=5, jobs=-2)
 
 
 def test_benchmark_table_layout():

@@ -378,6 +378,8 @@ def test_lsd_rejects_length_mismatch():
         {"transform": "cqt"},
         {"beta": -1.0},
         {"regression_kind": "L3"},
+        {"transform": "mel", "n_mels": 0},
+        {"n_mels": -3},
     ],
 )
 def test_loss_config_rejects(kwargs):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gradsynth.audio import RenderConfig
-from gradsynth.autodiff import DiffScalar
+from gradsynth.autodiff import DiffValue
 from gradsynth.chains import (
     Cell,
     CellAddress,
@@ -131,7 +131,7 @@ def test_reparam_stays_inside_ranges():
             if cell.kind == "empty":
                 continue
             for p in CATALOG[cell.kind].continuous:
-                theta[(cell.address, p.name)] = DiffScalar(rng.uniform(-30.0, 30.0))
+                theta[(cell.address, p.name)] = DiffValue(rng.uniform(-30.0, 30.0))
         values = _reparam(FULL_CHAIN, theta, CFG, {})
         for cell in FULL_CHAIN.cells:
             for p in CATALOG[cell.kind].continuous:
@@ -146,9 +146,9 @@ def test_reparam_stays_inside_ranges():
 def test_reparam_respects_fixed_time_budget():
     fixed = {(CellAddress(0, 2), "attack"): 0.2}
     theta = {
-        (CellAddress(0, 2), "decay"): DiffScalar(30.0),
-        (CellAddress(0, 2), "release"): DiffScalar(30.0),
-        (CellAddress(0, 2), "sustain"): DiffScalar(0.0),
+        (CellAddress(0, 2), "decay"): DiffValue(30.0),
+        (CellAddress(0, 2), "release"): DiffValue(30.0),
+        (CellAddress(0, 2), "sustain"): DiffValue(0.0),
     }
     values = _reparam(FULL_CHAIN, theta, CFG, fixed)
     free_total = (
@@ -159,8 +159,8 @@ def test_reparam_respects_fixed_time_budget():
 
 
 def test_log_scale_params_span_range():
-    lo = _reparam(OSC_CHAIN, {(A00, "freq"): DiffScalar(-30.0)}, CFG, {})
-    hi = _reparam(OSC_CHAIN, {(A00, "freq"): DiffScalar(30.0)}, CFG, {})
+    lo = _reparam(OSC_CHAIN, {(A00, "freq"): DiffValue(-30.0)}, CFG, {})
+    hi = _reparam(OSC_CHAIN, {(A00, "freq"): DiffValue(30.0)}, CFG, {})
     assert lo[(A00, "freq")].value == pytest.approx(20.0, rel=1e-6)
     assert hi[(A00, "freq")].value == pytest.approx(20000.0, rel=1e-6)
 

@@ -237,7 +237,7 @@ def test_adsr_sustain_gradient_matches_fd():
     src_values = np.sin(2 * np.pi * 110.0 * CFG.times())
 
     def f(p):
-        src = Signal(ad.buffer(src_values), CFG.sample_rate)
+        src = Signal(ad.DiffValue(src_values), CFG.sample_rate)
         out = apply_adsr(
             src,
             {"attack": 0.1, "decay": 0.3, "sustain": p["sustain"], "release": 0.2},
@@ -253,7 +253,7 @@ def test_adsr_segment_gradients_match_fd():
     src_values = np.sin(2 * np.pi * 110.0 * CFG.times())
 
     def f(p):
-        src = Signal(ad.buffer(src_values), CFG.sample_rate)
+        src = Signal(ad.DiffValue(src_values), CFG.sample_rate)
         out = apply_adsr(
             src,
             {
@@ -277,8 +277,8 @@ def test_adsr_segment_gradients_match_fd():
 
 
 def test_lowpass_kernel_unit_dc_gain():
-    kernel = _lowpass_kernel(ad.DiffScalar(1234.5), 16000)
-    assert np.sum(kernel.values) == pytest.approx(1.0, abs=1e-12)
+    kernel = _lowpass_kernel(ad.DiffValue(1234.5), 16000)
+    assert np.sum(kernel.value) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_lowpass_passband_preserves_rms():
@@ -304,7 +304,7 @@ def test_lowpass_cutoff_gradient_matches_fd():
     )
 
     def f(p):
-        src = Signal(ad.buffer(src_values), cfg.sample_rate)
+        src = Signal(ad.DiffValue(src_values), cfg.sample_rate)
         out = apply_lowpass(src, {"cutoff": p["cutoff"]}, cfg)
         return ad.bsum(out.samples * out.samples)
 
@@ -368,8 +368,8 @@ def test_tremolo_depth_gradient_matches_fd():
     lfo_values = np.sin(2 * np.pi * 3.0 * CFG.times())
 
     def f(p):
-        src = Signal(ad.buffer(src_values), CFG.sample_rate)
-        lfo = Signal(ad.buffer(lfo_values), CFG.sample_rate)
+        src = Signal(ad.DiffValue(src_values), CFG.sample_rate)
+        lfo = Signal(ad.DiffValue(lfo_values), CFG.sample_rate)
         out = apply_tremolo(src, lfo, {"depth": p["depth"]})
         return ad.bsum(out.samples * out.samples)
 
@@ -402,7 +402,7 @@ def test_fm_parameter_gradients_match_fd():
     mod_values = np.sin(2 * np.pi * 7.0 * cfg.times())
 
     def f(p):
-        modulator = Signal(ad.buffer(mod_values), cfg.sample_rate)
+        modulator = Signal(ad.DiffValue(mod_values), cfg.sample_rate)
         out = render_fm_oscillator(
             {
                 "amp_c": p["amp_c"],
