@@ -458,9 +458,11 @@ def const_matmul(matrix: np.ndarray, x) -> DiffValue:
 def rfft_magnitude(frames) -> DiffValue:
     """Magnitude of the real FFT of each row of a 2-D frame matrix.
 
-    The adjoint routes d(loss)/d|X| back through the FFT analytically:
-    with u = adj * X/|X| on the kept bins, d(loss)/dx = Re(N * ifft(u))
-    restricted to those bins (zero where |X| = 0).
+    The adjoint routes d(loss)/d|X| back through the FFT analytically.
+    With u = adj * X/|X| on the kept bins (zero where |X| = 0),
+    d(loss)/dx = Re(N * ifft(u zero-padded to N)); the inverse real FFT of
+    u with its interior bins halved gives the same rows without the
+    complex transform, since irfft counts each interior bin twice.
     """
     v, n, tape = _unwrap(frames)
     if v.ndim != 2:
@@ -475,9 +477,8 @@ def rfft_magnitude(frames) -> DiffValue:
         adj = np.asarray(adj, dtype=np.float64)
         safe = np.where(mag > 0.0, mag, 1.0)
         u = np.where(mag > 0.0, adj / safe, 0.0) * spectrum
-        full = np.zeros((v.shape[0], size), dtype=np.complex128)
-        full[:, : u.shape[1]] = u
-        return np.real(np.fft.ifft(full, axis=1)) * size
+        u[:, 1 : (size + 1) // 2] *= 0.5
+        return np.fft.irfft(u, n=size, axis=1) * size
 
     return _record_op(tape, mag, [(n, vjp)])
 
@@ -486,9 +487,12 @@ def convolve_same(x, kernel) -> DiffValue:
     """'Same' zero-padded convolution of a 1-D buffer with a short kernel.
 
     Differentiable with respect to both the signal and the kernel taps.
+    Direct convolution: for the 101-tap low-pass on a second of audio it
+    is cheaper than an FFT of the whole buffer.  The signal adjoint
+    convolves with the reversed kernel; the kernel adjoint correlates the
+    zero-padded signal with the output adjoint.  Odd and even kernels
+    share numpy's 'same' alignment (offset (m - 1) // 2).
     """
-    from scipy.signal import fftconvolve
-
     vx, nx, tx = _unwrap(x)
     vk, nk, tk = _unwrap(kernel)
     tape = _join_tape(tx, tk)
@@ -496,17 +500,16 @@ def convolve_same(x, kernel) -> DiffValue:
         raise NumericDomainError("convolve_same", "expected 1-D operands")
     if vk.shape[0] > vx.shape[0]:
         raise NumericDomainError("convolve_same", "kernel longer than signal")
-    out = fftconvolve(vx, vk, mode="same")
+    out = np.convolve(vx, vk, "same")
     specs = []
     if nx is not None:
-        specs.append((nx, lambda adj: fftconvolve(np.asarray(adj), vk[::-1], mode="same")))
+        specs.append((nx, lambda adj: np.convolve(np.asarray(adj), vk[::-1], "same")))
     if nk is not None:
         m = vk.shape[0]
-        lead = vx.shape[0] - 1 - (m - 1) // 2
 
-        def vjp_kernel(adj, lead=lead, m=m):
-            full = fftconvolve(np.asarray(adj), vx[::-1], mode="full")
-            return full[lead : lead + m]
+        def vjp_kernel(adj):
+            padded = np.pad(vx, (m // 2, (m - 1) // 2))
+            return np.correlate(padded, np.asarray(adj), "valid")[::-1]
 
         specs.append((nk, vjp_kernel))
     return _record_op(tape, out, specs)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -22,16 +22,25 @@ from .chains import (
     RenderTrace,
 )
 from .modules import CATALOG, resolve_range
-from .spectral import PROCESSINGS, WINDOW_SIZES, mel_spectrogram, process, stft_magnitude
+from .spectral import (
+    PROCESSINGS,
+    WINDOW_SIZES,
+    Spectrogram,
+    mel_spectrogram,
+    process,
+    stft_magnitude,
+)
 
 __all__ = [
     "CATEGORICAL_SMOOTHING",
     "LossConfig",
     "LossConfigError",
     "combined_loss",
+    "feature_distance",
     "log_spectral_distance",
     "parameter_loss",
     "signal_chain_loss",
+    "spectral_features",
 ]
 
 # Hard categorical predictions enter cross-entropy as an indicator
@@ -156,30 +165,57 @@ def _select_signals(
     return pairs
 
 
+def spectral_features(signal: Signal, cfg: LossConfig) -> tuple[Spectrogram, ...]:
+    """The processed spectra the spectral loss compares, for one signal.
+
+    One entry per window x processing, window-major, in the order of
+    ``cfg.windows`` and ``cfg.processings``; one STFT per window.
+    """
+    features = []
+    for window in cfg.windows:
+        spec = stft_magnitude(signal, window)
+        if cfg.transform == "mel":
+            spec = mel_spectrogram(spec, n_mels=cfg.n_mels)
+        for kind in cfg.processings:
+            features.append(process(spec, kind, normalize=cfg.cumsum_normalize))
+    return tuple(features)
+
+
+def feature_distance(
+    a: Sequence[Spectrogram], b: Sequence[Spectrogram], cfg: LossConfig
+) -> DiffValue:
+    """Sum of the entrywise p-norms of ``a[i] - b[i]``; p = 2 is the Frobenius norm."""
+    total = DiffValue(0.0)
+    for fa, fb in zip(a, b, strict=True):
+        diff = fa.magnitudes - fb.magnitudes
+        if cfg.norm_p == 1:
+            total = total + bsum(absolute(diff))
+        else:
+            total = total + sqrt(bsum(diff * diff))
+    return total
+
+
 def signal_chain_loss(
-    trace: RenderTrace, target_trace: RenderTrace, cfg: LossConfig
+    trace: RenderTrace,
+    target_trace: Union[RenderTrace, Sequence[Spectrogram]],
+    cfg: LossConfig,
 ) -> DiffValue:
     """Spectral distance summed over cells x windows x processings.
 
-    Each term is the entrywise p-norm of the processed-spectrogram
-    difference; p = 2 uses the Frobenius norm.
+    Each cell contributes ``feature_distance`` of the two signals'
+    ``spectral_features``.  With ``cells="output"``, ``target_trace`` may
+    instead be the target output's ``spectral_features``, so a caller that
+    scores many predictions against one target computes its spectra once.
     """
+    if not isinstance(target_trace, RenderTrace):
+        if cfg.cells != "output":
+            raise LossConfigError("precomputed target features require cells='output'")
+        return feature_distance(spectral_features(trace.output, cfg), target_trace, cfg)
     total = DiffValue(0.0)
     for predicted, target in _select_signals(trace, target_trace, cfg):
-        for window in cfg.windows:
-            spec_a = stft_magnitude(predicted, window)
-            spec_b = stft_magnitude(target, window)
-            if cfg.transform == "mel":
-                spec_a = mel_spectrogram(spec_a, n_mels=cfg.n_mels)
-                spec_b = mel_spectrogram(spec_b, n_mels=cfg.n_mels)
-            for kind in cfg.processings:
-                fa = process(spec_a, kind, normalize=cfg.cumsum_normalize)
-                fb = process(spec_b, kind, normalize=cfg.cumsum_normalize)
-                diff = fa.magnitudes - fb.magnitudes
-                if cfg.norm_p == 1:
-                    total = total + bsum(absolute(diff))
-                else:
-                    total = total + sqrt(bsum(diff * diff))
+        total = total + feature_distance(
+            spectral_features(predicted, cfg), spectral_features(target, cfg), cfg
+        )
     return total
 
 

@@ -23,7 +23,6 @@ from .chains import (
     ChainSpec,
     ChainValidationError,
     ParameterAssignment,
-    RenderTrace,
     generate_signal,
     validate,
 )
@@ -33,8 +32,10 @@ from .losses import (
     log_spectral_distance,
     parameter_loss,
     signal_chain_loss,
+    spectral_features,
 )
 from .modules import CATALOG, LOG_SCALE_PARAMS, resolve_range
+from .spectral import Spectrogram
 
 __all__ = [
     "BranchResult",
@@ -225,7 +226,7 @@ def _step_loss(
     theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
     combo_map: Mapping[tuple[CellAddress, str], str],
     fixed: FixedParams,
-    target_trace: RenderTrace,
+    target_features: tuple[Spectrogram, ...],
     target_params: Optional[ParameterAssignment],
     loss_cfg: LossConfig,
     beta: float,
@@ -241,15 +242,14 @@ def _step_loss(
     spectral_part = DiffValue(0.0)
     if beta > 0.0:
         trace = generate_signal(chain, assignment, render_config)
-        spectral_part = signal_chain_loss(trace, target_trace, loss_cfg)
+        spectral_part = signal_chain_loss(trace, target_features, loss_cfg)
     return combined_loss(param_part, spectral_part, beta)
 
 
 def _run_branch(args) -> BranchResult:
     (
         chain,
-        target_values,
-        sample_rate,
+        target_features,
         loss_cfg,
         opt_cfg,
         target_params,
@@ -259,7 +259,6 @@ def _run_branch(args) -> BranchResult:
         combo_index,
         restart,
     ) = args
-    target_trace = RenderTrace({}, Signal.from_values(target_values, sample_rate))
     combo_map = dict(combo)
     free_keys = _free_continuous(chain, fixed)
     rng = np.random.default_rng(
@@ -292,7 +291,7 @@ def _run_branch(args) -> BranchResult:
             tracked,
             combo_map,
             fixed,
-            target_trace,
+            target_features,
             target_params,
             loss_cfg,
             beta,
@@ -330,7 +329,7 @@ def _run_branch(args) -> BranchResult:
             theta,
             combo_map,
             fixed,
-            target_trace,
+            target_features,
             target_params,
             loss_cfg,
             final_beta,
@@ -394,14 +393,15 @@ def match(
 
     fixed = dict(fixed_params or {})
     combos = _categorical_combos(chain, fixed)
+    # the target is constant, so its spectra are computed once per call
+    target_features = spectral_features(target, loss_cfg)
     jobs = []
     for combo_index, combo in enumerate(combos):
         for restart in range(opt_cfg.restarts):
             jobs.append(
                 (
                     chain,
-                    target.values,
-                    target.sample_rate,
+                    target_features,
                     loss_cfg,
                     opt_cfg,
                     target_params,
@@ -428,8 +428,7 @@ def match(
     best = _assignment_from(chain, flat, dict(best_branch.combo), fixed)
 
     trace = generate_signal(chain, best, render_config)
-    target_trace = RenderTrace({}, target)
-    final_spectral = signal_chain_loss(trace, target_trace, loss_cfg).value
+    final_spectral = signal_chain_loss(trace, target_features, loss_cfg).value
     final_lsd = log_spectral_distance(trace.output, target, max(loss_cfg.windows))
     return MatchResult(
         best=best,

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import fftconvolve
 
 from gradsynth import autodiff as ad
 from gradsynth.autodiff import DiffValue, Tape
@@ -298,6 +299,44 @@ def test_rfft_magnitude_vjp_matches_fd():
     )
 
 
+def test_rfft_magnitude_vjp_matches_fd_odd_width():
+    rng = np.random.default_rng(15)
+    frames = rng.normal(size=(3, 33))
+    w = rng.normal(size=(3, 17))
+    _directional_check(
+        lambda s: ad.bsum(ad.rfft_magnitude(DiffValue(frames) * s) * DiffValue(w)),
+        tol=1e-5,
+    )
+
+
+def _complex_ifft_vjp(frames, adj):
+    """The rfft_magnitude adjoint written with a zero-padded complex ifft."""
+    spectrum = np.fft.rfft(frames, axis=1)
+    mag = np.abs(spectrum)
+    safe = np.where(mag > 0.0, mag, 1.0)
+    u = np.where(mag > 0.0, adj / safe, 0.0) * spectrum
+    full = np.zeros(frames.shape, dtype=np.complex128)
+    full[:, : u.shape[1]] = u
+    return np.real(np.fft.ifft(full, axis=1)) * frames.shape[1]
+
+
+@pytest.mark.parametrize("width", [8, 9, 512, 1024])
+def test_rfft_magnitude_vjp_equals_complex_ifft_formula(width):
+    rng = np.random.default_rng(width)
+    frames = rng.normal(size=(5, width))
+    frames[1] = 0.0  # every bin exactly zero
+    frames[2] = 1.0  # constant: only the DC bin is far from zero
+    adj = rng.normal(size=(5, width // 2 + 1))
+    tape = Tape()
+    s = tape.parameter(1.0, "s")
+    out = ad.rfft_magnitude(DiffValue(frames) * s)
+    assert np.any(out.value == 0.0)
+    got = out.node.vjps[0](adj)
+    want = _complex_ifft_vjp(frames, adj)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_rfft_magnitude_zero_bin_subgradient_is_zero():
     tape = Tape()
     s = tape.parameter(0.0, "s")
@@ -335,6 +374,28 @@ def test_convolve_same_matches_numpy_forward():
     k = rng.normal(size=7)
     out = ad.convolve_same(DiffValue(x), DiffValue(k)).value
     np.testing.assert_allclose(out, np.convolve(x, k, mode="same"), atol=1e-12)
+
+
+@pytest.mark.parametrize("klen", [1, 4, 9, 10, 101])
+def test_convolve_same_equals_fftconvolve_formulas(klen):
+    rng = np.random.default_rng(100 + klen)
+    n = 16000
+    x = rng.normal(size=n)
+    k = rng.normal(size=klen)
+    adj = rng.normal(size=n)
+    tape = Tape()
+    s = tape.parameter(1.0, "s")
+    out = ad.convolve_same(DiffValue(x) * s, DiffValue(k) * s)
+    signal_vjp, kernel_vjp = out.node.vjps
+    lead = n - 1 - (klen - 1) // 2
+    pairs = [
+        (out.value, fftconvolve(x, k, mode="same")),
+        (signal_vjp(adj), fftconvolve(adj, k[::-1], mode="same")),
+        (kernel_vjp(adj), fftconvolve(adj, x[::-1], mode="full")[lead : lead + klen]),
+    ]
+    for got, want in pairs:
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_buffer_node_count_is_per_operation():

@@ -20,11 +20,13 @@ from gradsynth.losses import (
     LossConfig,
     LossConfigError,
     combined_loss,
+    feature_distance,
     log_spectral_distance,
     parameter_loss,
     signal_chain_loss,
+    spectral_features,
 )
-from gradsynth.spectral import mel_spectrogram, stft_magnitude
+from gradsynth.spectral import PROCESSINGS, mel_spectrogram, stft_magnitude
 
 CFG = RenderConfig(duration=0.25)
 
@@ -240,6 +242,49 @@ def test_chain_loss_n_mels_sets_the_filter_count(n_mels):
     assert signal_chain_loss(ta, tb, cfg).value == pytest.approx(
         np.abs(mel_a - mel_b).sum(), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("cells", ["all", "output"])
+@pytest.mark.parametrize("cumsum_normalize", [False, True])
+@pytest.mark.parametrize("norm_p", [1, 2])
+@pytest.mark.parametrize("processing", PROCESSINGS)
+@pytest.mark.parametrize("transform", ["spectrogram", "mel"])
+def test_chain_loss_is_feature_distance_of_spectral_features(
+    transform, processing, norm_p, cumsum_normalize, cells
+):
+    chain, assignment = mix_assignment(440.0, 660.0)
+    _, other = mix_assignment(330.0, 550.0)
+    ta = generate_signal(chain, assignment, CFG)
+    tb = generate_signal(chain, other, CFG)
+    cfg = LossConfig(
+        cells=cells,
+        windows=(512, 1024),
+        processings=(processing,),
+        norm_p=norm_p,
+        transform=transform,
+        cumsum_normalize=cumsum_normalize,
+        n_mels=64,
+    )
+    pairs = (
+        [(ta.output, tb.output)]
+        if cells == "output"
+        else [(ta.cell_outputs[a], tb.cell_outputs[a]) for a in sorted(ta.cell_outputs)]
+    )
+    want = 0.0
+    for pa, pb in pairs:
+        want += feature_distance(spectral_features(pa, cfg), spectral_features(pb, cfg), cfg).value
+    assert len(spectral_features(ta.output, cfg)) == 2
+    assert signal_chain_loss(ta, tb, cfg).value == want
+    if cells == "output":
+        target_features = spectral_features(tb.output, cfg)
+        assert signal_chain_loss(ta, target_features, cfg).value == want
+
+
+def test_chain_loss_precomputed_target_needs_output_cells():
+    ta = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
+    cfg = LossConfig(cells="all", windows=(1024,))
+    with pytest.raises(LossConfigError):
+        signal_chain_loss(ta, spectral_features(ta.output, cfg), cfg)
 
 
 def test_chain_loss_gradient_matches_fd():

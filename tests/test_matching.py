@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
 
+from gradsynth import losses
 from gradsynth.audio import RenderConfig
-from gradsynth.autodiff import DiffValue
+from gradsynth.autodiff import DiffValue, Tape
 from gradsynth.chains import (
     Cell,
     CellAddress,
     ChainSpec,
     Connection,
     ParameterAssignment,
+    RenderTrace,
     generate_signal,
 )
-from gradsynth.losses import LossConfig
+from gradsynth.losses import LossConfig, signal_chain_loss
 from gradsynth.matching import (
     MatcherConfigError,
     OptimizerConfig,
@@ -259,6 +261,52 @@ def test_parallel_jobs_match_sequential():
     a = match(target, OSC_CHAIN, SPECTRAL_L2, seq, fixed_params=AMP_FIXED, render_config=CFG)
     b = match(target, OSC_CHAIN, SPECTRAL_L2, par, fixed_params=AMP_FIXED, render_config=CFG)
     assert a.trajectories == b.trajectories
+
+
+@pytest.mark.parametrize("steps", [2, 5])
+def test_target_spectra_computed_once_per_match(monkeypatch, steps):
+    target = sine_target()
+    original = losses.stft_magnitude
+    target_calls = []
+
+    def counting(signal, window_size, **kwargs):
+        if np.array_equal(signal.values, target.values):
+            target_calls.append(window_size)
+        return original(signal, window_size, **kwargs)
+
+    monkeypatch.setattr(losses, "stft_magnitude", counting)
+    loss_cfg = LossConfig(cells="output", windows=(512, 1024))
+    opt = OptimizerConfig(steps=steps, learning_rate=0.1, restarts=2, seed=1)
+    match(target, OSC_CHAIN, loss_cfg, opt, fixed_params=AMP_FIXED, render_config=CFG)
+    # one per window for the loss, then one for the final log-spectral
+    # distance at the largest window; none per step or branch
+    assert sorted(target_calls) == [512, 1024, 1024]
+
+
+@pytest.mark.parametrize("algorithm", ["adam", "sgd"])
+def test_optimizer_algorithm_sets_the_first_step(algorithm):
+    target = sine_target()
+    lr = 0.05
+    fixed = {(A00, "waveform"): "sine", (A00, "active"): "on"}
+    opt = OptimizerConfig(steps=1, learning_rate=lr, algorithm=algorithm, restarts=1, seed=3)
+    res = match(target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=fixed, render_config=CFG)
+    theta1 = dict(res.branches[0].theta)
+
+    # theta_0 as the branch draws it: combination 0, restart 0
+    rng = np.random.default_rng(np.random.SeedSequence(3, spawn_key=(0, 0)))
+    theta0 = {(A00, p.name): float(rng.uniform(-2.0, 2.0)) for p in CATALOG["osc"].continuous}
+    tape = Tape()
+    tracked = {key: tape.parameter(value, key[1]) for key, value in theta0.items()}
+    params = {name: v for (_, name), v in _reparam(OSC_CHAIN, tracked, CFG, fixed).items()}
+    predicted = ParameterAssignment({A00: {**params, "waveform": "sine", "active": "on"}})
+    trace = generate_signal(OSC_CHAIN, predicted, CFG)
+    grads = tape.backward(signal_chain_loss(trace, RenderTrace({}, target), SPECTRAL_L2))
+
+    assert set(theta1) == set(theta0)
+    for key, start in theta0.items():
+        g = grads[key[1]]
+        step = lr * g / (abs(g) + 1e-8) if algorithm == "adam" else lr * g
+        assert start - theta1[key] == pytest.approx(step, rel=1e-9, abs=1e-15)
 
 
 # -- configuration errors ---------------------------------------------------
