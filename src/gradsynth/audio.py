@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.io import wavfile
@@ -43,8 +44,15 @@ class RenderConfig:
         return int(round(self.sample_rate * self.duration))
 
     def times(self) -> np.ndarray:
-        """The sample-time grid t_k = k / sample_rate."""
-        return np.arange(self.num_samples, dtype=np.float64) / self.sample_rate
+        """The sample-time grid t_k = k / sample_rate, cached and read-only."""
+        return _time_grid(self.num_samples, self.sample_rate)
+
+
+@lru_cache
+def _time_grid(n: int, sample_rate: int) -> np.ndarray:
+    grid = np.arange(n, dtype=np.float64) / sample_rate
+    grid.flags.writeable = False  # shared by every caller
+    return grid
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 
 A :class:`Tape` records elementary operations as they execute.  Scalar
 parameters are registered by name and retrieved from the gradient map
-after :meth:`Tape.backward`.  Buffer-valued operations (windowed frames,
-FFT magnitudes, convolution, cumulative sums) record a single node with
-an adjoint closure instead of one node per sample, so a one-second
+after :meth:`Tape.backward`.  Buffer-valued operations (the framed FFT
+magnitudes of an STFT, convolution, cumulative sums) record a single node
+with an adjoint closure instead of one node per sample, so a one-second
 16 kHz buffer costs one tape entry per operation, not 16000.
+
+Adjoints are shared, not copied: an operation whose partial is +1 or -1
+hands its output adjoint on unchanged (or negated), so no adjoint closure
+may write to the array it is given.
 
 Every tracked or constant operand is a :class:`DiffValue` holding a
 python float (a scalar) or a float64 ndarray (a buffer); gradients
@@ -36,9 +40,8 @@ __all__ = [
     "div",
     "exp",
     "finite_difference_check",
-    "gather",
+    "frac",
     "ln",
-    "mod",
     "mul",
     "neg",
     "rfft_magnitude",
@@ -49,7 +52,6 @@ __all__ = [
     "sub",
     "sum_axis",
     "bsum",
-    "transpose",
 ]
 
 
@@ -153,8 +155,10 @@ class DiffValue:
     __slots__ = ("value", "tape", "node")
 
     def __init__(self, value, tape: Tape = None, node: _Node = None):
-        value = np.asarray(value, dtype=np.float64)
-        self.value = value if value.ndim else float(value)
+        if type(value) is not float:
+            value = np.asarray(value, dtype=np.float64)
+            value = value if value.ndim else float(value)
+        self.value = value
         self.tape = tape
         self.node = node
 
@@ -219,7 +223,9 @@ def _join_tape(ta: Tape, tb: Tape) -> Tape:
 def _reduce_to(grad, shape) -> Union[float, np.ndarray]:
     """Sum a broadcasted adjoint back down to an operand's shape."""
     if shape == ():
-        return float(np.sum(grad))
+        return grad if type(grad) is float else float(np.sum(grad))
+    if np.shape(grad) == shape:
+        return grad
     grad = np.asarray(grad, dtype=np.float64)
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
@@ -243,19 +249,29 @@ def _record_op(tape: Tape, out_value, parent_specs: Iterable[tuple]):
     return DiffValue(out_value, tape, tape._record(parents, vjps))
 
 
+def _scaled_vjp(p, shape):
+    """The adjoint closure adj -> adj * p, summed down to ``shape``.
+
+    A partial of exactly +1 or -1 passes the adjoint through, negated for
+    -1: the same bits as the product, without a new buffer per operation.
+    """
+    if type(p) is float and p == 1.0:
+        return lambda adj: _reduce_to(adj, shape)
+    if type(p) is float and p == -1.0:
+        return lambda adj: _reduce_to(-adj, shape)
+    return lambda adj: _reduce_to(adj * p, shape)
+
+
 def _binary(a: Operand, b: Operand, forward, partial_a, partial_b):
     va, na, ta = _unwrap(a)
     vb, nb, tb = _unwrap(b)
     tape = _join_tape(ta, tb)
     out = forward(va, vb)
-    sa, sb = _shape_of(va), _shape_of(vb)
     specs = []
     if na is not None:
-        pa = partial_a(va, vb)
-        specs.append((na, lambda adj, p=pa, s=sa: _reduce_to(adj * p, s)))
+        specs.append((na, _scaled_vjp(partial_a(va, vb), _shape_of(va))))
     if nb is not None:
-        pb = partial_b(va, vb)
-        specs.append((nb, lambda adj, p=pb, s=sb: _reduce_to(adj * p, s)))
+        specs.append((nb, _scaled_vjp(partial_b(va, vb), _shape_of(vb))))
     return _record_op(tape, out, specs)
 
 
@@ -264,9 +280,7 @@ def _unary(x: Operand, forward, partial):
     out = forward(v)
     if n is None:
         return DiffValue(out)
-    p = partial(v)
-    s = _shape_of(v)
-    return _record_op(tape, out, [(n, lambda adj: _reduce_to(adj * p, s))])
+    return _record_op(tape, out, [(n, _scaled_vjp(partial(v), _shape_of(v)))])
 
 
 # -- elementary arithmetic ------------------------------------------------
@@ -340,7 +354,12 @@ def sigmoid(x):
         out = np.where(v >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
         return out if out.ndim else float(out)
 
-    return _unary(x, fwd, lambda v: fwd(v) * (1.0 - fwd(v)))
+    v, n, tape = _unwrap(x)
+    out = fwd(v)
+    if n is None:
+        return DiffValue(out)
+    # the partial from the output, rather than two more forward passes
+    return _record_op(tape, out, [(n, _scaled_vjp(out * (1.0 - out), _shape_of(v)))])
 
 
 def clamp(x, lo: float, hi: float):
@@ -353,17 +372,15 @@ def clamp(x, lo: float, hi: float):
     )
 
 
-def mod(a, b):
-    """Floor remainder.  d/da is 1 away from wraps and 0 at a wrap sample."""
-    vb = _unwrap(b)[0]
-    if np.any(vb == 0.0):
-        raise NumericDomainError("mod", "zero modulus")
-    return _binary(
-        a, b,
-        np.mod,
-        lambda x, y: (np.mod(x, y) != 0.0) * 1.0,
-        lambda x, y: -np.floor(x / y),
-    )
+def frac(x):
+    """Fractional part x - floor(x), in [0, 1).  d/dx is 1 away from wraps
+    and 0 at a wrap sample.  Bit for bit np.mod(x, 1.0), at a fraction of
+    its cost."""
+    v, n, tape = _unwrap(x)
+    out = v - np.floor(v)
+    if n is None:
+        return DiffValue(out)
+    return _record_op(tape, out, [(n, _scaled_vjp((out != 0.0) * 1.0, _shape_of(v)))])
 
 
 def sign_surrogate(x, steepness: float = 100.0):
@@ -376,7 +393,7 @@ def sign_surrogate(x, steepness: float = 100.0):
     return _unary(x, np.sign, lambda v: s * (1.0 - np.tanh(s * v) ** 2))
 
 
-# -- buffer reductions and reshapes ---------------------------------------
+# -- buffer reductions and transforms -------------------------------------
 
 
 def bsum(x) -> DiffValue:
@@ -417,37 +434,9 @@ def sum_axis(x, axis: int) -> DiffValue:
     return _record_op(tape, out, [(n, vjp)])
 
 
-def gather(x, index: np.ndarray) -> DiffValue:
-    """Fancy-index a 1-D buffer; the adjoint scatter-adds back."""
-    v, n, tape = _unwrap(x)
-    index = np.asarray(index)
-    out = v[index]
-    if n is None:
-        return DiffValue(out)
-    size = v.shape[0]
-    flat_index = index.ravel()
-
-    def vjp(adj):
-        contrib = np.bincount(
-            flat_index, weights=np.asarray(adj, dtype=np.float64).ravel(),
-            minlength=size,
-        )
-        return contrib
-
-    return _record_op(tape, out, [(n, vjp)])
-
-
-def transpose(x) -> DiffValue:
-    v, n, tape = _unwrap(x)
-    out = v.T
-    if n is None:
-        return DiffValue(out)
-    return _record_op(tape, out, [(n, lambda adj: np.asarray(adj).T)])
-
-
-def const_matmul(matrix: np.ndarray, x) -> DiffValue:
-    """matrix @ x with a constant left factor."""
-    matrix = np.asarray(matrix, dtype=np.float64)
+def const_matmul(matrix, x) -> DiffValue:
+    """matrix @ x with a constant left factor: a float64 ndarray or a
+    scipy sparse matrix, used as given (a sparse one is never densified)."""
     v, n, tape = _unwrap(x)
     out = matrix @ v
     if n is None:
@@ -455,32 +444,45 @@ def const_matmul(matrix: np.ndarray, x) -> DiffValue:
     return _record_op(tape, out, [(n, lambda adj: matrix.T @ np.asarray(adj))])
 
 
-def rfft_magnitude(frames) -> DiffValue:
-    """Magnitude of the real FFT of each row of a 2-D frame matrix.
+def rfft_magnitude(x, window: np.ndarray, index: np.ndarray) -> DiffValue:
+    """Magnitude STFT of a 1-D buffer, recorded as one node.
+
+    ``index`` is a (frames x N) map into ``x`` with any padding folded in,
+    and ``window`` holds N taps; the result is |rfft(x[index] * window)|
+    as (bins x frames), a transposed view of the frame-major magnitudes.
 
     The adjoint routes d(loss)/d|X| back through the FFT analytically.
-    With u = adj * X/|X| on the kept bins (zero where |X| = 0),
-    d(loss)/dx = Re(N * ifft(u zero-padded to N)); the inverse real FFT of
-    u with its interior bins halved gives the same rows without the
-    complex transform, since irfft counts each interior bin twice.
+    With u = adj * X/|X| (zero where |X| = 0, since X is zero there too),
+    each frame's adjoint is Re(N * ifft(u zero-padded to N)); the inverse
+    real FFT of u with its interior bins halved gives the same rows
+    without the complex transform, since irfft counts each interior bin
+    twice.  The frames are then windowed and scatter-added back through
+    ``index``.
     """
-    v, n, tape = _unwrap(frames)
-    if v.ndim != 2:
-        raise NumericDomainError("rfft_magnitude", "expected a 2-D frame matrix")
-    size = v.shape[1]
-    spectrum = np.fft.rfft(v, axis=1)
+    v, n, tape = _unwrap(x)
+    if v.ndim != 1 or index.ndim != 2 or window.shape != index.shape[1:]:
+        raise NumericDomainError(
+            "rfft_magnitude", "expected a 1-D buffer, a 2-D frame index and one tap per column"
+        )
+    frames = v[index]
+    frames *= window
+    spectrum = np.fft.rfft(frames, axis=1)
     mag = np.abs(spectrum)
     if n is None:
-        return DiffValue(mag)
+        return DiffValue(mag.T)
+    size = index.shape[1]
+    length = v.shape[0]
+    flat_index = index.ravel()
+    safe = np.where(mag > 0.0, mag, 1.0)
 
     def vjp(adj):
-        adj = np.asarray(adj, dtype=np.float64)
-        safe = np.where(mag > 0.0, mag, 1.0)
-        u = np.where(mag > 0.0, adj / safe, 0.0) * spectrum
+        u = np.divide(adj.T, safe, out=np.empty(mag.shape)) * spectrum
         u[:, 1 : (size + 1) // 2] *= 0.5
-        return np.fft.irfft(u, n=size, axis=1) * size
+        grad_frames = np.fft.irfft(u, n=size, axis=1) * size
+        grad_frames *= window
+        return np.bincount(flat_index, weights=grad_frames.ravel(), minlength=length)
 
-    return _record_op(tape, mag, [(n, vjp)])
+    return _record_op(tape, mag.T, [(n, vjp)])
 
 
 def convolve_same(x, kernel) -> DiffValue:

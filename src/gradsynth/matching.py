@@ -270,6 +270,7 @@ def _run_branch(args) -> BranchResult:
     adam_v = dict.fromkeys(free_keys, 0.0)
     trajectory: list[float] = []
     diverged = False
+    frozen = None  # the loss once theta can no longer move
     final_beta = (
         beta_at(opt_cfg.beta_schedule, opt_cfg.steps - 1)
         if opt_cfg.beta_schedule is not None
@@ -303,7 +304,14 @@ def _run_branch(args) -> BranchResult:
             diverged = True
             break
         if total.node is None:
-            continue  # nothing differentiable this step (e.g. all params fixed)
+            # nothing differentiable this step (a silent combination, or
+            # every parameter fixed); with a constant beta, theta and so
+            # the loss are frozen for good
+            if opt_cfg.beta_schedule is None:
+                frozen = value
+                trajectory.extend([value] * (opt_cfg.steps - step - 1))
+                break
+            continue
         grads = tape.backward(total)
         lr = opt_cfg.learning_rate
         for key in free_keys:
@@ -321,6 +329,8 @@ def _run_branch(args) -> BranchResult:
             break
     if diverged or not trajectory:
         final_loss = float("nan")
+    elif frozen is not None:
+        final_loss = frozen
     else:
         # loss at the post-update parameters, so branch comparison sees
         # the point the assignment is actually built from

@@ -221,7 +221,7 @@ def _wave_from_cycles(waveform: str, cycles, amp) -> DiffValue:
     if waveform == "sine":
         return ad.sin(cycles * TWO_PI) * amp
     if waveform == "saw":
-        return (ad.mod(cycles, 1.0) * 2.0 - 1.0) * amp
+        return (ad.frac(cycles) * 2.0 - 1.0) * amp
     if waveform == "square":
         return ad.sign_surrogate(ad.sin(cycles * TWO_PI), SQUARE_SURROGATE_STEEPNESS) * amp
     raise ParameterRangeError(f"unknown waveform {waveform!r}")

@@ -2,9 +2,11 @@
 applied before spectral distances (identity, log, cumulative sums).
 
 Frames are Hann-windowed with hop = window/4 and reflect center padding.
-The padding is realized as an index map into the original buffer, so the
-whole framing step is a single differentiable gather.  A mel spectrogram
-is a pooling of an STFT already taken, never a second STFT.
+The padding is realized as an index map into the original buffer, so
+framing, windowing and the FFT magnitudes are one tape node.  A mel
+spectrogram is a pooling of an STFT already taken, never a second STFT.
+It pools through a sparse copy of the filterbank rather than a dense BLAS
+product, whose threads would contend for the cores of parallel workers.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
+from scipy import sparse
 
 from gradsynth import autodiff as ad
 from gradsynth.autodiff import DiffValue
@@ -95,11 +98,10 @@ def stft_magnitude(signal: Signal, window_size: int, *, hop: Optional[int] = Non
         raise SpectralConfigError(
             f"window_size {window_size} longer than signal ({n} samples)"
         )
-    idx = _frame_indices(n, window_size, hop)
-    frames = ad.gather(signal.samples, idx)
-    windowed = frames * DiffValue(_hann_periodic(window_size))
-    mag = ad.rfft_magnitude(windowed)
-    return Spectrogram(ad.transpose(mag), window_size, hop, signal.sample_rate, "linear")
+    mag = ad.rfft_magnitude(
+        signal.samples, _hann_periodic(window_size), _frame_indices(n, window_size, hop)
+    )
+    return Spectrogram(mag, window_size, hop, signal.sample_rate, "linear")
 
 
 def _hz_to_mel(f):
@@ -137,9 +139,18 @@ def mel_filterbank(sample_rate: int, window_size: int, n_mels: int) -> np.ndarra
     return _read_only(fb)
 
 
+@lru_cache
+def _mel_pooling(sample_rate: int, window_size: int, n_mels: int) -> sparse.csr_array:
+    """``mel_filterbank`` in CSR form; about 1.5 % of its entries are non-zero."""
+    pooling = sparse.csr_array(mel_filterbank(sample_rate, window_size, n_mels))
+    for part in (pooling.data, pooling.indices, pooling.indptr):
+        _read_only(part)
+    return pooling
+
+
 def mel_spectrogram(spec: Spectrogram, n_mels: int = 128) -> Spectrogram:
     """Pool a linear magnitude STFT into ``n_mels`` Slaney mel bands."""
-    fb = mel_filterbank(spec.sample_rate, spec.window_size, n_mels)
+    fb = _mel_pooling(spec.sample_rate, spec.window_size, n_mels)
     return replace(spec, magnitudes=ad.const_matmul(fb, spec.magnitudes), scale="mel")
 
 

@@ -28,6 +28,14 @@ def test_time_grid_is_index_over_rate():
     np.testing.assert_array_equal(cfg.times(), [0.0, 0.25, 0.5, 0.75])
 
 
+def test_time_grid_is_shared_and_read_only():
+    grid = RenderConfig(sample_rate=4, duration=1.0).times()
+    assert RenderConfig(sample_rate=4, duration=1.0).times() is grid
+    with pytest.raises(ValueError):
+        grid[0] = 1.0
+    np.testing.assert_array_equal(grid, [0.0, 0.25, 0.5, 0.75])
+
+
 def test_zeros_signal():
     cfg = RenderConfig()
     s = zeros(cfg)

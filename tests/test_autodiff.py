@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.signal import fftconvolve
 
 from gradsynth import autodiff as ad
@@ -51,13 +52,30 @@ def test_clamp_band_edges_inclusive():
         assert tape.backward(ad.clamp(p, 0.0, 1.0))["p"] == 1.0
 
 
-def test_mod_gradient_one_away_from_wrap_zero_at_wrap():
+def test_frac_gradient_one_away_from_wrap_zero_at_wrap():
     tape = Tape()
     p = tape.parameter(2.5, "p")
-    assert tape.backward(ad.mod(p, 1.0))["p"] == 1.0
+    assert tape.backward(ad.frac(p))["p"] == 1.0
     tape = Tape()
     p = tape.parameter(3.0, "p")
-    assert tape.backward(ad.mod(p, 1.0))["p"] == 0.0
+    assert tape.backward(ad.frac(p))["p"] == 0.0
+
+
+def test_frac_is_bitwise_np_mod_one():
+    rng = np.random.default_rng(16)
+    edges = [0.0, -0.0, -1e-18, 1e-18, 1.0, -1.0, 3.0, -3.0, 0.5, -0.5, 1e4, -1e4,
+             np.nextafter(1.0, 0.0), -np.nextafter(1.0, 0.0), np.inf, -np.inf, np.nan]
+    x = np.concatenate([rng.uniform(-1e4, 1e4, size=100_000), edges])
+    with np.errstate(invalid="ignore"):  # inf - inf at the infinities
+        want = np.mod(x, 1.0)
+        got = ad.frac(DiffValue(x)).value
+    # same bits, so the signs of zeros and the NaNs agree too
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    tape = Tape()
+    s = tape.parameter(1.0, "s")
+    out = ad.frac(DiffValue(x[:-3]) * s)
+    adj = rng.normal(size=out.shape)
+    np.testing.assert_array_equal(out.node.vjps[0](adj), adj * ((want[:-3] != 0.0) * 1.0))
 
 
 def test_abs_and_sqrt_subgradients_at_kink():
@@ -181,7 +199,6 @@ def test_mixing_tapes_in_one_op_rejected():
         lambda p: ad.ln(p - 2.0),
         lambda p: ad.sqrt(p - 2.0),
         lambda p: p / 0.0,
-        lambda p: ad.mod(p, 0.0),
     ],
 )
 def test_domain_errors(call):
@@ -244,26 +261,6 @@ def test_cumsum_2d_axis_vjp_matches_fd():
     )
 
 
-def test_gather_scatter_adds_repeated_indices():
-    tape = Tape()
-    s = tape.parameter(1.0, "s")
-    x = DiffValue(np.array([2.0, 5.0])) * s
-    picked = ad.gather(x, np.array([0, 0, 1, 0]))
-    grads = tape.backward(ad.bsum(picked))
-    # three picks of x[0] and one of x[1]
-    assert grads["s"] == pytest.approx(3 * 2.0 + 1 * 5.0)
-
-
-def test_gather_2d_index_vjp_matches_fd():
-    rng = np.random.default_rng(10)
-    x = rng.normal(size=30)
-    idx = rng.integers(0, 30, size=(4, 9))
-    w = rng.normal(size=(4, 9))
-    _directional_check(
-        lambda s: ad.bsum(ad.gather(DiffValue(x) * s, idx) * DiffValue(w))
-    )
-
-
 def test_sum_axis_vjp_matches_fd():
     rng = np.random.default_rng(21)
     x = rng.normal(size=(5, 7))
@@ -277,72 +274,111 @@ def test_sum_axis_vjp_matches_fd():
     )
 
 
-def test_transpose_and_const_matmul_vjp_match_fd():
+@pytest.mark.parametrize("sparse_form", [False, True])
+def test_const_matmul_vjp_matches_fd(sparse_form):
     rng = np.random.default_rng(11)
-    mat = rng.normal(size=(5, 8))
+    mat = rng.normal(size=(5, 8)) * (rng.uniform(size=(5, 8)) < 0.3)
+    if sparse_form:
+        mat = sparse.csr_array(mat)
     x = rng.normal(size=(8, 3))
-    w = rng.normal(size=(3, 5))
+    w = rng.normal(size=(5, 3))
+    out = ad.const_matmul(mat, DiffValue(x))
+    assert isinstance(out.value, np.ndarray)
     _directional_check(
-        lambda s: ad.bsum(
-            ad.transpose(ad.const_matmul(mat, DiffValue(x) * s)) * DiffValue(w)
-        )
+        lambda s: ad.bsum(ad.const_matmul(mat, DiffValue(x) * s) * DiffValue(w))
     )
 
 
-def test_rfft_magnitude_vjp_matches_fd():
-    rng = np.random.default_rng(12)
-    frames = rng.normal(size=(3, 32))
-    w = rng.normal(size=(3, 17))
-    _directional_check(
-        lambda s: ad.bsum(ad.rfft_magnitude(DiffValue(frames) * s) * DiffValue(w)),
-        tol=1e-5,
-    )
+def _frame_index(n, width, hop):
+    """Reflect-padded frame starts every ``hop`` samples, as the STFT frames."""
+    padded = np.pad(np.arange(n), width // 2, mode="reflect")
+    starts = np.arange((len(padded) - width) // hop + 1) * hop
+    return padded[starts[:, None] + np.arange(width)[None, :]]
 
 
-def test_rfft_magnitude_vjp_matches_fd_odd_width():
-    rng = np.random.default_rng(15)
-    frames = rng.normal(size=(3, 33))
-    w = rng.normal(size=(3, 17))
-    _directional_check(
-        lambda s: ad.bsum(ad.rfft_magnitude(DiffValue(frames) * s) * DiffValue(w)),
-        tol=1e-5,
-    )
+def _unfused_stft(x, window, index, adj):
+    """The STFT magnitude and its adjoint as the separate ops they replace:
+    gather, window product, rfft magnitude (irfft adjoint) and transpose,
+    each adjoint applied in reverse."""
+    width = index.shape[1]
+    frames = x[index]
+    windowed = frames * window
+    spectrum = np.fft.rfft(windowed, axis=1)
+    mag = np.abs(spectrum)
+    out = mag.T
+    grad_mag = np.asarray(adj).T
+    safe = np.where(mag > 0.0, mag, 1.0)
+    u = np.where(mag > 0.0, grad_mag / safe, 0.0) * spectrum
+    u[:, 1 : (width + 1) // 2] *= 0.5
+    grad_windowed = np.fft.irfft(u, n=width, axis=1) * width
+    grad_frames = grad_windowed * window
+    grad_x = np.bincount(index.ravel(), weights=grad_frames.ravel(), minlength=len(x))
+    return out, grad_x
 
 
-def _complex_ifft_vjp(frames, adj):
-    """The rfft_magnitude adjoint written with a zero-padded complex ifft."""
-    spectrum = np.fft.rfft(frames, axis=1)
+def _complex_ifft_stft_adjoint(x, window, index, adj):
+    """The STFT adjoint with the magnitude step as Re(N * ifft(u zero-padded to N))."""
+    spectrum = np.fft.rfft(x[index] * window, axis=1)
     mag = np.abs(spectrum)
     safe = np.where(mag > 0.0, mag, 1.0)
-    u = np.where(mag > 0.0, adj / safe, 0.0) * spectrum
-    full = np.zeros(frames.shape, dtype=np.complex128)
+    u = np.where(mag > 0.0, np.asarray(adj).T / safe, 0.0) * spectrum
+    full = np.zeros(index.shape, dtype=np.complex128)
     full[:, : u.shape[1]] = u
-    return np.real(np.fft.ifft(full, axis=1)) * frames.shape[1]
+    grad_frames = np.real(np.fft.ifft(full, axis=1)) * index.shape[1] * window
+    return np.bincount(index.ravel(), weights=grad_frames.ravel(), minlength=len(x))
 
 
-@pytest.mark.parametrize("width", [8, 9, 512, 1024])
-def test_rfft_magnitude_vjp_equals_complex_ifft_formula(width):
+@pytest.mark.parametrize("width", [256, 512, 1024, 2048])
+def test_rfft_magnitude_equals_unfused_stft(width):
     rng = np.random.default_rng(width)
-    frames = rng.normal(size=(5, width))
-    frames[1] = 0.0  # every bin exactly zero
-    frames[2] = 1.0  # constant: only the DC bin is far from zero
-    adj = rng.normal(size=(5, width // 2 + 1))
+    n = 6000
+    x = rng.normal(size=n)
+    x[2000:2000 + 2 * width] = 0.0  # several frames of exact zeros
+    window = 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(width) / width)
+    index = _frame_index(n, width, width // 4)
     tape = Tape()
     s = tape.parameter(1.0, "s")
-    out = ad.rfft_magnitude(DiffValue(frames) * s)
-    assert np.any(out.value == 0.0)
-    got = out.node.vjps[0](adj)
-    want = _complex_ifft_vjp(frames, adj)
-    assert got.shape == want.shape
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    out = ad.rfft_magnitude(DiffValue(x) * s, window, index)
+    assert np.any(np.all(out.value == 0.0, axis=0))
+    adj = rng.normal(size=out.shape)
+    want_mag, want_grad = _unfused_stft(x, window, index, adj)
+    got_grad = out.node.vjps[0](adj)
+    # the same arithmetic in the same order: the same bits, and the same
+    # memory layout, since downstream reductions sum in memory order
+    assert np.array_equal(out.value, want_mag)
+    assert out.value.strides == want_mag.strides
+    assert np.array_equal(ad.rfft_magnitude(DiffValue(x), window, index).value, want_mag)
+    assert np.array_equal(got_grad, want_grad)
+    oracle = _complex_ifft_stft_adjoint(x, window, index, adj)
+    assert np.max(np.abs(got_grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("width", [32, 33])
+def test_rfft_magnitude_vjp_matches_fd(width):
+    rng = np.random.default_rng(12 + width)
+    x = rng.normal(size=200)
+    window = rng.uniform(0.5, 1.0, size=width)
+    index = _frame_index(200, width, 8)
+    w = rng.normal(size=(width // 2 + 1, index.shape[0]))
+    _directional_check(
+        lambda s: ad.bsum(ad.rfft_magnitude(DiffValue(x) * s, window, index) * DiffValue(w)),
+        tol=1e-5,
+    )
 
 
 def test_rfft_magnitude_zero_bin_subgradient_is_zero():
     tape = Tape()
     s = tape.parameter(0.0, "s")
-    frames = DiffValue(np.ones((1, 8))) * s
-    grads = tape.backward(ad.bsum(ad.rfft_magnitude(frames)))
+    x = DiffValue(np.ones(8)) * s
+    index = np.arange(8)[None, :]
+    grads = tape.backward(ad.bsum(ad.rfft_magnitude(x, np.ones(8), index)))
     assert np.isfinite(grads["s"]) and grads["s"] == 0.0
+
+
+def test_rfft_magnitude_rejects_mismatched_window():
+    index = np.arange(8)[None, :]
+    with pytest.raises(ad.NumericDomainError):
+        ad.rfft_magnitude(DiffValue(np.ones(8)), np.ones(7), index)
 
 
 def test_convolve_same_signal_vjp_matches_fd():

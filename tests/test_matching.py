@@ -1,7 +1,10 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from gradsynth import losses
+from gradsynth import losses, matching
 from gradsynth.audio import RenderConfig
 from gradsynth.autodiff import DiffValue, Tape
 from gradsynth.chains import (
@@ -283,6 +286,46 @@ def test_target_spectra_computed_once_per_match(monkeypatch, steps):
     assert sorted(target_calls) == [512, 1024, 1024]
 
 
+def _count_renders(monkeypatch):
+    calls = []
+    original = matching.generate_signal
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(matching, "generate_signal", counting)
+    return calls
+
+
+SILENT = {(A00, "waveform"): "sine", (A00, "active"): "off"}
+
+
+def test_silent_branch_renders_once(monkeypatch):
+    calls = _count_renders(monkeypatch)
+    opt = OptimizerConfig(steps=5, learning_rate=0.1, restarts=1, seed=0)
+    res = match(sine_target(), OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=SILENT, render_config=CFG)
+    # the first step, then the best assignment's final spectra; the loss
+    # of a silent output has no tape node, so theta cannot move
+    assert len(calls) == 2
+    (branch,) = res.branches
+    assert branch.trajectory == (branch.trajectory[0],) * 5
+    assert branch.final_loss == branch.trajectory[0] > 0.0
+
+
+def test_silent_branch_under_beta_schedule_evaluates_every_step(monkeypatch):
+    calls = _count_renders(monkeypatch)
+    opt = OptimizerConfig(
+        steps=5, learning_rate=0.1, restarts=1, seed=0, beta_schedule=((0, 1.0), (4, 2.0))
+    )
+    res = match(sine_target(), OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=SILENT, render_config=CFG)
+    # every step, the final loss at the last step's beta, and the final spectra
+    assert len(calls) == 5 + 1 + 1
+    trajectory = res.branches[0].trajectory
+    assert [v / trajectory[0] for v in trajectory] == pytest.approx([1.0, 1.25, 1.5, 1.75, 2.0])
+    assert res.branches[0].final_loss == trajectory[-1]
+
+
 @pytest.mark.parametrize("algorithm", ["adam", "sgd"])
 def test_optimizer_algorithm_sets_the_first_step(algorithm):
     target = sine_target()
@@ -368,3 +411,78 @@ def test_all_branches_diverging_raises():
             fixed_params=AMP_FIXED,
             render_config=CFG,
         )
+
+
+# -- recorded trajectories --------------------------------------------------
+#
+# Every branch of two small matches, recorded from the implementation that
+# framed the STFT with a separate gather, window product and transpose,
+# wrapped the saw phase with np.mod, and rendered every step of a branch
+# whose loss could not move.  Adam amplifies a change in the last bit of a
+# gradient to O(1) within a few steps, so an optimisation of the taped step
+# that is not bit-identical fails here.
+
+MATCH_GOLDEN = Path(__file__).parent / "data" / "match_golden.json"
+
+A10 = CellAddress(1, 0)
+
+
+def _key_text(key):
+    address, name = key
+    return f"{address.channel},{address.layer}:{name}"
+
+
+def _golden_cases():
+    target = generate_signal(FULL_CHAIN, FULL_TARGET, CFG).output
+    # both active switches free: four combinations, one of them silent
+    waveforms_fixed = {(A00, "waveform"): "saw", (A10, "waveform"): "square"}
+    unsupervised = match(
+        target,
+        FULL_CHAIN,
+        LossConfig(cells="output", windows=(512, 1024)),
+        OptimizerConfig(steps=6, learning_rate=0.05, restarts=2, seed=11),
+        fixed_params=waveforms_fixed,
+        render_config=CFG,
+    )
+    supervised = match(
+        target,
+        FULL_CHAIN,
+        LossConfig(cells="output", windows=(512, 1024), norm_p=2, regression_kind="L2"),
+        OptimizerConfig(
+            steps=6, learning_rate=0.05, restarts=2, seed=12, beta_schedule=((1, 0.0), (4, 0.5))
+        ),
+        target_params=FULL_TARGET,
+        fixed_params=FULL_CATEGORICALS,
+        render_config=CFG,
+    )
+    return {"unsupervised": unsupervised, "supervised": supervised}
+
+
+def _golden_record(result):
+    return {
+        "branches": [
+            {
+                "combo": [[_key_text(k), label] for k, label in b.combo],
+                "restart": b.restart,
+                "trajectory": list(b.trajectory),
+                "final_loss": b.final_loss,
+                "diverged": b.diverged,
+                "theta": [[_key_text(k), value] for k, value in b.theta],
+            }
+            for b in result.branches
+        ],
+        "final_spectral": result.final_spectral,
+        "final_lsd": result.final_lsd,
+    }
+
+
+def test_match_branches_equal_recorded_values():
+    recorded = json.loads(MATCH_GOLDEN.read_text())
+    got = {name: _golden_record(r) for name, r in _golden_cases().items()}
+    assert set(got) == set(recorded)
+    for name, want in recorded.items():
+        assert len(got[name]["branches"]) == len(want["branches"])
+        for i, (g, w) in enumerate(zip(got[name]["branches"], want["branches"])):
+            assert g == w, f"{name} branch {i}"
+        assert got[name]["final_spectral"] == want["final_spectral"], name
+        assert got[name]["final_lsd"] == want["final_lsd"], name
