@@ -9,6 +9,7 @@ rendering code enforces this by building every signal from the same
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,8 +37,8 @@ class RenderConfig:
     def __post_init__(self):
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-        if self.duration <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.duration) and self.duration > 0):
+            raise ValueError(f"duration must be finite and positive, got {self.duration}")
 
     @property
     def num_samples(self) -> int:

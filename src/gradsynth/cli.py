@@ -5,28 +5,9 @@ Logs go to stderr; machine-readable outputs (WAV/CSV/JSON) go only to
 the named output files.
 
 Run configuration is a flat ``key = value`` text file; '#' starts a
-comment.  Keys are dotted ``section.field`` names mirroring the config
-dataclasses::
-
-    render.sample_rate = 16000
-    render.duration = 1.0
-    loss.cells = output            # or: all
-    loss.windows = 512,1024
-    loss.processings = identity    # identity,log,cumsum_time,cumsum_freq
-    loss.norm_p = 1
-    loss.transform = spectrogram   # or: mel
-    loss.beta = 1.0
-    loss.regression_kind = L1
-    loss.cumsum_normalize = false
-    loss.n_mels = 128
-    optimizer.steps = 500
-    optimizer.learning_rate = 0.05
-    optimizer.algorithm = adam     # or: sgd
-    optimizer.beta_schedule = none # or: 0:0.0,200:1.0
-    optimizer.restarts = 8
-    optimizer.seed = 0
-    optimizer.jobs = 1
-    paths.out_dir = .
+comment.  Keys are dotted ``section.field`` names derived from the
+fields of :class:`RunConfig`'s sections; README.md, *Run configuration
+files*, lists them.
 """
 
 from __future__ import annotations
@@ -35,9 +16,9 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -79,7 +60,7 @@ from .modules import (
 )
 from .spectral import SpectralConfigError
 
-__all__ = ["ConfigError", "RunConfig", "load_run_config", "main"]
+__all__ = ["ConfigError", "PathsConfig", "RunConfig", "load_run_config", "main"]
 
 log = logging.getLogger("gradsynth")
 
@@ -93,13 +74,20 @@ class ConfigError(Exception):
 
 
 @dataclass(frozen=True)
+class PathsConfig:
+    """Where a run writes its outputs."""
+
+    out_dir: str = "."
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """Everything a run needs: render, loss, optimizer settings and paths."""
 
     render: RenderConfig = RenderConfig()
     loss: LossConfig = LossConfig()
     optimizer: OptimizerConfig = OptimizerConfig()
-    paths: Mapping = field(default_factory=dict)
+    paths: PathsConfig = PathsConfig()
 
 
 def _parse_bool(raw: str) -> bool:
@@ -121,40 +109,33 @@ def _parse_schedule(raw: str):
     return tuple(pairs)
 
 
-def _parse_cells(raw: str):
-    if raw in ("all", "output"):
-        return raw
-    raise ValueError(f"cells must be 'all' or 'output', got {raw!r}")
+# field type -> parser; parsers raise ValueError on bad input
+_PARSERS = {
+    int: int,
+    float: float,
+    str: str,
+    bool: _parse_bool,
+    Optional[tuple[tuple[int, float], ...]]: _parse_schedule,
+}
 
 
-def _int_tuple(raw: str) -> tuple:
-    return tuple(int(piece) for piece in raw.split(","))
+def _parser_for(hint):
+    if hint in _PARSERS:
+        return _PARSERS[hint]
+    args = get_args(hint)
+    if get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        element = _parser_for(args[0])
+        return lambda raw: tuple(element(piece.strip()) for piece in raw.split(","))
+    if get_origin(hint) is Union and str in args:
+        return str  # a named selector; the dataclass validates it
+    raise TypeError(f"no config-file parser for field type {hint!r}")
 
 
-def _str_tuple(raw: str) -> tuple:
-    return tuple(piece.strip() for piece in raw.split(","))
-
-
-# dotted key -> (section, parser); parsers raise ValueError on bad input
+# dotted key -> parser, one per field of each RunConfig section
 CONFIG_FIELDS = {
-    "render.sample_rate": ("render", int),
-    "render.duration": ("render", float),
-    "loss.cells": ("loss", _parse_cells),
-    "loss.windows": ("loss", _int_tuple),
-    "loss.processings": ("loss", _str_tuple),
-    "loss.norm_p": ("loss", int),
-    "loss.transform": ("loss", str),
-    "loss.beta": ("loss", float),
-    "loss.regression_kind": ("loss", str),
-    "loss.cumsum_normalize": ("loss", _parse_bool),
-    "loss.n_mels": ("loss", int),
-    "optimizer.steps": ("optimizer", int),
-    "optimizer.learning_rate": ("optimizer", float),
-    "optimizer.algorithm": ("optimizer", str),
-    "optimizer.beta_schedule": ("optimizer", _parse_schedule),
-    "optimizer.restarts": ("optimizer", int),
-    "optimizer.seed": ("optimizer", int),
-    "optimizer.jobs": ("optimizer", int),
+    f"{section}.{f.name}": _parser_for(get_type_hints(section_type)[f.name])
+    for section, section_type in get_type_hints(RunConfig).items()
+    for f in fields(section_type)
 }
 
 
@@ -164,8 +145,7 @@ def load_run_config(path) -> tuple:
     Raises :class:`ConfigError` naming the offending line and key for
     unknown keys, unparsable values, and out-of-range fields.
     """
-    sections: dict = {"render": {}, "loss": {}, "optimizer": {}}
-    paths: dict = {}
+    run = RunConfig()
     present: set = set()
     text = Path(path).read_text(encoding="utf-8")
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -175,28 +155,16 @@ def load_run_config(path) -> tuple:
         key, eq, value = (piece.strip() for piece in stmt.partition("="))
         if not eq or not key:
             raise ConfigError(f"{path} line {lineno}: expected 'key = value', got {stmt!r}")
-        if key.startswith("paths."):
-            paths[key[len("paths."):]] = value
-            present.add(key)
-            continue
-        entry = CONFIG_FIELDS.get(key)
-        if entry is None:
+        parser = CONFIG_FIELDS.get(key)
+        if parser is None:
             raise ConfigError(f"{path} line {lineno}: unknown config key {key!r}")
-        section, parser = entry
+        section, name = key.split(".")
         try:
-            sections[section][key.split(".", 1)[1]] = parser(value)
+            updated = replace(getattr(run, section), **{name: parser(value)})
         except ValueError as exc:
             raise ConfigError(f"{path} line {lineno}: {key}: {exc}") from exc
+        run = replace(run, **{section: updated})
         present.add(key)
-    try:
-        run = RunConfig(
-            render=RenderConfig(**sections["render"]),
-            loss=LossConfig(**sections["loss"]),
-            optimizer=OptimizerConfig(**sections["optimizer"]),
-            paths=paths,
-        )
-    except (ValueError, LossConfigError, MatcherConfigError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
     return run, present
 
 
@@ -233,8 +201,13 @@ def _parse_param_key(raw: str) -> tuple:
 
 
 def _render_flags(parser) -> None:
-    parser.add_argument("--sample-rate", type=int, default=16000, help="render sample rate (Hz)")
-    parser.add_argument("--duration", type=float, default=1.0, help="render length (seconds)")
+    defaults = RenderConfig()
+    parser.add_argument(
+        "--sample-rate", type=int, default=defaults.sample_rate, help="render sample rate (Hz)"
+    )
+    parser.add_argument(
+        "--duration", type=float, default=defaults.duration, help="render length (seconds)"
+    )
 
 
 def _target_flags(parser) -> None:
@@ -245,6 +218,11 @@ def _target_flags(parser) -> None:
 
 
 # -- commands -------------------------------------------------------------------
+
+
+# The loss of sweep (without --config) and gradcheck: the final output's
+# linear spectrogram at one window.
+SINGLE_WINDOW_LOSS = LossConfig(cells="output", windows=(1024,), processings=("identity",))
 
 
 def cmd_render(args) -> int:
@@ -311,7 +289,7 @@ def cmd_match(args) -> int:
 
     result = match(target, chain, loss_cfg, opt_cfg, render_config=render_config)
 
-    out_dir = Path(args.out_dir if args.out_dir is not None else run.paths.get("out_dir", "."))
+    out_dir = Path(args.out_dir if args.out_dir is not None else run.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     matched = generate_signal(chain, result.best, render_config)
     write_wav(matched.output, out_dir / "match.wav")
@@ -360,7 +338,7 @@ def cmd_sweep(args) -> int:
     if args.config is not None:
         loss_cfg = load_run_config(args.config)[0].loss
     else:
-        loss_cfg = LossConfig(cells="output", windows=(1024,), processings=("identity",))
+        loss_cfg = SINGLE_WINDOW_LOSS
     sweep = loss_surface_sweep(chain, target, (address, name), grid, loss_cfg, render_config)
     export_csv(sweep, args.out)
     log.info(
@@ -457,7 +435,6 @@ def cmd_gradcheck(args) -> int:
     target = _gradcheck_assignment(chain, args.seed, render_config)
     prediction = _gradcheck_assignment(chain, args.seed + 1, render_config)
     target_trace = generate_signal(chain, target, render_config)
-    loss_cfg = LossConfig(cells="output", windows=(1024,), processings=("identity",))
     cmap = chain.cell_map()
 
     rows = []
@@ -474,7 +451,7 @@ def cmd_gradcheck(args) -> int:
                 values[_address][_name] = tracked[key]
                 assignment = ParameterAssignment(values, prediction.connections_on)
                 trace = generate_signal(chain, assignment, render_config)
-                return signal_chain_loss(trace, target_trace, loss_cfg)
+                return signal_chain_loss(trace, target_trace, SINGLE_WINDOW_LOSS)
 
             # Hz-scaled parameters get a step relative to the value: the
             # loss wiggles on a cents scale, so a span-relative step is

@@ -74,7 +74,9 @@ class LossConfig:
     def __post_init__(self) -> None:
         if isinstance(self.cells, str):
             if self.cells not in ("all", "output"):
-                raise LossConfigError(f"unknown cell selector {self.cells!r}")
+                raise LossConfigError(
+                    f"cell selector must be 'all' or 'output', got {self.cells!r}"
+                )
         elif len(self.cells) == 0:
             raise LossConfigError("cell set must be non-empty")
         if len(self.windows) == 0:
@@ -91,8 +93,8 @@ class LossConfig:
             raise LossConfigError(f"norm_p must be 1 or 2, got {self.norm_p}")
         if self.transform not in ("spectrogram", "mel"):
             raise LossConfigError(f"unknown transform {self.transform!r}")
-        if self.beta < 0:
-            raise LossConfigError(f"beta must be >= 0, got {self.beta}")
+        if not (math.isfinite(self.beta) and self.beta >= 0):
+            raise LossConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if self.regression_kind not in ("L1", "L2"):
             raise LossConfigError(
                 f"regression_kind must be 'L1' or 'L2', got {self.regression_kind!r}"

@@ -7,6 +7,7 @@ the paper-style encoder: same losses, direct per-instance optimization.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import time
@@ -46,10 +47,6 @@ __all__ = [
     "match",
 ]
 
-# attack/decay/release share the render duration as a budget; stick-
-# breaking over the remaining time keeps the sum strictly under it.
-ADSR_BUDGET_PARAMS = ("attack", "decay", "release")
-
 FixedParams = Mapping[tuple[CellAddress, str], Union[float, str]]
 
 
@@ -70,8 +67,10 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         if self.steps <= 0:
             raise MatcherConfigError(f"steps must be > 0, got {self.steps}")
-        if self.learning_rate <= 0:
-            raise MatcherConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise MatcherConfigError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.algorithm not in ("sgd", "adam"):
             raise MatcherConfigError(f"algorithm must be 'sgd' or 'adam', got {self.algorithm!r}")
         if self.restarts <= 0:
@@ -84,8 +83,8 @@ class OptimizerConfig:
             steps = [s for s, _ in self.beta_schedule]
             if any(b < a for a, b in zip(steps, steps[1:])) or len(set(steps)) != len(steps):
                 raise MatcherConfigError("beta_schedule breakpoints must be strictly increasing")
-            if any(b < 0 for _, b in self.beta_schedule):
-                raise MatcherConfigError("beta values must be >= 0")
+            if not all(math.isfinite(b) and b >= 0 for _, b in self.beta_schedule):
+                raise MatcherConfigError("beta values must be finite and >= 0")
 
 
 def beta_at(schedule: tuple[tuple[int, float], ...], step: int) -> float:
@@ -162,9 +161,11 @@ def _reparam(
     """Map unconstrained scalars onto catalog ranges, cell by cell.
 
     Returns {(address, name): DiffValue} with every value strictly
-    inside its range; the ADSR time triple is jointly rescaled so that
-    attack + decay + release never exceeds the render duration (minus
-    whatever the caller fixed of the triple).
+    inside its range.  Parameters whose catalog range ends at the render
+    duration (``high is None``: the ADSR attack, decay and release) share
+    it as a budget: stick-breaking over the remaining time, in catalog
+    order, keeps their sum strictly under the duration minus whatever the
+    caller fixed of them.
     """
     cell_map = chain.cell_map()
     values = {}
@@ -175,13 +176,10 @@ def _reparam(
         kind = cell_map[address]
         catalog = CATALOG[kind]
         ranges = {p.name: resolve_range(p, render_config) for p in catalog.continuous}
-        budget = [n for n in ADSR_BUDGET_PARAMS if n in raw_params] if kind == "adsr" else []
+        budgeted = [p.name for p in catalog.continuous if p.high is None]
+        budget = [n for n in budgeted if n in raw_params]
         if budget:
-            spent = sum(
-                float(fixed[(address, n)])
-                for n in ADSR_BUDGET_PARAMS
-                if (address, n) in fixed
-            )
+            spent = sum(float(fixed[(address, n)]) for n in budgeted if (address, n) in fixed)
             remaining = DiffValue(max(render_config.duration - spent, 0.0))
             for n in budget:
                 piece = remaining * sigmoid(raw_params[n])
@@ -246,19 +244,19 @@ def _step_loss(
     return combined_loss(param_part, spectral_part, beta)
 
 
-def _run_branch(args) -> BranchResult:
-    (
-        chain,
-        target_features,
-        loss_cfg,
-        opt_cfg,
-        target_params,
-        fixed,
-        render_config,
-        combo,
-        combo_index,
-        restart,
-    ) = args
+def _run_branch(
+    combo_index: int,
+    combo: tuple,
+    restart: int,
+    *,
+    chain: ChainSpec,
+    target_features: tuple[Spectrogram, ...],
+    loss_cfg: LossConfig,
+    opt_cfg: OptimizerConfig,
+    target_params: Optional[ParameterAssignment],
+    fixed: FixedParams,
+    render_config: RenderConfig,
+) -> BranchResult:
     combo_map = dict(combo)
     free_keys = _free_continuous(chain, fixed)
     rng = np.random.default_rng(
@@ -405,28 +403,26 @@ def match(
     combos = _categorical_combos(chain, fixed)
     # the target is constant, so its spectra are computed once per call
     target_features = spectral_features(target, loss_cfg)
-    jobs = []
-    for combo_index, combo in enumerate(combos):
-        for restart in range(opt_cfg.restarts):
-            jobs.append(
-                (
-                    chain,
-                    target_features,
-                    loss_cfg,
-                    opt_cfg,
-                    target_params,
-                    fixed,
-                    render_config,
-                    combo,
-                    combo_index,
-                    restart,
-                )
-            )
+    run_branch = functools.partial(
+        _run_branch,
+        chain=chain,
+        target_features=target_features,
+        loss_cfg=loss_cfg,
+        opt_cfg=opt_cfg,
+        target_params=target_params,
+        fixed=fixed,
+        render_config=render_config,
+    )
+    jobs = [
+        (combo_index, combo, restart)
+        for combo_index, combo in enumerate(combos)
+        for restart in range(opt_cfg.restarts)
+    ]
     if opt_cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=opt_cfg.jobs) as pool:
-            branches = list(pool.map(_run_branch, jobs))
+            branches = list(pool.map(run_branch, *zip(*jobs)))
     else:
-        branches = [_run_branch(j) for j in jobs]
+        branches = [run_branch(*job) for job in jobs]
 
     finished = [b for b in branches if not b.diverged and np.isfinite(b.final_loss)]
     if not finished:

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradsynth import autodiff as ad
 from gradsynth.audio import RenderConfig
 from gradsynth.chains import (
+    CELL_KINDS,
     AssignmentError,
     Cell,
     CellAddress,
@@ -95,6 +98,31 @@ def test_format_chain_round_trips():
     )
     assert "optional" in format_chain(optional)
     assert parse_chain_file(format_chain(optional)) == optional
+
+
+@st.composite
+def chains(draw):
+    """Any parseable chain: unique addresses, connections between declared cells."""
+    name = draw(st.text("abcxyz019_-.", min_size=1, max_size=8))
+    addresses = draw(
+        st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8, unique=True)
+    )
+    cells = tuple(
+        Cell(CellAddress(*address), draw(st.sampled_from(CELL_KINDS))) for address in addresses
+    )
+    connections = ()
+    if cells:
+        ends = st.sampled_from([cell.address for cell in cells])
+        connections = tuple(
+            draw(st.lists(st.builds(Connection, ends, ends, st.booleans()), max_size=6))
+        )
+    return ChainSpec(name, cells, connections)
+
+
+@given(chain=chains())
+@settings(max_examples=60, deadline=None)
+def test_format_chain_round_trips_generated_chains(chain):
+    assert parse_chain_file(format_chain(chain)) == chain
 
 
 @pytest.mark.parametrize(

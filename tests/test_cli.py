@@ -3,13 +3,24 @@ import logging
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from gradsynth.audio import RenderConfig, read_wav
 from gradsynth.chains import CellAddress, ParameterAssignment, generate_signal, parse_chain_file
-from gradsynth.cli import ConfigError, RunConfig, load_run_config, main
+from gradsynth.cli import (
+    CONFIG_FIELDS,
+    ConfigError,
+    RunConfig,
+    _parser_for,
+    load_run_config,
+    main,
+)
+
+REPO = Path(__file__).resolve().parents[1]
 
 BASIC = """chain basic
 cell 0 0 osc
@@ -43,42 +54,80 @@ def osc_chain(tmp_path):
 # -- config files ---------------------------------------------------------------
 
 
+# every config key set to a value other than its default
+NON_DEFAULT_CONFIG = {
+    "render.sample_rate": ("8000", 8000),
+    "render.duration": ("0.5", 0.5),
+    "loss.cells": ("output", "output"),
+    "loss.windows": ("256, 2048", (256, 2048)),
+    "loss.processings": ("identity,cumsum_freq", ("identity", "cumsum_freq")),
+    "loss.norm_p": ("2", 2),
+    "loss.transform": ("mel", "mel"),
+    "loss.beta": ("0.25", 0.25),
+    "loss.regression_kind": ("L2", "L2"),
+    "loss.cumsum_normalize": ("true", True),
+    "loss.n_mels": ("64", 64),
+    "optimizer.steps": ("42", 42),
+    "optimizer.learning_rate": ("0.01", 0.01),
+    "optimizer.algorithm": ("sgd", "sgd"),
+    "optimizer.beta_schedule": ("0:0.0,20:1.0", ((0, 0.0), (20, 1.0))),
+    "optimizer.restarts": ("3", 3),
+    "optimizer.seed": ("11", 11),
+    "optimizer.jobs": ("2", 2),
+    "paths.out_dir": ("results", "results"),
+}
+
+
+def _field(run, key):
+    section, name = key.split(".")
+    return getattr(getattr(run, section), name)
+
+
 def test_config_round_trip(tmp_path):
+    assert set(NON_DEFAULT_CONFIG) == set(CONFIG_FIELDS)
     path = tmp_path / "run.cfg"
-    path.write_text(
-        """# full config
-render.sample_rate = 8000
-render.duration = 0.5
-loss.cells = output
-loss.windows = 512,1024
-loss.processings = identity,cumsum_freq
-loss.norm_p = 2
-loss.transform = mel
-loss.beta = 0.25
-loss.regression_kind = L2
-loss.cumsum_normalize = true
-loss.n_mels = 64
-optimizer.steps = 42
-optimizer.learning_rate = 0.01
-optimizer.algorithm = sgd
-optimizer.beta_schedule = 0:0.0,20:1.0
-optimizer.restarts = 3
-optimizer.seed = 11
-optimizer.jobs = 2
-paths.out_dir = results
-"""
-    )
+    lines = [f"{key} = {text}" for key, (text, _) in NON_DEFAULT_CONFIG.items()]
+    path.write_text("# full config\n" + "\n".join(lines) + "\n")
     run, present = load_run_config(path)
+    assert present == set(CONFIG_FIELDS)
+    for key, (_, expected) in NON_DEFAULT_CONFIG.items():
+        assert _field(run, key) == expected, key
+        assert _field(run, key) != _field(RunConfig(), key), key
     assert run.render == RenderConfig(sample_rate=8000, duration=0.5)
-    assert run.loss.windows == (512, 1024)
-    assert run.loss.processings == ("identity", "cumsum_freq")
-    assert run.loss.transform == "mel"
-    assert run.loss.cumsum_normalize is True
-    assert run.optimizer.beta_schedule == ((0, 0.0), (20, 1.0))
-    assert run.optimizer.algorithm == "sgd"
-    assert run.paths == {"out_dir": "results"}
-    assert "render.duration" in present
-    assert "loss.beta" in present
+    assert run.paths.out_dir == "results"
+
+
+@pytest.mark.parametrize("hint", [Optional[int], dict[str, int], tuple[int, str]])
+def test_config_field_type_without_parser_is_rejected(hint):
+    with pytest.raises(TypeError, match="no config-file parser"):
+        _parser_for(hint)
+
+
+def _readme_config_block() -> str:
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Run configuration files", 1)[1]
+    return section.split("```", 2)[1]
+
+
+def test_readme_config_block_names_every_key_once_and_loads(tmp_path):
+    block = _readme_config_block()
+    keys = [
+        line.split("#", 1)[0].split("=", 1)[0].strip()
+        for line in block.splitlines()
+        if line.split("#", 1)[0].strip()
+    ]
+    assert sorted(keys) == sorted(CONFIG_FIELDS)
+    path = tmp_path / "readme.cfg"
+    path.write_text(block)
+    _, present = load_run_config(path)
+    assert present == set(CONFIG_FIELDS)
+
+
+def test_shipped_match_config_loads():
+    run, present = load_run_config(REPO / "configs" / "match.cfg")
+    assert run.loss.cells == "output"
+    assert run.paths.out_dir == "results"
+    assert present <= set(CONFIG_FIELDS)
 
 
 def test_config_defaults_when_empty(tmp_path):
@@ -117,6 +166,21 @@ def test_config_field_validation_errors(tmp_path):
     path.write_text("loss.norm_p = 3\n")
     with pytest.raises(ConfigError, match="norm_p"):
         load_run_config(path)
+    for line in [
+        "optimizer.learning_rate = nan",
+        "optimizer.learning_rate = inf",
+        "loss.beta = nan",
+        "loss.beta = inf",
+        "optimizer.beta_schedule = 0:0.0,10:nan",
+        "render.duration = inf",
+        "render.duration = nan",
+        "render.sample_rate = 0",
+        "paths.scratch = tmp",
+    ]:
+        key = line.split(" = ")[0]
+        path.write_text("# a range error names its line and key\n" + line + "\n")
+        with pytest.raises(ConfigError, match=f"line 2: .*{key}"):
+            load_run_config(path)
 
 
 # -- render ---------------------------------------------------------------------
@@ -127,6 +191,15 @@ def test_render_random_seed_deterministic(tmp_path, basic_chain):
     assert main(argv + ["--out", str(tmp_path / "a.wav")]) == 0
     assert main(argv + ["--out", str(tmp_path / "b.wav")]) == 0
     assert (tmp_path / "a.wav").read_bytes() == (tmp_path / "b.wav").read_bytes()
+
+
+def test_render_non_finite_duration_exits_2(tmp_path, osc_chain, caplog):
+    for duration in ["inf", "nan"]:
+        argv = ["render", str(osc_chain), "--random", "--duration", duration,
+                "--out", str(tmp_path / "x.wav")]
+        assert main(argv) == 2
+        assert "duration must be finite" in caplog.text
+    assert not (tmp_path / "x.wav").exists()
 
 
 def test_render_from_params_file(tmp_path, osc_chain):

@@ -206,6 +206,23 @@ def test_chain_loss_symmetric():
     )
 
 
+@pytest.mark.parametrize("processing", ["cumsum_time", "cumsum_freq"])
+def test_cumsum_normalize_removes_overall_level(processing):
+    # amp scales the output exactly, so tb's output is 2x ta's
+    ta = generate_signal(OSC_CHAIN, osc_assignment(0.25, 440.0), CFG)
+    tb = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
+    np.testing.assert_array_equal(tb.output.values, 2.0 * ta.output.values)
+
+    def loss(normalize):
+        cfg = LossConfig(
+            cells="output", windows=(1024,), processings=(processing,), cumsum_normalize=normalize
+        )
+        return signal_chain_loss(ta, tb, cfg).value
+
+    assert loss(False) > 1.0
+    assert loss(True) < 1e-3 * loss(False)
+
+
 def test_chain_loss_missing_cell_rejected():
     ta = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
     cfg = LossConfig(cells=(CellAddress(4, 4),), windows=(1024,))
@@ -425,6 +442,8 @@ def test_lsd_rejects_length_mismatch():
         {"regression_kind": "L3"},
         {"transform": "mel", "n_mels": 0},
         {"n_mels": -3},
+        {"beta": math.nan},
+        {"beta": math.inf},
     ],
 )
 def test_loss_config_rejects(kwargs):

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -118,6 +119,10 @@ def test_beta_at_rejects_negative_step():
         {"beta_schedule": ((5, 1.0), (3, 0.0))},
         {"beta_schedule": ((3, 1.0), (3, 0.0))},
         {"beta_schedule": ((0, -1.0),)},
+        {"learning_rate": math.nan},
+        {"learning_rate": math.inf},
+        {"beta_schedule": ((0, math.nan),)},
+        {"beta_schedule": ((0, 0.0), (10, math.inf))},
     ],
 )
 def test_optimizer_config_rejects(kwargs):
@@ -350,6 +355,26 @@ def test_optimizer_algorithm_sets_the_first_step(algorithm):
         g = grads[key[1]]
         step = lr * g / (abs(g) + 1e-8) if algorithm == "adam" else lr * g
         assert start - theta1[key] == pytest.approx(step, rel=1e-9, abs=1e-15)
+
+
+def test_seed_sets_theta0_per_combination_and_restart():
+    # a silent output has no tape node, so every branch keeps its theta_0
+    fixed = {(A00, "active"): "off"}
+    target = sine_target()
+
+    def initial_thetas(seed):
+        opt = OptimizerConfig(steps=2, learning_rate=0.1, restarts=2, seed=seed)
+        res = match(target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=fixed, render_config=CFG)
+        return [dict(b.theta) for b in res.branches]
+
+    thetas = initial_thetas(7)
+    assert len(thetas) == len(CATALOG["osc"].categorical[0].choices) * 2
+    for index, theta in enumerate(thetas):
+        combo_index, restart = divmod(index, 2)
+        rng = np.random.default_rng(np.random.SeedSequence(7, spawn_key=(combo_index, restart)))
+        expected = {(A00, p.name): float(rng.uniform(-2.0, 2.0)) for p in CATALOG["osc"].continuous}
+        assert theta == expected
+    assert initial_thetas(8) != thetas
 
 
 # -- configuration errors ---------------------------------------------------
