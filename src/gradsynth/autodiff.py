@@ -20,7 +20,7 @@ the fast inference path.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Hashable, Iterable, Mapping, Union
 
 import numpy as np
 
@@ -98,13 +98,13 @@ class Tape:
         self._nodes: list[_Node] = []
         # nodes, not values: a value points at its tape, so holding values
         # here would make every tape a reference cycle
-        self._params: dict[str, _Node] = {}
+        self._params: dict[Hashable, _Node] = {}
 
     def __len__(self) -> int:
         return len(self._nodes)
 
-    def parameter(self, value: float, name: str) -> "DiffValue":
-        """Register a named trainable scalar."""
+    def parameter(self, value: float, name: Hashable) -> "DiffValue":
+        """Register a trainable scalar under ``name``, any hashable value."""
         value = float(value)
         if not np.isfinite(value):
             raise NumericDomainError("parameter", f"{name!r} initialized to {value}")

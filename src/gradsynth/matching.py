@@ -13,12 +13,12 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
 from .audio import RenderConfig, Signal
-from .autodiff import DiffValue, Tape, exp, sigmoid
+from .autodiff import DiffValue, Tape, clamp, exp, sigmoid
 from .chains import (
     CellAddress,
     ChainSpec,
@@ -164,8 +164,9 @@ def _reparam(
     inside its range.  Parameters whose catalog range ends at the render
     duration (``high is None``: the ADSR attack, decay and release) share
     it as a budget: stick-breaking over the remaining time, in catalog
-    order, keeps their sum strictly under the duration minus whatever the
-    caller fixed of them.
+    order, keeps their sum under the duration minus whatever the caller
+    fixed of them.  Where a gate saturates, rounding can put the sum one
+    ulp past it, inside the slack ``modules.apply_adsr`` allows.
     """
     cell_map = chain.cell_map()
     values = {}
@@ -191,8 +192,11 @@ def _reparam(
             low, high = ranges[name]
             gate = sigmoid(raw)
             if (kind, name) in LOG_SCALE_PARAMS:
+                # exp(log(20.0)) rounds below 20.0, so a saturated gate
+                # would leave the range without the clamp
                 log_low, log_high = math.log(low), math.log(high)
-                values[(address, name)] = exp(log_low + gate * (log_high - log_low))
+                value = exp(log_low + gate * (log_high - log_low))
+                values[(address, name)] = clamp(value, low, high)
             else:
                 values[(address, name)] = low + gate * (high - low)
     return values
@@ -220,14 +224,15 @@ def _assignment_from(
 
 
 def _step_loss(
-    chain: ChainSpec,
     theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
     combo_map: Mapping[tuple[CellAddress, str], str],
+    beta: float,
+    *,
+    chain: ChainSpec,
     fixed: FixedParams,
     target_features: tuple[Spectrogram, ...],
     target_params: Optional[ParameterAssignment],
     loss_cfg: LossConfig,
-    beta: float,
     render_config: RenderConfig,
 ):
     continuous = _reparam(chain, theta, render_config, fixed)
@@ -249,53 +254,26 @@ def _run_branch(
     combo: tuple,
     restart: int,
     *,
-    chain: ChainSpec,
-    target_features: tuple[Spectrogram, ...],
-    loss_cfg: LossConfig,
+    step_loss: Callable[..., DiffValue],
+    free_keys: list[tuple[CellAddress, str]],
+    betas: tuple[float, ...],
     opt_cfg: OptimizerConfig,
-    target_params: Optional[ParameterAssignment],
-    fixed: FixedParams,
-    render_config: RenderConfig,
 ) -> BranchResult:
+    """Optimize one branch; ``betas`` holds the spectral weight of each step."""
     combo_map = dict(combo)
-    free_keys = _free_continuous(chain, fixed)
     rng = np.random.default_rng(
         np.random.SeedSequence(opt_cfg.seed, spawn_key=(combo_index, restart))
     )
-    theta = {key: float(rng.uniform(-2.0, 2.0)) for key in free_keys}
-
-    adam_m = dict.fromkeys(free_keys, 0.0)
-    adam_v = dict.fromkeys(free_keys, 0.0)
+    theta = rng.uniform(-2.0, 2.0, size=len(free_keys))
+    adam_m = np.zeros_like(theta)
+    adam_v = np.zeros_like(theta)
     trajectory: list[float] = []
     diverged = False
     frozen = None  # the loss once theta can no longer move
-    final_beta = (
-        beta_at(opt_cfg.beta_schedule, opt_cfg.steps - 1)
-        if opt_cfg.beta_schedule is not None
-        else loss_cfg.beta
-    )
-    for step in range(opt_cfg.steps):
-        beta = (
-            beta_at(opt_cfg.beta_schedule, step)
-            if opt_cfg.beta_schedule is not None
-            else loss_cfg.beta
-        )
+    for step, beta in enumerate(betas):
         tape = Tape()
-        tracked = {
-            key: tape.parameter(theta[key], f"{key[0].channel},{key[0].layer}:{key[1]}")
-            for key in free_keys
-        }
-        total = _step_loss(
-            chain,
-            tracked,
-            combo_map,
-            fixed,
-            target_features,
-            target_params,
-            loss_cfg,
-            beta,
-            render_config,
-        )
+        tracked = {key: tape.parameter(t, key) for key, t in zip(free_keys, theta)}
+        total = step_loss(tracked, combo_map, beta)
         value = total.value
         trajectory.append(value)
         if not np.isfinite(value):
@@ -311,46 +289,34 @@ def _run_branch(
                 break
             continue
         grads = tape.backward(total)
-        lr = opt_cfg.learning_rate
-        for key in free_keys:
-            g = grads[f"{key[0].channel},{key[0].layer}:{key[1]}"]
-            if opt_cfg.algorithm == "sgd":
-                theta[key] -= lr * g
-            else:
-                adam_m[key] = 0.9 * adam_m[key] + 0.1 * g
-                adam_v[key] = 0.999 * adam_v[key] + 0.001 * g * g
-                m_hat = adam_m[key] / (1.0 - 0.9 ** (step + 1))
-                v_hat = adam_v[key] / (1.0 - 0.999 ** (step + 1))
-                theta[key] -= lr * m_hat / (math.sqrt(v_hat) + 1e-8)
-        if any(not np.isfinite(theta[key]) for key in free_keys):
+        g = np.array([grads[key] for key in free_keys])
+        if opt_cfg.algorithm == "sgd":
+            theta -= opt_cfg.learning_rate * g
+        else:
+            adam_m = 0.9 * adam_m + 0.1 * g
+            adam_v = 0.999 * adam_v + 0.001 * g * g
+            m_hat = adam_m / (1.0 - 0.9 ** (step + 1))
+            v_hat = adam_v / (1.0 - 0.999 ** (step + 1))
+            theta -= opt_cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        if not np.isfinite(theta).all():
             diverged = True
             break
-    if diverged or not trajectory:
+    final_theta = dict(zip(free_keys, theta.tolist()))
+    if diverged:
         final_loss = float("nan")
     elif frozen is not None:
         final_loss = frozen
     else:
         # loss at the post-update parameters, so branch comparison sees
         # the point the assignment is actually built from
-        final = _step_loss(
-            chain,
-            theta,
-            combo_map,
-            fixed,
-            target_features,
-            target_params,
-            loss_cfg,
-            final_beta,
-            render_config,
-        )
-        final_loss = final.value
+        final_loss = step_loss(final_theta, combo_map, betas[-1]).value
     return BranchResult(
         combo=combo,
         restart=restart,
         trajectory=tuple(trajectory),
         final_loss=final_loss,
         diverged=diverged,
-        theta=tuple(sorted((k, theta[k]) for k in free_keys)),
+        theta=tuple(sorted(final_theta.items())),
     )
 
 
@@ -389,33 +355,36 @@ def match(
             f"target sample rate {target.sample_rate} != render rate "
             f"{render_config.sample_rate}"
         )
-    if target_params is None:
-        if opt_cfg.beta_schedule is not None:
-            betas = [beta_at(opt_cfg.beta_schedule, s) for s in range(opt_cfg.steps)]
-            if min(betas) <= 0.0:
-                raise MatcherConfigError(
-                    "unsupervised matching requires beta > 0 at every step"
-                )
-        elif loss_cfg.beta <= 0.0:
-            raise MatcherConfigError("unsupervised matching requires beta > 0")
+    schedule = opt_cfg.beta_schedule
+    betas = tuple(
+        beta_at(schedule, s) if schedule is not None else loss_cfg.beta
+        for s in range(opt_cfg.steps)
+    )
+    if target_params is None and min(betas) <= 0.0:
+        raise MatcherConfigError("unsupervised matching requires beta > 0 at every step")
 
     fixed = dict(fixed_params or {})
-    combos = _categorical_combos(chain, fixed)
     # the target is constant, so its spectra are computed once per call
     target_features = spectral_features(target, loss_cfg)
+    step_loss = functools.partial(
+        _step_loss,
+        chain=chain,
+        fixed=fixed,
+        target_features=target_features,
+        target_params=target_params,
+        loss_cfg=loss_cfg,
+        render_config=render_config,
+    )
     run_branch = functools.partial(
         _run_branch,
-        chain=chain,
-        target_features=target_features,
-        loss_cfg=loss_cfg,
+        step_loss=step_loss,
+        free_keys=_free_continuous(chain, fixed),
+        betas=betas,
         opt_cfg=opt_cfg,
-        target_params=target_params,
-        fixed=fixed,
-        render_config=render_config,
     )
     jobs = [
         (combo_index, combo, restart)
-        for combo_index, combo in enumerate(combos)
+        for combo_index, combo in enumerate(_categorical_combos(chain, fixed))
         for restart in range(opt_cfg.restarts)
     ]
     if opt_cfg.jobs > 1:

@@ -321,6 +321,11 @@ def apply_lowpass(input_signal: Signal, params: Mapping, config: RenderConfig) -
         raise ParameterRangeError(
             f"lowpass.cutoff = {cutoff.value} above Nyquist {config.sample_rate / 2}"
         )
+    if len(input_signal) < LOWPASS_TAPS:
+        raise ParameterRangeError(
+            f"lowpass: a {len(input_signal)}-sample render is shorter than the "
+            f"{LOWPASS_TAPS}-tap kernel; render at least {LOWPASS_TAPS} samples"
+        )
     kernel = _lowpass_kernel(cutoff, config.sample_rate)
     return Signal(ad.convolve_same(input_signal.samples, kernel), config.sample_rate)
 

@@ -202,6 +202,18 @@ def test_render_non_finite_duration_exits_2(tmp_path, osc_chain, caplog):
     assert not (tmp_path / "x.wav").exists()
 
 
+def test_render_shorter_than_lowpass_kernel_exits_2(tmp_path, basic_chain, caplog):
+    # 1 ms at 16 kHz is 16 samples, under the 101-tap low-pass kernel
+    argv = ["render", str(basic_chain), "--random", "--duration", "1e-3",
+            "--out", str(tmp_path / "x.wav")]
+    assert main(argv) == 2
+    (record,) = [r for r in caplog.records if r.levelno >= logging.ERROR]
+    message = record.getMessage()
+    assert "\n" not in message
+    assert "16-sample" in message and "101-tap" in message
+    assert not (tmp_path / "x.wav").exists()
+
+
 def test_render_from_params_file(tmp_path, osc_chain):
     params = {"params": {"0,0": {"amp": 0.5, "freq": 330.0, "waveform": "saw", "active": "on"}}}
     (tmp_path / "p.json").write_text(json.dumps(params))

@@ -26,6 +26,7 @@ from gradsynth.datasets import (
     sample_assignment,
     sample_record,
 )
+from gradsynth.losses import LossConfig, signal_chain_loss
 from gradsynth.modules import CATALOG, resolve_range
 
 CFG = RenderConfig(duration=0.125)
@@ -133,6 +134,10 @@ def test_sampled_assignment_renders(index):
     assignment = sample_assignment(KITCHEN_CHAIN, record_rng(31, index), CFG)
     trace = generate_signal(KITCHEN_CHAIN, assignment, CFG)
     assert np.all(np.isfinite(trace.output.values))
+    # and the loss of every cell against a second draw is finite
+    second = sample_assignment(KITCHEN_CHAIN, record_rng(37, index), CFG)
+    other = generate_signal(KITCHEN_CHAIN, second, CFG)
+    assert math.isfinite(signal_chain_loss(trace, other, LossConfig(cells="all")).value)
 
 
 def test_dropped_modulator_forces_fm_bypass():

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradsynth import losses, matching
 from gradsynth.audio import RenderConfig
@@ -16,7 +18,9 @@ from gradsynth.chains import (
     ParameterAssignment,
     RenderTrace,
     generate_signal,
+    parse_chain_file,
 )
+from gradsynth.datasets import record_rng, sample_assignment
 from gradsynth.losses import LossConfig, signal_chain_loss
 from gradsynth.matching import (
     MatcherConfigError,
@@ -32,6 +36,7 @@ CFG = RenderConfig(duration=0.25)
 OSC_CHAIN = ChainSpec("single", (Cell(CellAddress(0, 0), "osc"),), ())
 
 A00 = CellAddress(0, 0)
+A10 = CellAddress(1, 0)
 
 # saw + square into a mix, shaped by ADSR, then lowpassed
 FULL_CHAIN = ChainSpec(
@@ -173,6 +178,16 @@ def test_log_scale_params_span_range():
     hi = _reparam(OSC_CHAIN, {(A00, "freq"): DiffValue(30.0)}, CFG, {})
     assert lo[(A00, "freq")].value == pytest.approx(20.0, rel=1e-6)
     assert hi[(A00, "freq")].value == pytest.approx(20000.0, rel=1e-6)
+
+
+def test_saturated_log_scale_gate_stays_in_range():
+    # sigmoid(-40) is under half an ulp of log(20), and exp(log(20.0)) rounds
+    # to 19.999999999999996, which the low-pass rejects
+    cutoff = (CellAddress(0, 3), "cutoff")
+    theta = {cutoff: DiffValue(-40.0), (A00, "freq"): DiffValue(-40.0)}
+    values = _reparam(FULL_CHAIN, theta, CFG, {})
+    assert values[cutoff].value == 20.0
+    assert values[(A00, "freq")].value == 20.0
 
 
 # -- matching behavior ------------------------------------------------------
@@ -377,6 +392,56 @@ def test_seed_sets_theta0_per_combination_and_restart():
     assert initial_thetas(8) != thetas
 
 
+@pytest.mark.parametrize("beta_schedule", [None, ((0, 1.0), (3, 1.0))])
+def test_all_parameters_fixed_returns_the_fixed_assignment(beta_schedule):
+    fixed = {**AMP_FIXED, (A00, "amp"): 0.5}
+    opt = OptimizerConfig(
+        steps=4, learning_rate=0.1, restarts=3, seed=0, beta_schedule=beta_schedule
+    )
+    res = match(sine_target(), OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=fixed, render_config=CFG)
+    assert [b.restart for b in res.branches] == [0, 1, 2]
+    for branch in res.branches:
+        assert branch.theta == ()
+        assert branch.trajectory == (branch.trajectory[0],) * 4
+        assert branch.final_loss == branch.trajectory[0]
+    assert res.best.values == {A00: {"amp": 0.5, "freq": 440.0, "waveform": "sine", "active": "on"}}
+
+
+BASIC_CHAIN = parse_chain_file((Path(__file__).parents[1] / "chains" / "basic.chain").read_text())
+
+SHORT = RenderConfig(duration=0.02)  # 320 samples, above the 101-tap low-pass
+
+WAVEFORMS = st.sampled_from(
+    next(p for p in CATALOG["osc"].categorical if p.name == "waveform").choices
+)
+
+
+@given(
+    target_index=st.integers(0, 10_000),
+    seed=st.integers(0, 2**31 - 1),
+    learning_rate=st.floats(1e-3, 50.0),
+    waveforms=st.tuples(WAVEFORMS, WAVEFORMS),
+)
+@settings(max_examples=20, deadline=None)
+def test_match_returns_parameters_inside_their_ranges(target_index, seed, learning_rate, waveforms):
+    target = generate_signal(
+        BASIC_CHAIN, sample_assignment(BASIC_CHAIN, record_rng(0, target_index), SHORT), SHORT
+    ).output
+    fixed = {(address, "waveform"): w for address, w in zip((A00, A10), waveforms)}
+    opt = OptimizerConfig(steps=2, learning_rate=learning_rate, restarts=1, seed=seed)
+    loss_cfg = LossConfig(cells="output", windows=(256,))
+    res = match(target, BASIC_CHAIN, loss_cfg, opt, fixed_params=fixed, render_config=SHORT)
+    cell_map = BASIC_CHAIN.cell_map()
+    for address, params in res.best.values.items():
+        for p in CATALOG[cell_map[address]].continuous:
+            low, high = resolve_range(p, SHORT)
+            assert low <= params[p.name] <= high, f"{cell_map[address]}.{p.name}"
+    adsr = next(params for a, params in res.best.values.items() if cell_map[a] == "adsr")
+    # a saturated gate can round the sum one ulp past the duration, which
+    # the envelope's own 1e-12 budget check accepts
+    assert adsr["attack"] + adsr["decay"] + adsr["release"] <= SHORT.duration + 1e-12
+
+
 # -- configuration errors ---------------------------------------------------
 
 
@@ -448,8 +513,6 @@ def test_all_branches_diverging_raises():
 # that is not bit-identical fails here.
 
 MATCH_GOLDEN = Path(__file__).parent / "data" / "match_golden.json"
-
-A10 = CellAddress(1, 0)
 
 
 def _key_text(key):

@@ -33,3 +33,7 @@ def test_run_benchmark_writes_every_cell(tmp_path):
     stdout = _run(tmp_path, "run_benchmark.py", "--trials", "2", "--out", str(out))
     assert _lines(out) == 37
     assert "36 cells x 2 trials" in stdout
+    # the process pool writes the same bytes as the serial run
+    pooled = tmp_path / "b2.csv"
+    _run(tmp_path, "run_benchmark.py", "--trials", "2", "--jobs", "2", "--out", str(pooled))
+    assert pooled.read_bytes() == out.read_bytes()
