@@ -20,7 +20,7 @@ the fast inference path.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterable, Mapping, Union
+from typing import Callable, Hashable, Mapping, Optional, Union
 
 import numpy as np
 
@@ -46,6 +46,7 @@ __all__ = [
     "neg",
     "rfft_magnitude",
     "sigmoid",
+    "sigmoid_gate",
     "sign_surrogate",
     "sin",
     "sqrt",
@@ -239,13 +240,11 @@ def _shape_of(value):
     return value.shape if isinstance(value, np.ndarray) else ()
 
 
-def _record_op(tape: Tape, out_value, parent_specs: Iterable[tuple]):
-    """parent_specs: (node, vjp) pairs for tracked operands only."""
-    specs = [(n, v) for n, v in parent_specs if n is not None]
-    if tape is None or not specs:
+def _record_op(tape: Tape, out_value, parent_specs: list):
+    """parent_specs: (node, vjp) pairs, one per tracked operand."""
+    if not parent_specs:
         return DiffValue(out_value)
-    parents = tuple(n for n, _ in specs)
-    vjps = tuple(v for _, v in specs)
+    parents, vjps = zip(*parent_specs)
     return DiffValue(out_value, tape, tape._record(parents, vjps))
 
 
@@ -346,20 +345,50 @@ def sqrt(x):
     )
 
 
-def sigmoid(x):
-    def fwd(v):
-        v = np.asarray(v, dtype=np.float64)
-        # exp of a nonpositive argument only, so large |v| cannot overflow
-        z = np.exp(-np.abs(v))
-        out = np.where(v >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-        return out if out.ndim else float(out)
+def _sigmoid_value(v):
+    v = np.asarray(v, dtype=np.float64)
+    # exp of a nonpositive argument only, so large |v| cannot overflow
+    z = np.exp(-np.abs(v))
+    out = np.where(v >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
+    return out if out.ndim else float(out)
 
+
+def sigmoid(x):
     v, n, tape = _unwrap(x)
-    out = fwd(v)
+    out = _sigmoid_value(v)
     if n is None:
         return DiffValue(out)
     # the partial from the output, rather than two more forward passes
     return _record_op(tape, out, [(n, _scaled_vjp(out * (1.0 - out), _shape_of(v)))])
+
+
+def sigmoid_gate(x, low: float, span: float, clip: Optional[tuple] = None) -> DiffValue:
+    """low + sigmoid(x) * span for a scalar x, recorded as one node.
+
+    With ``clip = (lo, hi)``, exp of that clamped to [lo, hi]: a log-scaled
+    range, whose ends exp can round past.  Value and adjoint are bit for bit
+    those of the sigmoid, mul, add (exp, clamp) chain this replaces: the
+    adjoint applies that chain's partials one at a time, in its order.
+    """
+    v, n, tape = _unwrap(x)
+    if type(v) is not float:
+        raise NumericDomainError("sigmoid_gate", "expected a scalar")
+    gate = _sigmoid_value(v)
+    out = gate * span + low
+    partials = (span, gate * (1.0 - gate))
+    if clip is not None:
+        grown = float(np.exp(out))
+        out = min(max(grown, clip[0]), clip[1])
+        partials = (1.0 if clip[0] <= grown <= clip[1] else 0.0, grown) + partials
+    if n is None:
+        return DiffValue(out)
+
+    def vjp(adj):
+        for p in partials:
+            adj = adj * p
+        return adj
+
+    return _record_op(tape, out, [(n, vjp)])
 
 
 def clamp(x, lo: float, hi: float):
@@ -403,7 +432,7 @@ def bsum(x) -> DiffValue:
     if n is None:
         return DiffValue(out)
     shape = v.shape
-    return _record_op(tape, out, [(n, lambda adj: np.full(shape, adj, dtype=np.float64))])
+    return _record_op(tape, out, [(n, lambda adj: np.broadcast_to(adj, shape))])
 
 
 def cumsum(x, axis: int = -1) -> DiffValue:
@@ -456,8 +485,9 @@ def rfft_magnitude(x, window: np.ndarray, index: np.ndarray) -> DiffValue:
     each frame's adjoint is Re(N * ifft(u zero-padded to N)); the inverse
     real FFT of u with its interior bins halved gives the same rows
     without the complex transform, since irfft counts each interior bin
-    twice.  The frames are then windowed and scatter-added back through
-    ``index``.
+    twice.  Both factors, N and the halving, are one real per-bin scale
+    on adj/|X|, exact for a power-of-two N.  The frames are then windowed
+    and scatter-added back through ``index``.
     """
     v, n, tape = _unwrap(x)
     if v.ndim != 1 or index.ndim != 2 or window.shape != index.shape[1:]:
@@ -474,11 +504,13 @@ def rfft_magnitude(x, window: np.ndarray, index: np.ndarray) -> DiffValue:
     length = v.shape[0]
     flat_index = index.ravel()
     safe = np.where(mag > 0.0, mag, 1.0)
+    scale = np.full(mag.shape[1], float(size))
+    scale[1 : (size + 1) // 2] *= 0.5
 
     def vjp(adj):
-        u = np.divide(adj.T, safe, out=np.empty(mag.shape)) * spectrum
-        u[:, 1 : (size + 1) // 2] *= 0.5
-        grad_frames = np.fft.irfft(u, n=size, axis=1) * size
+        u = np.divide(adj.T, safe, out=np.empty(mag.shape))
+        u *= scale
+        grad_frames = np.fft.irfft(u * spectrum, n=size, axis=1)
         grad_frames *= window
         return np.bincount(flat_index, weights=grad_frames.ravel(), minlength=length)
 

@@ -36,7 +36,7 @@ from .chains import (
     resolve_optional,
     validate,
 )
-from .modules import CATALOG, LOG_SCALE_PARAMS, resolve_range
+from .modules import CATALOG, LOG_SCALE_PARAMS, check_lowpass_length, resolve_range
 
 __all__ = [
     "DatasetFormatError",
@@ -250,6 +250,10 @@ def generate_dataset(
     violations = validate(chain)
     if violations:
         raise ChainValidationError(violations)
+    if any(cell.kind == "lowpass" for cell in chain.cells):
+        # a record whose sources are all off skips the low-pass, so check
+        # before any record is written rather than by the draw
+        check_lowpass_length(render_config.num_samples)
     if n < 0:
         raise ValueError(f"record count must be >= 0, got {n}")
     if jobs < 1:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -41,6 +41,7 @@ __all__ = [
     "parameter_loss",
     "signal_chain_loss",
     "spectral_features",
+    "stfts",
 ]
 
 # Hard categorical predictions enter cross-entropy as an indicator
@@ -167,15 +168,24 @@ def _select_signals(
     return pairs
 
 
-def spectral_features(signal: Signal, cfg: LossConfig) -> tuple[Spectrogram, ...]:
+def stfts(signal: Signal, windows: Sequence[int]) -> dict[int, Spectrogram]:
+    """The magnitude STFT of ``signal`` at each window, keyed by window."""
+    return {window: stft_magnitude(signal, window) for window in windows}
+
+
+def spectral_features(
+    signal: Union[Signal, Mapping[int, Spectrogram]], cfg: LossConfig
+) -> tuple[Spectrogram, ...]:
     """The processed spectra the spectral loss compares, for one signal.
 
     One entry per window x processing, window-major, in the order of
     ``cfg.windows`` and ``cfg.processings``; one STFT per window.
+    ``signal`` may instead be its :func:`stfts` at ``cfg.windows``.
     """
+    specs = stfts(signal, cfg.windows) if isinstance(signal, Signal) else signal
     features = []
     for window in cfg.windows:
-        spec = stft_magnitude(signal, window)
+        spec = specs[window]
         if cfg.transform == "mel":
             spec = mel_spectrogram(spec, n_mels=cfg.n_mels)
         for kind in cfg.processings:
@@ -228,17 +238,24 @@ def combined_loss(param_part: DiffValue, chain_part: DiffValue, beta: float) -> 
     return param_part + beta * chain_part
 
 
-def log_spectral_distance(x: Signal, x_hat: Signal, window: int = 1024) -> float:
+def log_spectral_distance(
+    x: Signal, x_hat: Signal, window: int = 1024, x_hat_stft: Optional[Spectrogram] = None
+) -> float:
     """Frobenius norm of the log-spectrogram difference (floor 1e-5).
 
-    Evaluation metric only: computed on raw magnitude arrays, outside
-    the tape.
+    ``x_hat_stft``, if given, is taken as ``stft_magnitude(x_hat, window)``,
+    for a caller that already holds it; only its window, hop, scale and
+    shape are checked.  Evaluation metric only: computed on raw magnitude
+    arrays, outside the tape.
     """
     if len(x) != len(x_hat):
         raise ValueError(f"signal lengths differ: {len(x)} vs {len(x_hat)}")
     if x.sample_rate != x_hat.sample_rate:
         raise ValueError("sample rates differ")
-    a = stft_magnitude(x, window).values
-    b = stft_magnitude(x_hat, window).values
-    diff = np.log(np.maximum(a, 1e-5)) - np.log(np.maximum(b, 1e-5))
+    a = stft_magnitude(x, window)
+    b = stft_magnitude(x_hat, window) if x_hat_stft is None else x_hat_stft
+    layout = (a.window_size, a.hop, a.scale, a.shape)
+    if (b.window_size, b.hop, b.scale, b.shape) != layout:
+        raise ValueError(f"x_hat_stft is not x_hat's linear STFT at window {window}")
+    diff = np.log(np.maximum(a.values, 1e-5)) - np.log(np.maximum(b.values, 1e-5))
     return float(np.sqrt(np.sum(diff * diff)))

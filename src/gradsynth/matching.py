@@ -18,7 +18,7 @@ from typing import Callable, Mapping, Optional, Union
 import numpy as np
 
 from .audio import RenderConfig, Signal
-from .autodiff import DiffValue, Tape, clamp, exp, sigmoid
+from .autodiff import DiffValue, Tape, sigmoid, sigmoid_gate
 from .chains import (
     CellAddress,
     ChainSpec,
@@ -34,8 +34,9 @@ from .losses import (
     parameter_loss,
     signal_chain_loss,
     spectral_features,
+    stfts,
 )
-from .modules import CATALOG, LOG_SCALE_PARAMS, resolve_range
+from .modules import CATALOG, LOG_SCALE_PARAMS, ContinuousParam
 from .spectral import Spectrogram
 
 __all__ = [
@@ -152,6 +153,25 @@ def _categorical_combos(chain: ChainSpec, fixed: FixedParams):
     return [tuple(zip(slots, combo)) for combo in itertools.product(*choices)]
 
 
+def _gate_args(kind: str, param: ContinuousParam) -> tuple:
+    if (kind, param.name) in LOG_SCALE_PARAMS:
+        # exp(log(20.0)) rounds below 20.0, so a saturated gate would
+        # leave the range without the clamp
+        log_low = math.log(param.low)
+        return log_low, math.log(param.high) - log_low, (param.low, param.high)
+    return param.low, param.high - param.low
+
+
+# ``sigmoid_gate`` arguments of every continuous parameter outside the
+# ADSR time budget, whose range does not depend on the render
+_GATES = {
+    (kind, p.name): _gate_args(kind, p)
+    for kind, catalog in CATALOG.items()
+    for p in catalog.continuous
+    if p.high is not None
+}
+
+
 def _reparam(
     chain: ChainSpec,
     theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
@@ -175,9 +195,7 @@ def _reparam(
         by_cell.setdefault(address, {})[name] = raw
     for address, raw_params in by_cell.items():
         kind = cell_map[address]
-        catalog = CATALOG[kind]
-        ranges = {p.name: resolve_range(p, render_config) for p in catalog.continuous}
-        budgeted = [p.name for p in catalog.continuous if p.high is None]
+        budgeted = [p.name for p in CATALOG[kind].continuous if p.high is None]
         budget = [n for n in budgeted if n in raw_params]
         if budget:
             spent = sum(float(fixed[(address, n)]) for n in budgeted if (address, n) in fixed)
@@ -187,18 +205,8 @@ def _reparam(
                 values[(address, n)] = piece
                 remaining = remaining - piece
         for name, raw in raw_params.items():
-            if name in budget:
-                continue
-            low, high = ranges[name]
-            gate = sigmoid(raw)
-            if (kind, name) in LOG_SCALE_PARAMS:
-                # exp(log(20.0)) rounds below 20.0, so a saturated gate
-                # would leave the range without the clamp
-                log_low, log_high = math.log(low), math.log(high)
-                value = exp(log_low + gate * (log_high - log_low))
-                values[(address, name)] = clamp(value, low, high)
-            else:
-                values[(address, name)] = low + gate * (high - low)
+            if name not in budget:
+                values[(address, name)] = sigmoid_gate(raw, *_GATES[kind, name])
     return values
 
 
@@ -364,8 +372,10 @@ def match(
         raise MatcherConfigError("unsupervised matching requires beta > 0 at every step")
 
     fixed = dict(fixed_params or {})
-    # the target is constant, so its spectra are computed once per call
-    target_features = spectral_features(target, loss_cfg)
+    # the target is constant, so its STFTs are taken once per call; they
+    # serve the loss features and the final log-spectral distance
+    target_stfts = stfts(target, loss_cfg.windows)
+    target_features = spectral_features(target_stfts, loss_cfg)
     step_loss = functools.partial(
         _step_loss,
         chain=chain,
@@ -404,7 +414,8 @@ def match(
 
     trace = generate_signal(chain, best, render_config)
     final_spectral = signal_chain_loss(trace, target_features, loss_cfg).value
-    final_lsd = log_spectral_distance(trace.output, target, max(loss_cfg.windows))
+    window = max(loss_cfg.windows)
+    final_lsd = log_spectral_distance(trace.output, target, window, target_stfts[window])
     return MatchResult(
         best=best,
         trajectories=tuple(b.trajectory for b in branches),

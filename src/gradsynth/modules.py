@@ -29,6 +29,7 @@ __all__ = [
     "apply_adsr",
     "apply_lowpass",
     "apply_tremolo",
+    "check_lowpass_length",
     "mix",
     "render_fm_oscillator",
     "render_lfo",
@@ -314,6 +315,15 @@ def _lowpass_kernel(cutoff: DiffValue, sample_rate: int):
     return taps / ad.bsum(taps)
 
 
+def check_lowpass_length(num_samples: int) -> None:
+    """Reject a render too short for the low-pass kernel."""
+    if num_samples < LOWPASS_TAPS:
+        raise ParameterRangeError(
+            f"lowpass: a {num_samples}-sample render is shorter than the "
+            f"{LOWPASS_TAPS}-tap kernel; render at least {LOWPASS_TAPS} samples"
+        )
+
+
 def apply_lowpass(input_signal: Signal, params: Mapping, config: RenderConfig) -> Signal:
     """Zero-padded 'same' convolution with a 101-tap windowed-sinc kernel."""
     cutoff = _checked("lowpass", "cutoff", params["cutoff"], config)
@@ -321,11 +331,7 @@ def apply_lowpass(input_signal: Signal, params: Mapping, config: RenderConfig) -
         raise ParameterRangeError(
             f"lowpass.cutoff = {cutoff.value} above Nyquist {config.sample_rate / 2}"
         )
-    if len(input_signal) < LOWPASS_TAPS:
-        raise ParameterRangeError(
-            f"lowpass: a {len(input_signal)}-sample render is shorter than the "
-            f"{LOWPASS_TAPS}-tap kernel; render at least {LOWPASS_TAPS} samples"
-        )
+    check_lowpass_length(len(input_signal))
     kernel = _lowpass_kernel(cutoff, config.sample_rate)
     return Signal(ad.convolve_same(input_signal.samples, kernel), config.sample_rate)
 

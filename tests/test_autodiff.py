@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -14,6 +15,7 @@ from scipy.signal import fftconvolve
 
 from gradsynth import autodiff as ad
 from gradsynth.autodiff import DiffValue, Tape
+from gradsynth.spectral import WINDOW_SIZES
 
 
 def _cos(v):
@@ -36,6 +38,81 @@ def test_sin_gradient_at_zero():
     p = tape.parameter(0.0, "p")
     grads = tape.backward(ad.sin(p))
     assert grads["p"] == 1.0
+
+
+def _gate_chain(x, low, high, log):
+    """The range gate as the separate ops ``sigmoid_gate`` replaces."""
+    gate = ad.sigmoid(x)
+    if log:
+        log_low, log_high = math.log(low), math.log(high)
+        return ad.clamp(ad.exp(log_low + gate * (log_high - log_low)), low, high)
+    return low + gate * (high - low)
+
+
+def _gate_args(low, high, log):
+    if log:
+        return math.log(low), math.log(high) - math.log(low), (low, high)
+    return low, high - low
+
+
+GATE_RANGES = [
+    (0.0, 1.0, False),
+    (0.0, 100.0, False),
+    (-3.0, 7.5, False),
+    (20.0, 20000.0, True),
+    (20.0, 8000.0, True),
+    (0.5, 20.0, True),
+]
+GATE_THETAS = sorted(
+    {0.0, 1e-3, -1e-3, 0.5, -2.0, 2.0, 36.0, -37.0, -40.0, 40.0, 745.0, -800.0, 800.0}
+    | set(np.linspace(-30.0, 30.0, 41).tolist())
+)
+
+
+@pytest.mark.parametrize("low, high, log", GATE_RANGES)
+def test_sigmoid_gate_is_bitwise_the_op_chain(low, high, log):
+    clamped = []
+    for theta in GATE_THETAS:
+        results = []
+        for fused in (True, False):
+            tape = Tape()
+            t = tape.parameter(theta, "t")
+            value = ad.sigmoid_gate(t, *_gate_args(low, high, log)) if fused else _gate_chain(
+                t, low, high, log
+            )
+            # two consumers, so the gate's adjoint is not a plain 1.0
+            loss = value * 1.7 + ad.sin(value)
+            results.append((value.value, tape.backward(loss)["t"], len(tape)))
+        (got, got_grad, fused_nodes), (want, want_grad, chain_nodes) = results
+        assert (got, got_grad) == (want, want_grad), theta
+        assert math.copysign(1.0, got_grad) == math.copysign(1.0, want_grad)
+        assert fused_nodes == chain_nodes - (4 if log else 2)
+        assert low <= got <= high
+        if log:
+            log_low, log_span, _ = _gate_args(low, high, log)
+            unclamped = ad.exp(log_low + ad.sigmoid(theta) * log_span).value
+            if not low <= unclamped <= high:
+                clamped.append(theta)
+    if (low, high) == (20.0, 8000.0):
+        # sigmoid(-40) rounds the cutoff to exp(log(20.0)) = 19.999999999999996,
+        # which the clamp returns to 20 with a zero gradient
+        assert -40.0 in clamped and -800.0 in clamped
+
+
+def test_sigmoid_gate_constant_input_records_nothing():
+    assert ad.sigmoid_gate(0.25, 0.0, 1.0).node is None
+    assert ad.sigmoid_gate(DiffValue(-40.0), *_gate_args(20.0, 8000.0, True)).value == 20.0
+    with pytest.raises(ad.NumericDomainError):
+        ad.sigmoid_gate(DiffValue(np.zeros(3)), 0.0, 1.0)
+
+
+@pytest.mark.parametrize("low, high, log", GATE_RANGES)
+@pytest.mark.parametrize("theta", [-2.0, 0.3, 2.5])
+def test_sigmoid_gate_matches_fd(low, high, log, theta):
+    def f(p):
+        return ad.sigmoid_gate(p["t"], *_gate_args(low, high, log))
+
+    assert ad.finite_difference_check(f, {"t": theta}, step=1e-6) < 1e-6
 
 
 def test_clamp_flat_outside_band():
@@ -299,7 +376,9 @@ def _frame_index(n, width, hop):
 def _unfused_stft(x, window, index, adj):
     """The STFT magnitude and its adjoint as the separate ops they replace:
     gather, window product, rfft magnitude (irfft adjoint) and transpose,
-    each adjoint applied in reverse."""
+    each adjoint applied in reverse.  The magnitude adjoint is the earlier
+    formula: interior bins of the complex product halved, then the irfft
+    output multiplied by the width, each in a pass of its own."""
     width = index.shape[1]
     frames = x[index]
     windowed = frames * window
@@ -328,7 +407,7 @@ def _complex_ifft_stft_adjoint(x, window, index, adj):
     return np.bincount(index.ravel(), weights=grad_frames.ravel(), minlength=len(x))
 
 
-@pytest.mark.parametrize("width", [256, 512, 1024, 2048])
+@pytest.mark.parametrize("width", WINDOW_SIZES)
 def test_rfft_magnitude_equals_unfused_stft(width):
     rng = np.random.default_rng(width)
     n = 6000
@@ -343,8 +422,9 @@ def test_rfft_magnitude_equals_unfused_stft(width):
     adj = rng.normal(size=out.shape)
     want_mag, want_grad = _unfused_stft(x, window, index, adj)
     got_grad = out.node.vjps[0](adj)
-    # the same arithmetic in the same order: the same bits, and the same
-    # memory layout, since downstream reductions sum in memory order
+    # the same arithmetic in the same order, up to scaling by powers of
+    # two, which is exact: the same bits, and the same memory layout,
+    # since downstream reductions sum in memory order
     assert np.array_equal(out.value, want_mag)
     assert out.value.strides == want_mag.strides
     assert np.array_equal(ad.rfft_magnitude(DiffValue(x), window, index).value, want_mag)
@@ -353,7 +433,25 @@ def test_rfft_magnitude_equals_unfused_stft(width):
     assert np.max(np.abs(got_grad - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
-@pytest.mark.parametrize("width", [32, 33])
+@pytest.mark.parametrize("width", [33, 100])
+def test_rfft_magnitude_adjoint_off_powers_of_two(width):
+    # a per-bin scale of width / 2 is no longer a power of two, so the
+    # adjoint rounds differently from the earlier formula, by a few ulps
+    rng = np.random.default_rng(width)
+    x = rng.normal(size=600)
+    x[200:200 + 2 * width] = 0.0
+    window = rng.uniform(0.5, 1.0, size=width)
+    index = _frame_index(600, width, width // 4)
+    tape = Tape()
+    s = tape.parameter(1.0, "s")
+    out = ad.rfft_magnitude(DiffValue(x) * s, window, index)
+    adj = rng.normal(size=out.shape)
+    want = _unfused_stft(x, window, index, adj)[1]
+    got = out.node.vjps[0](adj)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("width", [32, 33, 100])
 def test_rfft_magnitude_vjp_matches_fd(width):
     rng = np.random.default_rng(12 + width)
     x = rng.normal(size=200)

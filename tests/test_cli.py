@@ -287,6 +287,19 @@ def test_dataset_metadata_line_works_as_params_file(tmp_path, basic_chain):
     assert (tmp_path / "re.wav").read_bytes() == (out / "000001.wav").read_bytes()
 
 
+@pytest.mark.parametrize("n", ["2", "8"])
+def test_dataset_shorter_than_lowpass_kernel_exits_2_before_writing(tmp_path, caplog, n):
+    # 1 ms at 16 kHz is 16 samples; records whose oscillators are both off
+    # never reach the low-pass, so only a check before the first record
+    # makes the outcome independent of the draw
+    out = tmp_path / "ds"
+    argv = ["dataset", str(REPO / "chains" / "basic.chain"), "--n", n, "--seed", "0",
+            "--duration", "0.001", "--out", str(out)]
+    assert main(argv) == 2
+    assert "16-sample" in caplog.text and "101-tap" in caplog.text
+    assert not out.exists()
+
+
 def test_dataset_nonpositive_jobs_exit_2(tmp_path, basic_chain):
     out = tmp_path / "ds"
     assert main(

@@ -25,6 +25,7 @@ from gradsynth.losses import (
     parameter_loss,
     signal_chain_loss,
     spectral_features,
+    stfts,
 )
 from gradsynth.spectral import PROCESSINGS, mel_spectrogram, stft_magnitude
 
@@ -397,6 +398,43 @@ def _sine_signal(amp, freq, config):
 def test_lsd_self_zero():
     x = _sine_signal(1000.0, 441.3, RenderConfig())
     assert log_spectral_distance(x, x) == 0.0
+
+
+def test_lsd_takes_the_target_stft_already_taken():
+    x = _sine_signal(1000.0, 441.3, RenderConfig())
+    y = _sine_signal(800.0, 600.0, RenderConfig())
+    given = log_spectral_distance(x, y, 512, stft_magnitude(y, 512))
+    assert given == log_spectral_distance(x, y, 512)
+    short = _sine_signal(800.0, 600.0, RenderConfig(duration=0.5))
+    wrong = (
+        stft_magnitude(y, 512),
+        stft_magnitude(short, 1024),
+        stft_magnitude(y, 1024, hop=512),
+        mel_spectrogram(stft_magnitude(y, 1024)),
+    )
+    for stft in wrong:
+        with pytest.raises(ValueError, match="not x_hat's linear STFT at window 1024"):
+            log_spectral_distance(x, y, 1024, stft)
+
+
+def test_lsd_length_check_holds_with_the_target_stft():
+    # 16000 and 16100 samples both give 63 frames at window 1024
+    x = _sine_signal(1000.0, 441.3, RenderConfig())
+    longer = Signal.from_values(np.concatenate([x.values, np.zeros(100)]), x.sample_rate)
+    stft = stft_magnitude(longer, 1024)
+    assert stft.shape == stft_magnitude(x, 1024).shape
+    with pytest.raises(ValueError, match="signal lengths differ: 16000 vs 16100"):
+        log_spectral_distance(x, longer, 1024, stft)
+
+
+def test_spectral_features_of_stfts_already_taken():
+    cfg = LossConfig(windows=(512, 1024), processings=("identity", "log"), transform="mel")
+    x = _sine_signal(1.0, 441.3, CFG)
+    from_signal = spectral_features(x, cfg)
+    from_stfts = spectral_features(stfts(x, cfg.windows), cfg)
+    assert [f.window_size for f in from_stfts] == [512, 512, 1024, 1024]
+    for a, b in zip(from_signal, from_stfts, strict=True):
+        assert np.array_equal(a.values, b.values)
 
 
 def test_lsd_symmetric():
