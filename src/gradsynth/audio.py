@@ -78,10 +78,6 @@ class Signal:
     def __len__(self) -> int:
         return len(self.samples)
 
-    @property
-    def duration(self) -> float:
-        return len(self) / self.sample_rate
-
 
 def zeros(config: RenderConfig) -> Signal:
     """The zero signal on the configured grid (empty-cell output)."""

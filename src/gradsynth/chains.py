@@ -191,21 +191,13 @@ def parse_chain_file(text: str) -> ChainSpec:
                 raise ChainParseError(lineno, "cell before chain declaration")
             if len(tokens) != 4:
                 raise ChainParseError(lineno, "expected: cell <channel> <layer> <kind>")
-            try:
-                channel, layer = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ChainParseError(
-                    lineno, "malformed address; channel and layer must be integers"
-                ) from None
-            if channel < 0 or layer < 0:
-                raise ChainParseError(lineno, "malformed address; indices must be >= 0")
+            address = _parse_address(f"{tokens[1]},{tokens[2]}", lineno)
             kind = tokens[3]
             if kind not in CELL_KINDS:
                 raise ChainParseError(
                     lineno,
                     f"unknown module kind {kind!r}; expected one of {', '.join(CELL_KINDS)}",
                 )
-            address = CellAddress(channel, layer)
             if address in seen:
                 raise ChainParseError(
                     lineno, f"duplicate cell {address} (first declared on line {seen[address]})"

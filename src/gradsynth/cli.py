@@ -18,7 +18,7 @@ import logging
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
-from typing import Optional, Union, get_args, get_origin, get_type_hints
+from typing import Optional, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -42,13 +42,7 @@ from .datasets import (
     parse_assignment,
     sample_assignment,
 )
-from .experiments import (
-    BenchmarkResult,
-    _format_distance,
-    export_csv,
-    loss_surface_sweep,
-    perturbation_benchmark,
-)
+from .experiments import benchmark_table, export_csv, loss_surface_sweep
 from .losses import LossConfig, LossConfigError, signal_chain_loss
 from .matching import MatcherConfigError, OptimizerConfig, match
 from .modules import (
@@ -126,8 +120,6 @@ def _parser_for(hint):
     if get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
         element = _parser_for(args[0])
         return lambda raw: tuple(element(piece.strip()) for piece in raw.split(","))
-    if get_origin(hint) is Union and str in args:
-        return str  # a named selector; the dataclass validates it
     raise TypeError(f"no config-file parser for field type {hint!r}")
 
 
@@ -320,8 +312,8 @@ def cmd_sweep(args) -> int:
     render_config = RenderConfig(sample_rate=args.sample_rate, duration=args.duration)
     address, name = _parse_param_key(args.param)
     kind = chain.cell_map().get(address)
-    if kind is None:
-        raise ValueError(f"no cell at {address}")
+    if kind is None or kind == "empty":
+        raise ValueError(f"no module cell at {address}")
     spec = next((p for p in CATALOG[kind].continuous if p.name == name), None)
     if spec is None:
         raise ValueError(f"{kind} has no continuous parameter {name!r}")
@@ -354,31 +346,22 @@ def cmd_sweep(args) -> int:
 def cmd_bench(args) -> int:
     processing = args.processing.replace("-", "_")
     distance = "epsilon" if args.distance == "epsilon" else float(args.distance)
-    accuracy = perturbation_benchmark(
-        args.waveform,
-        distance,
-        args.transform,
-        processing,
+    rows = benchmark_table(
+        (args.waveform,),
+        (distance,),
+        ((args.transform, processing),),
         trials=args.trials,
         seed=args.seed,
         jobs=args.jobs,
     )
-    row = BenchmarkResult(
-        waveform=args.waveform,
-        transform=args.transform,
-        processing=processing,
-        distance=_format_distance(distance),
-        trials=args.trials,
-        accuracy=accuracy,
-    )
-    export_csv([row], args.out)
+    export_csv(rows, args.out)
     log.info(
         "%s %s+%s at %s: accuracy %.4f over %d trials; wrote %s",
         args.waveform,
         args.transform,
         processing,
         args.distance,
-        accuracy,
+        rows[0].accuracy,
         args.trials,
         args.out,
     )

@@ -162,8 +162,8 @@ def _distance_cents(distance: Union[str, float]) -> float:
     if distance == "epsilon":
         return EPSILON_CENTS
     cents = float(distance)
-    if cents < 0:
-        raise ValueError(f"perturbation distance must be >= 0, got {distance!r}")
+    if not (math.isfinite(cents) and cents >= 0):
+        raise ValueError(f"perturbation distance must be finite and >= 0, got {distance!r}")
     # cents = 0 degenerates to prediction = perturbation = target; every
     # trial ties, ties count as failures, accuracy is 0
     return cents
@@ -171,7 +171,7 @@ def _distance_cents(distance: Union[str, float]) -> float:
 
 def _trial_block(args: tuple) -> list:
     """Trials [start, stop) for every requested variant, renders and STFTs shared."""
-    waveform, distance, variants, seed, start, stop, render_config = args
+    waveform, distance, variants, seed, start, stop = args
     cents = _distance_cents(distance)
     out = []
     for trial in range(start, stop):
@@ -190,7 +190,7 @@ def _trial_block(args: tuple) -> list:
         signals = {
             freq: render_oscillator(
                 {"amp": 1.0, "freq": freq, "waveform": waveform, "active": "on"},
-                render_config,
+                BENCHMARK_RENDER,
             )
             for freq in (f, pred, pert)
         }
@@ -229,7 +229,6 @@ def perturbation_trials(
     variants=BENCHMARK_VARIANTS,
     trials: int = 1000,
     seed: int = 0,
-    render_config: RenderConfig = BENCHMARK_RENDER,
     jobs: int = 1,
 ) -> dict:
     """Run the benchmark once per trial for every variant, sharing renders.
@@ -248,13 +247,13 @@ def perturbation_trials(
     if jobs > 1 and trials > 1:
         block = math.ceil(trials / jobs)
         blocks = [
-            (waveform, distance, variants, seed, start, min(start + block, trials), render_config)
+            (waveform, distance, variants, seed, start, min(start + block, trials))
             for start in range(0, trials, block)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = [row for part in pool.map(_trial_block, blocks) for row in part]
     else:
-        rows = _trial_block((waveform, distance, variants, seed, 0, trials, render_config))
+        rows = _trial_block((waveform, distance, variants, seed, 0, trials))
     return {variant: [row[variant] for row in rows] for variant in variants}
 
 
@@ -265,12 +264,11 @@ def perturbation_benchmark(
     processing: str,
     trials: int = 1000,
     seed: int = 0,
-    render_config: RenderConfig = BENCHMARK_RENDER,
     jobs: int = 1,
 ) -> float:
     """Success rate of one loss variant at ordering prediction vs perturbation."""
     result = perturbation_trials(
-        waveform, distance, ((transform, processing),), trials, seed, render_config, jobs
+        waveform, distance, ((transform, processing),), trials, seed, jobs
     )
     outcomes = result[(transform, processing)]
     return sum(t.success for t in outcomes) / len(outcomes)
@@ -289,7 +287,6 @@ def benchmark_table(
     variants=BENCHMARK_VARIANTS,
     trials: int = 1000,
     seed: int = 0,
-    render_config: RenderConfig = BENCHMARK_RENDER,
     jobs: int = 1,
 ) -> list:
     """Accuracy grid over waveforms x distances x variants.
@@ -301,7 +298,7 @@ def benchmark_table(
     for waveform in waveforms:
         for distance in distances:
             per_variant = perturbation_trials(
-                waveform, distance, variants, trials, seed, render_config, jobs
+                waveform, distance, variants, trials, seed, jobs
             )
             for transform, processing in variants:
                 outcomes = per_variant[(transform, processing)]

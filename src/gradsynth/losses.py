@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -16,7 +16,6 @@ from .audio import RenderConfig, Signal
 from .autodiff import DiffValue, absolute, bsum, sqrt
 from .chains import (
     AssignmentError,
-    CellAddress,
     ChainSpec,
     ParameterAssignment,
     RenderTrace,
@@ -41,7 +40,6 @@ __all__ = [
     "parameter_loss",
     "signal_chain_loss",
     "spectral_features",
-    "stfts",
 ]
 
 # Hard categorical predictions enter cross-entropy as an indicator
@@ -57,12 +55,11 @@ class LossConfigError(ValueError):
 class LossConfig:
     """Which cells, windows, and processings the spectral loss sums over.
 
-    ``cells`` is "all" (every non-empty cell), "output" (final mix only),
-    or an explicit tuple of addresses. ``beta`` weights the spectral term
-    inside :func:`combined_loss`.
+    ``cells`` is "all" (every non-empty cell) or "output" (final mix
+    only). ``beta`` weights the spectral term inside :func:`combined_loss`.
     """
 
-    cells: Union[str, tuple[CellAddress, ...]] = "all"
+    cells: str = "all"
     windows: tuple[int, ...] = (512, 1024)
     processings: tuple[str, ...] = ("identity",)
     norm_p: int = 1
@@ -73,13 +70,8 @@ class LossConfig:
     n_mels: int = 128
 
     def __post_init__(self) -> None:
-        if isinstance(self.cells, str):
-            if self.cells not in ("all", "output"):
-                raise LossConfigError(
-                    f"cell selector must be 'all' or 'output', got {self.cells!r}"
-                )
-        elif len(self.cells) == 0:
-            raise LossConfigError("cell set must be non-empty")
+        if self.cells not in ("all", "output"):
+            raise LossConfigError(f"cell selector must be 'all' or 'output', got {self.cells!r}")
         if len(self.windows) == 0:
             raise LossConfigError("window set must be non-empty")
         for w in self.windows:
@@ -156,36 +148,23 @@ def _select_signals(
 ) -> list[tuple[Signal, Signal]]:
     if cfg.cells == "output":
         return [(trace.output, target_trace.output)]
-    if cfg.cells == "all":
-        addresses = sorted(trace.cell_outputs)
-    else:
-        addresses = list(cfg.cells)
     pairs = []
-    for address in addresses:
-        if address not in trace.cell_outputs or address not in target_trace.cell_outputs:
-            raise LossConfigError(f"cell {address} missing from a trace")
+    for address in sorted(trace.cell_outputs):
+        if address not in target_trace.cell_outputs:
+            raise LossConfigError(f"cell {address} missing from the target trace")
         pairs.append((trace.cell_outputs[address], target_trace.cell_outputs[address]))
     return pairs
 
 
-def stfts(signal: Signal, windows: Sequence[int]) -> dict[int, Spectrogram]:
-    """The magnitude STFT of ``signal`` at each window, keyed by window."""
-    return {window: stft_magnitude(signal, window) for window in windows}
-
-
-def spectral_features(
-    signal: Union[Signal, Mapping[int, Spectrogram]], cfg: LossConfig
-) -> tuple[Spectrogram, ...]:
+def spectral_features(signal: Signal, cfg: LossConfig) -> tuple[Spectrogram, ...]:
     """The processed spectra the spectral loss compares, for one signal.
 
     One entry per window x processing, window-major, in the order of
     ``cfg.windows`` and ``cfg.processings``; one STFT per window.
-    ``signal`` may instead be its :func:`stfts` at ``cfg.windows``.
     """
-    specs = stfts(signal, cfg.windows) if isinstance(signal, Signal) else signal
     features = []
     for window in cfg.windows:
-        spec = specs[window]
+        spec = stft_magnitude(signal, window)
         if cfg.transform == "mel":
             spec = mel_spectrogram(spec, n_mels=cfg.n_mels)
         for kind in cfg.processings:
@@ -238,24 +217,17 @@ def combined_loss(param_part: DiffValue, chain_part: DiffValue, beta: float) -> 
     return param_part + beta * chain_part
 
 
-def log_spectral_distance(
-    x: Signal, x_hat: Signal, window: int = 1024, x_hat_stft: Optional[Spectrogram] = None
-) -> float:
+def log_spectral_distance(x: Signal, x_hat: Signal, window: int = 1024) -> float:
     """Frobenius norm of the log-spectrogram difference (floor 1e-5).
 
-    ``x_hat_stft``, if given, is taken as ``stft_magnitude(x_hat, window)``,
-    for a caller that already holds it; only its window, hop, scale and
-    shape are checked.  Evaluation metric only: computed on raw magnitude
-    arrays, outside the tape.
+    Both signals must have the same length and sample rate.  Evaluation
+    metric only: computed on raw magnitude arrays, outside the tape.
     """
     if len(x) != len(x_hat):
         raise ValueError(f"signal lengths differ: {len(x)} vs {len(x_hat)}")
     if x.sample_rate != x_hat.sample_rate:
         raise ValueError("sample rates differ")
-    a = stft_magnitude(x, window)
-    b = stft_magnitude(x_hat, window) if x_hat_stft is None else x_hat_stft
-    layout = (a.window_size, a.hop, a.scale, a.shape)
-    if (b.window_size, b.hop, b.scale, b.shape) != layout:
-        raise ValueError(f"x_hat_stft is not x_hat's linear STFT at window {window}")
-    diff = np.log(np.maximum(a.values, 1e-5)) - np.log(np.maximum(b.values, 1e-5))
+    a = stft_magnitude(x, window).values
+    b = stft_magnitude(x_hat, window).values
+    diff = np.log(np.maximum(a, 1e-5)) - np.log(np.maximum(b, 1e-5))
     return float(np.sqrt(np.sum(diff * diff)))

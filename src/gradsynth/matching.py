@@ -34,7 +34,6 @@ from .losses import (
     parameter_loss,
     signal_chain_loss,
     spectral_features,
-    stfts,
 )
 from .modules import CATALOG, LOG_SCALE_PARAMS, ContinuousParam
 from .spectral import Spectrogram
@@ -372,10 +371,8 @@ def match(
         raise MatcherConfigError("unsupervised matching requires beta > 0 at every step")
 
     fixed = dict(fixed_params or {})
-    # the target is constant, so its STFTs are taken once per call; they
-    # serve the loss features and the final log-spectral distance
-    target_stfts = stfts(target, loss_cfg.windows)
-    target_features = spectral_features(target_stfts, loss_cfg)
+    # the target is constant, so its features are taken once per call
+    target_features = spectral_features(target, loss_cfg)
     step_loss = functools.partial(
         _step_loss,
         chain=chain,
@@ -414,8 +411,7 @@ def match(
 
     trace = generate_signal(chain, best, render_config)
     final_spectral = signal_chain_loss(trace, target_features, loss_cfg).value
-    window = max(loss_cfg.windows)
-    final_lsd = log_spectral_distance(trace.output, target, window, target_stfts[window])
+    final_lsd = log_spectral_distance(trace.output, target, max(loss_cfg.windows))
     return MatchResult(
         best=best,
         trajectories=tuple(b.trajectory for b in branches),

@@ -39,8 +39,6 @@ __all__ = [
 
 TWO_PI = 2.0 * math.pi
 
-SQUARE_SURROGATE_STEEPNESS = 100.0
-
 LOWPASS_TAPS = 101
 
 
@@ -224,7 +222,7 @@ def _wave_from_cycles(waveform: str, cycles, amp) -> DiffValue:
     if waveform == "saw":
         return (ad.frac(cycles) * 2.0 - 1.0) * amp
     if waveform == "square":
-        return ad.sign_surrogate(ad.sin(cycles * TWO_PI), SQUARE_SURROGATE_STEEPNESS) * amp
+        return ad.sign_surrogate(ad.sin(cycles * TWO_PI)) * amp
     raise ParameterRangeError(f"unknown waveform {waveform!r}")
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -85,14 +84,13 @@ def _hann_periodic(window: int) -> np.ndarray:
     return _read_only(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window))
 
 
-def stft_magnitude(signal: Signal, window_size: int, *, hop: Optional[int] = None) -> Spectrogram:
-    """Hann-windowed, reflect-center-padded magnitude STFT."""
+def stft_magnitude(signal: Signal, window_size: int) -> Spectrogram:
+    """Hann-windowed, reflect-center-padded magnitude STFT, hop window/4."""
     if window_size not in WINDOW_SIZES:
         raise SpectralConfigError(
             f"window_size {window_size} not in {WINDOW_SIZES}"
         )
-    if hop is None:
-        hop = window_size // 4
+    hop = window_size // 4
     n = len(signal)
     if window_size > n:
         raise SpectralConfigError(

@@ -347,6 +347,17 @@ def test_sweep_rejects_bad_param(tmp_path, osc_chain, param):
     ) == 2
 
 
+def test_sweep_rejects_an_empty_cell(tmp_path, caplog):
+    chain = tmp_path / "gap.chain"
+    chain.write_text(OSC + "cell 1 0 empty\n")
+    assert main(
+        ["-q", "sweep", str(chain), "--param", "1,0.freq", "--points", "3",
+         "--random", "--out", str(tmp_path / "s.csv")]
+    ) == 2
+    assert "no module cell at (1,0)" in caplog.text
+    assert not (tmp_path / "s.csv").exists()
+
+
 # -- bench ----------------------------------------------------------------------
 
 
@@ -385,6 +396,9 @@ def test_bench_bad_inputs_exit_2(tmp_path):
     assert main(["-q", "bench", "--waveform", "square", "--distance", "300",
                  "--processing", "identity", "--jobs", "-2",
                  "--out", str(tmp_path / "b.csv")]) == 2
+    for distance in ("nan", "inf"):
+        assert main(["-q", "bench", "--waveform", "square", "--distance", distance,
+                     "--processing", "identity", "--out", str(tmp_path / "b.csv")]) == 2
     assert not (tmp_path / "b.csv").exists()
 
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -185,6 +186,9 @@ def test_bad_benchmark_inputs_rejected():
         perturbation_benchmark("square", 300.0, "stft", "identity", trials=5)
     with pytest.raises(ValueError, match=">= 0"):
         perturbation_benchmark("square", -10.0, "spectrogram", "identity", trials=5)
+    for distance in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="perturbation distance must be finite and >= 0"):
+            perturbation_benchmark("square", distance, "spectrogram", "identity", trials=5)
     with pytest.raises(ValueError, match="trials"):
         perturbation_benchmark("square", 300.0, "spectrogram", "identity", trials=0)
     with pytest.raises(ValueError, match="jobs"):

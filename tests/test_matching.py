@@ -301,9 +301,9 @@ def test_target_spectra_computed_once_per_match(monkeypatch, steps):
     loss_cfg = LossConfig(cells="output", windows=(512, 1024))
     opt = OptimizerConfig(steps=steps, learning_rate=0.1, restarts=2, seed=1)
     match(target, OSC_CHAIN, loss_cfg, opt, fixed_params=AMP_FIXED, render_config=CFG)
-    # one per window, shared by the loss and the final log-spectral
-    # distance at the largest window; none per step or branch
-    assert sorted(target_calls) == [512, 1024]
+    # one per window for the loss features, plus the final log-spectral
+    # distance's own at the largest window; none per step or branch
+    assert sorted(target_calls) == [512, 1024, 1024]
 
 
 def _count_renders(monkeypatch):

@@ -148,13 +148,15 @@ def test_mel_rejects_too_many_bands():
         mel_filterbank(16000, 256, 129)
 
 
-def test_stft_carries_sample_rate_and_takes_hop_by_keyword():
+def test_stft_carries_sample_rate_and_a_quarter_window_hop():
     x = Signal.from_values(np.zeros(4000), 8000)
-    spec = stft_magnitude(x, 512, hop=256)
-    assert (spec.sample_rate, spec.window_size, spec.hop, spec.scale) == (8000, 512, 256, "linear")
-    assert spec.shape == (257, 4000 // 256 + 1)
-    with pytest.raises(TypeError):
-        stft_magnitude(x, 512, 256)
+    spec = stft_magnitude(x, 512)
+    assert (spec.sample_rate, spec.window_size, spec.hop, spec.scale) == (8000, 512, 128, "linear")
+    assert spec.shape == (257, 4000 // 128 + 1)
+    # the hop is always window/4; there is no argument to set it
+    for call in (lambda: stft_magnitude(x, 512, 256), lambda: stft_magnitude(x, 512, hop=256)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_mel_pools_the_given_stft():
