@@ -97,7 +97,7 @@ def write_wav(signal: Signal, path) -> None:
 
 
 def read_wav(path) -> Signal:
-    """Read a mono WAV (32-bit float or 16-bit PCM) as a constant signal."""
+    """Read a finite mono WAV (32-bit float or 16-bit PCM) as a constant signal."""
     try:
         rate, data = wavfile.read(path)
     except FileNotFoundError:
@@ -117,4 +117,6 @@ def read_wav(path) -> Signal:
             f"{path}: unsupported sample format {data.dtype}; "
             "expected 32-bit float or 16-bit PCM"
         )
+    if not np.all(np.isfinite(values)):
+        raise AudioIOError(f"{path}: non-finite samples (NaN or inf)")
     return Signal.from_values(values, int(rate))

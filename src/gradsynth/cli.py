@@ -47,9 +47,9 @@ from .losses import LossConfig, LossConfigError, signal_chain_loss
 from .matching import MatcherConfigError, OptimizerConfig, match
 from .modules import (
     CATALOG,
-    LOG_SCALE_PARAMS,
     MissingInputError,
     ParameterRangeError,
+    from_unit,
     resolve_range,
 )
 from .spectral import SpectralConfigError
@@ -308,6 +308,8 @@ def cmd_match(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    if args.points < 1:
+        raise ValueError(f"--points must be >= 1, got {args.points}")
     chain = _load_chain(args.chain)
     render_config = RenderConfig(sample_rate=args.sample_rate, duration=args.duration)
     address, name = _parse_param_key(args.param)
@@ -317,15 +319,12 @@ def cmd_sweep(args) -> int:
     spec = next((p for p in CATALOG[kind].continuous if p.name == name), None)
     if spec is None:
         raise ValueError(f"{kind} has no continuous parameter {name!r}")
+    bounds = {"low": args.low, "high": args.high}
+    spec = replace(spec, **{k: v for k, v in bounds.items() if v is not None})
     low, high = resolve_range(spec, render_config)
-    low = args.low if args.low is not None else low
-    high = args.high if args.high is not None else high
     if not low < high:
         raise ValueError(f"need low < high, got {low} >= {high}")
-    if (kind, name) in LOG_SCALE_PARAMS:
-        grid = np.exp(np.linspace(np.log(low), np.log(high), args.points))
-    else:
-        grid = np.linspace(low, high, args.points)
+    grid = from_unit(spec, np.linspace(0.0, 1.0, args.points), render_config)
     target = _load_or_sample_assignment(chain, args, render_config)
     if args.config is not None:
         loss_cfg = load_run_config(args.config)[0].loss
@@ -436,10 +435,10 @@ def cmd_gradcheck(args) -> int:
                 trace = generate_signal(chain, assignment, render_config)
                 return signal_chain_loss(trace, target_trace, SINGLE_WINDOW_LOSS)
 
-            # Hz-scaled parameters get a step relative to the value: the
+            # Log-scaled parameters get a step relative to the value: the
             # loss wiggles on a cents scale, so a span-relative step is
             # far too coarse at high frequencies.
-            scale = base if (cmap[address], spec.name) in LOG_SCALE_PARAMS else high - low
+            scale = base if spec.log else high - low
             step = max(scale * GRADCHECK_REL_STEP, 1e-12)
             error = finite_difference_check(build, {key: base}, step)
             rows.append((key, base, error))

@@ -36,7 +36,7 @@ from .chains import (
     resolve_optional,
     validate,
 )
-from .modules import CATALOG, LOG_SCALE_PARAMS, check_lowpass_length, resolve_range
+from .modules import CATALOG, check_lowpass_length, from_unit
 
 __all__ = [
     "DatasetFormatError",
@@ -91,10 +91,10 @@ def sample_assignment(
 ) -> ParameterAssignment:
     """Draw one full random assignment for ``chain``.
 
-    Continuous parameters are uniform over their catalog range, except
-    Hz-valued ones which are log-uniform so every octave gets equal
-    mass.  Envelope segment lengths (range bounded by the render
-    duration) are redrawn together until their sum fits the duration.
+    Continuous parameters are uniform over their catalog range on its
+    scale (:func:`modules.from_unit`), so log-scaled ones give every
+    octave equal mass.  Envelope segment lengths (range bounded by the
+    render duration) are redrawn together until their sum fits it.
     Categorical labels are uniform.  Optional connections are resolved
     first; forced activation states override the sampled labels.
     """
@@ -108,23 +108,13 @@ def sample_assignment(
         budgeted = [p for p in cat.continuous if p.high is None]
         if budgeted:
             while True:
-                draws = {
-                    p.name: float(rng.uniform(*resolve_range(p, render_config)))
-                    for p in budgeted
-                }
+                draws = {p.name: float(from_unit(p, rng.random(), render_config)) for p in budgeted}
                 if sum(draws.values()) <= render_config.duration:
                     break
             params.update(draws)
         for spec in cat.continuous:
-            if spec.name in params:
-                continue
-            low, high = resolve_range(spec, render_config)
-            if (cell.kind, spec.name) in LOG_SCALE_PARAMS:
-                params[spec.name] = float(
-                    np.exp(rng.uniform(np.log(low), np.log(high)))
-                )
-            else:
-                params[spec.name] = float(rng.uniform(low, high))
+            if spec.name not in params:
+                params[spec.name] = float(from_unit(spec, rng.random(), render_config))
         for spec in cat.categorical:
             params[spec.name] = spec.choices[int(rng.integers(len(spec.choices)))]
         values[cell.address] = params

@@ -26,7 +26,7 @@ import numpy as np
 from .audio import RenderConfig
 from .chains import ChainSpec, ParameterAssignment, generate_signal
 from .losses import LossConfig, signal_chain_loss
-from .modules import CATALOG, render_oscillator
+from .modules import CATALOG, ContinuousParam, from_unit, render_oscillator
 from .spectral import mel_spectrogram, process, stft_magnitude
 
 __all__ = [
@@ -48,8 +48,8 @@ __all__ = [
 BENCHMARK_RENDER = RenderConfig(duration=0.25)
 BENCHMARK_WINDOW = 1024
 BENCHMARK_N_MELS = 128
-BENCHMARK_FREQ_LOW = 80.0  # ±600 cents and low harmonics stay inside Nyquist
-BENCHMARK_FREQ_HIGH = 2000.0
+# target tones: ±600 cents and low harmonics stay inside Nyquist
+BENCHMARK_FREQ = ContinuousParam("freq", 80.0, 2000.0, log=True)
 EPSILON_CENTS = 1.0
 
 BENCHMARK_WAVEFORMS = ("square", "saw")
@@ -176,7 +176,7 @@ def _trial_block(args: tuple) -> list:
     out = []
     for trial in range(start, stop):
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
-        f = float(np.exp(rng.uniform(math.log(BENCHMARK_FREQ_LOW), math.log(BENCHMARK_FREQ_HIGH))))
+        f = float(from_unit(BENCHMARK_FREQ, rng.random(), BENCHMARK_RENDER))
         s_pert = 1 if rng.integers(2) else -1
         s_pred = 1 if rng.integers(2) else -1
         if distance == "epsilon":

@@ -35,7 +35,7 @@ from .losses import (
     signal_chain_loss,
     spectral_features,
 )
-from .modules import CATALOG, LOG_SCALE_PARAMS, ContinuousParam
+from .modules import CATALOG, unit_scale
 from .spectral import Spectrogram
 
 __all__ = [
@@ -152,19 +152,10 @@ def _categorical_combos(chain: ChainSpec, fixed: FixedParams):
     return [tuple(zip(slots, combo)) for combo in itertools.product(*choices)]
 
 
-def _gate_args(kind: str, param: ContinuousParam) -> tuple:
-    if (kind, param.name) in LOG_SCALE_PARAMS:
-        # exp(log(20.0)) rounds below 20.0, so a saturated gate would
-        # leave the range without the clamp
-        log_low = math.log(param.low)
-        return log_low, math.log(param.high) - log_low, (param.low, param.high)
-    return param.low, param.high - param.low
-
-
 # ``sigmoid_gate`` arguments of every continuous parameter outside the
 # ADSR time budget, whose range does not depend on the render
 _GATES = {
-    (kind, p.name): _gate_args(kind, p)
+    (kind, p.name): unit_scale(p, RenderConfig())
     for kind, catalog in CATALOG.items()
     for p in catalog.continuous
     if p.high is not None

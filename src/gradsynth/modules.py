@@ -22,7 +22,6 @@ __all__ = [
     "CATALOG",
     "CategoricalParam",
     "ContinuousParam",
-    "LOG_SCALE_PARAMS",
     "MissingInputError",
     "ModuleCatalog",
     "ParameterRangeError",
@@ -30,11 +29,13 @@ __all__ = [
     "apply_lowpass",
     "apply_tremolo",
     "check_lowpass_length",
+    "from_unit",
     "mix",
     "render_fm_oscillator",
     "render_lfo",
     "render_oscillator",
     "resolve_range",
+    "unit_scale",
 ]
 
 TWO_PI = 2.0 * math.pi
@@ -53,11 +54,12 @@ class MissingInputError(Exception):
 @dataclass(frozen=True)
 class ContinuousParam:
     """Range of one differentiable parameter; high=None means the render
-    duration T (envelope segment lengths)."""
+    duration T (envelope segment lengths); log=True puts it on a log scale."""
 
     name: str
     low: float
     high: Optional[float]
+    log: bool = False
 
 
 @dataclass(frozen=True)
@@ -92,7 +94,7 @@ CATALOG: dict = {
         kind="osc",
         continuous=(
             ContinuousParam("amp", 0.0, 1.0),
-            ContinuousParam("freq", 20.0, 20000.0),
+            ContinuousParam("freq", 20.0, 20000.0, log=True),
         ),
         categorical=(
             CategoricalParam("waveform", ("sine", "square", "saw")),
@@ -104,7 +106,7 @@ CATALOG: dict = {
     ),
     "lfo": ModuleCatalog(
         kind="lfo",
-        continuous=(ContinuousParam("freq", 0.5, 20.0),),
+        continuous=(ContinuousParam("freq", 0.5, 20.0, log=True),),
         categorical=(CategoricalParam("active", ("on", "off")),),
         min_inputs=0,
         max_inputs=0,
@@ -114,7 +116,7 @@ CATALOG: dict = {
         kind="fm_osc",
         continuous=(
             ContinuousParam("amp_c", 0.0, 1.0),
-            ContinuousParam("freq_c", 20.0, 20000.0),
+            ContinuousParam("freq_c", 20.0, 20000.0, log=True),
             ContinuousParam("mod_index", 0.0, 100.0),
         ),
         categorical=(
@@ -127,7 +129,7 @@ CATALOG: dict = {
     ),
     "lowpass": ModuleCatalog(
         kind="lowpass",
-        continuous=(ContinuousParam("cutoff", 20.0, 8000.0),),
+        continuous=(ContinuousParam("cutoff", 20.0, 8000.0, log=True),),
         categorical=(),
         min_inputs=1,
         max_inputs=1,
@@ -165,20 +167,35 @@ CATALOG: dict = {
 }
 
 
-# Hz-valued parameters whose useful range spans decades; samplers and
-# optimizers treat these on a log scale.
-LOG_SCALE_PARAMS = {
-    ("osc", "freq"),
-    ("lfo", "freq"),
-    ("fm_osc", "freq_c"),
-    ("lowpass", "cutoff"),
-}
-
-
 def resolve_range(param: ContinuousParam, config: RenderConfig) -> tuple:
     """Concrete (low, high), substituting the render duration for None."""
     high = config.duration if param.high is None else param.high
     return param.low, high
+
+
+def unit_scale(param: ContinuousParam, config: RenderConfig) -> tuple:
+    """``(offset, span, clip)`` mapping a fraction u of the range to a
+    value: ``offset + span*u``, or on a log scale its ``exp`` clamped to
+    ``clip``.  These are :func:`autodiff.sigmoid_gate`'s arguments."""
+    low, high = resolve_range(param, config)
+    if param.log:
+        if low <= 0:
+            raise ValueError(f"{param.name} is log-scaled; need low > 0, got {low}")
+        # exp(log(20.0)) rounds below 20.0, so the log scale needs the clamp
+        log_low = math.log(low)
+        return log_low, math.log(high) - log_low, (low, high)
+    return low, high - low, None
+
+
+def from_unit(param: ContinuousParam, u, config: RenderConfig):
+    """The value at fraction ``u`` (a float or an array) of the range, on
+    the parameter's scale, clamped into the range."""
+    offset, span, _ = unit_scale(param, config)
+    low, high = resolve_range(param, config)
+    value = np.exp(offset + span * u) if param.log else offset + span * u
+    if isinstance(value, np.ndarray):
+        return np.clip(value, low, high)
+    return min(max(value, low), high)  # several times cheaper than np.clip on one draw
 
 
 Paramlike = Union[DiffValue, float, int]

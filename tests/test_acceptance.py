@@ -43,7 +43,7 @@ from gradsynth.losses import (
     signal_chain_loss,
 )
 from gradsynth.matching import OptimizerConfig, match
-from gradsynth.modules import CATALOG, LOG_SCALE_PARAMS, resolve_range
+from gradsynth.modules import CATALOG, resolve_range
 from gradsynth.spectral import stft_magnitude
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -114,7 +114,7 @@ def _interior_sample(chain, rng):
             for p in cat.continuous:
                 low, high = resolve_range(p, CFG)
                 margin = (high - low) * 1e-3
-                if (kind, p.name) in LOG_SCALE_PARAMS:
+                if p.log:
                     draws[p.name] = float(
                         np.exp(rng.uniform(np.log(low + margin), np.log(high - margin)))
                     )
@@ -151,7 +151,7 @@ def _displaced(rng, kind, spec, base, cell_values):
             if p.high is None and p.name != spec.name
         )
         hi_cap = min(hi_cap, CFG.duration - others - 1e-4)
-    if (kind, spec.name) in LOG_SCALE_PARAMS:
+    if spec.log:
         factor = float(np.exp(rng.uniform(np.log(1.1), np.log(1.35))))
         candidates = (base * factor, base / factor)
     else:
@@ -193,7 +193,7 @@ def test_criterion_1_gradients(capsys):
                 # Steps small enough that truncation error clears 1e-3 even on
                 # the most oscillatory surfaces (FM sidebands), large enough
                 # that float64 roundoff stays orders of magnitude below it.
-                if (kind, spec.name) in LOG_SCALE_PARAMS:
+                if spec.log:
                     step = base * 3e-7
                 else:
                     step = (high - low) * 1e-7

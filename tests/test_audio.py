@@ -87,6 +87,16 @@ def test_write_rejects_nonfinite(tmp_path):
         write_wav(s, tmp_path / "bad.wav")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_read_rejects_nonfinite(tmp_path, bad):
+    path = tmp_path / "bad.wav"
+    samples = np.zeros(100, dtype=np.float32)
+    samples[37] = bad
+    wavfile.write(path, 16000, samples)
+    with pytest.raises(AudioIOError, match="bad.wav: non-finite"):
+        read_wav(path)
+
+
 def test_read_rejects_stereo(tmp_path):
     path = tmp_path / "stereo.wav"
     wavfile.write(path, 16000, np.zeros((100, 2), dtype=np.float32))

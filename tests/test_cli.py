@@ -8,6 +8,7 @@ from typing import Optional
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from gradsynth.audio import RenderConfig, read_wav
 from gradsynth.chains import CellAddress, ParameterAssignment, generate_signal, parse_chain_file
@@ -336,6 +337,41 @@ def test_sweep_log_scale_for_frequency(tmp_path, osc_chain):
     assert all(r == pytest.approx(2.0) for r in ratios)
 
 
+@pytest.mark.parametrize("param, high", [("0,0.freq", 20000.0), ("0,3.cutoff", 8000.0)])
+def test_sweep_log_grid_stays_in_the_catalog_range(tmp_path, basic_chain, param, high):
+    # exp(log(20.0)) is 19.999999999999996: an unclamped grid starts
+    # below the range, which the low-pass rejects
+    out = tmp_path / "sweep.csv"
+    assert main(
+        ["-q", "sweep", str(basic_chain), "--param", param, "--points", "2",
+         "--random", "--out", str(out), "--duration", "0.25"]
+    ) == 0
+    first, last = (line.split(",")[0] for line in out.read_text().splitlines()[1:])
+    assert first == "20.0"
+    assert high * 0.999 < float(last) <= high
+
+
+@pytest.mark.parametrize("points", ["0", "-1"])
+def test_sweep_rejects_fewer_than_one_point(tmp_path, osc_chain, caplog, points):
+    out = tmp_path / "s.csv"
+    assert main(
+        ["-q", "sweep", str(osc_chain), "--param", "0,0.amp", "--points", points,
+         "--random", "--out", str(out)]
+    ) == 2
+    assert f"--points must be >= 1, got {points}" in caplog.text
+    assert not out.exists()
+
+
+def test_sweep_log_scale_needs_a_positive_low(tmp_path, osc_chain, caplog):
+    out = tmp_path / "s.csv"
+    assert main(
+        ["-q", "sweep", str(osc_chain), "--param", "0,0.freq", "--points", "3",
+         "--low", "0", "--random", "--out", str(out)]
+    ) == 2
+    assert "freq is log-scaled; need low > 0, got 0.0" in caplog.text
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "param",
     ["0,0.zzz", "garbage", "9,9.amp", "0,0.waveform"],
@@ -441,6 +477,18 @@ def test_match_command_writes_results(tmp_path, osc_chain):
     assert (out_dir / "match.wav").exists()
     rendered = read_wav(out_dir / "match.wav")
     assert len(rendered) == 4000
+
+
+def test_match_nonfinite_target_exits_1_before_any_branch(tmp_path, osc_chain, caplog):
+    samples = np.zeros(4000, dtype=np.float32)
+    samples[1234] = np.nan
+    wavfile.write(tmp_path / "target.wav", 16000, samples)
+    out_dir = tmp_path / "res"
+    assert main(["-q", "match", str(tmp_path / "target.wav"), str(osc_chain),
+                 "--out-dir", str(out_dir)]) == 1
+    assert "target.wav: non-finite samples" in caplog.text
+    assert "diverged" not in caplog.text
+    assert not (out_dir / "result.json").exists()
 
 
 def test_match_explicit_render_mismatch_exits_2(tmp_path, osc_chain):

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from gradsynth.chains import (
 from gradsynth.datasets import (
     DatasetFormatError,
     DatasetRecord,
+    assignment_payload,
     generate_dataset,
     load_records,
     record_rng,
@@ -109,6 +111,25 @@ def test_fixed_seed_identical_assignment():
     first = sample_assignment(OSC_CHAIN, record_rng(99, 3), CFG)
     second = sample_assignment(OSC_CHAIN, record_rng(99, 3), CFG)
     assert first == second
+
+
+SAMPLE_GOLDEN = Path(__file__).parent / "data" / "sample_golden.json"
+CHAINS = Path(__file__).resolve().parents[1] / "chains"
+
+
+def test_sampled_assignments_equal_recorded_values():
+    # first records of two shipped chains at 1 s; a change to sampling
+    # (the draw order or the unit-to-value map) moves these bits
+    recorded = json.loads(SAMPLE_GOLDEN.read_text())
+    got = {}
+    for name in ("basic", "fm"):
+        chain = parse_chain_file((CHAINS / f"{name}.chain").read_text())
+        for seed in (0, 1):
+            got[f"{name}.chain seed {seed}"] = [
+                assignment_payload(chain, sample_record(chain, seed, i).assignment)["params"]
+                for i in range(3)
+            ]
+    assert got == recorded
 
 
 def test_categorical_draws_cover_choices():

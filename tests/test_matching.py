@@ -29,7 +29,7 @@ from gradsynth.matching import (
     beta_at,
     match,
 )
-from gradsynth.modules import CATALOG, resolve_range
+from gradsynth.modules import CATALOG, resolve_range, unit_scale
 
 CFG = RenderConfig(duration=0.25)
 
@@ -156,6 +156,15 @@ def test_reparam_stays_inside_ranges():
         adsr = CellAddress(0, 2)
         total = sum(values[(adsr, n)].value for n in ("attack", "decay", "release"))
         assert total <= CFG.duration + 1e-12
+
+
+def test_gate_arguments_are_the_catalog_unit_scale():
+    # the ADSR times share the render duration as a budget instead
+    gated = [(kind, p) for kind, c in CATALOG.items() for p in c.continuous if p.high is not None]
+    assert set(matching._GATES) == {(kind, p.name) for kind, p in gated}
+    for kind, p in gated:
+        for cfg in (CFG, RenderConfig()):
+            assert matching._GATES[kind, p.name] == unit_scale(p, cfg), f"{kind}.{p.name}"
 
 
 def test_reparam_respects_fixed_time_budget():

@@ -2,22 +2,27 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 from gradsynth import autodiff as ad
 from gradsynth.audio import RenderConfig, Signal
 from gradsynth.modules import (
+    CATALOG,
     MissingInputError,
     ParameterRangeError,
     _lowpass_kernel,
     apply_adsr,
     apply_lowpass,
     apply_tremolo,
+    from_unit,
     mix,
     render_fm_oscillator,
     render_lfo,
     render_oscillator,
+    resolve_range,
 )
 
 CFG = RenderConfig()
@@ -422,3 +427,37 @@ def test_fm_parameter_gradients_match_fd():
         step={"amp_c": 1e-6, "freq_c": 1e-6, "mod_index": 1e-6},
     )
     assert err < 1e-3
+
+
+# -- the unit-to-value map ------------------------------------------------------
+
+
+def _every_continuous_param():
+    """Every catalog parameter; ADSR times at two render durations."""
+    for kind, catalog in CATALOG.items():
+        for p in catalog.continuous:
+            for cfg in (CFG, RenderConfig(duration=0.25)) if p.high is None else (CFG,):
+                yield pytest.param(p, cfg, id=f"{kind}.{p.name}@{cfg.duration}")
+
+
+def test_log_scale_marks_the_hz_parameters():
+    logged = {(kind, p.name) for kind, c in CATALOG.items() for p in c.continuous if p.log}
+    assert logged == {("osc", "freq"), ("lfo", "freq"), ("fm_osc", "freq_c"), ("lowpass", "cutoff")}
+
+
+@pytest.mark.parametrize("param, cfg", list(_every_continuous_param()))
+def test_from_unit_spans_the_range_in_order(param, cfg):
+    low, high = resolve_range(param, cfg)
+    assert from_unit(param, 0.0, cfg) == low
+    top = from_unit(param, 1.0, cfg)
+    assert low < top <= high
+    grid = from_unit(param, np.linspace(0.0, 1.0, 1001), cfg)
+    assert grid[0] == low and grid[-1] == top
+    assert np.all((grid >= low) & (grid <= high))
+    assert np.all(np.diff(grid) > 0)
+
+
+def test_from_unit_midpoint_on_each_scale():
+    amp, freq = CATALOG["osc"].continuous
+    assert from_unit(amp, 0.5, CFG) == 0.5
+    assert from_unit(freq, 0.5, CFG) == pytest.approx(math.sqrt(20.0 * 20000.0), rel=1e-12)
