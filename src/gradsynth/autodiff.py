@@ -145,6 +145,9 @@ class Tape:
         }
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 class DiffValue:
     """A scalar or a float64 array (1-D or 2-D) in gradient computation.
 
@@ -156,7 +159,9 @@ class DiffValue:
     __slots__ = ("value", "tape", "node")
 
     def __init__(self, value, tape: Tape = None, node: _Node = None):
-        if type(value) is not float:
+        if type(value) is not float and not (
+            type(value) is np.ndarray and value.dtype is _FLOAT64 and value.ndim
+        ):
             value = np.asarray(value, dtype=np.float64)
             value = value if value.ndim else float(value)
         self.value = value
@@ -264,8 +269,10 @@ def _scaled_vjp(p, shape):
 def _binary(a: Operand, b: Operand, forward, partial_a, partial_b):
     va, na, ta = _unwrap(a)
     vb, nb, tb = _unwrap(b)
-    tape = _join_tape(ta, tb)
     out = forward(va, vb)
+    if na is None and nb is None:
+        return DiffValue(out)
+    tape = _join_tape(ta, tb)
     specs = []
     if na is not None:
         specs.append((na, _scaled_vjp(partial_a(va, vb), _shape_of(va))))

@@ -339,16 +339,16 @@ def resolve_optional(chain: ChainSpec, rng: np.random.Generator) -> Resolution:
     """Draw optional connections on/off (p = 0.5 each) and force consistent
     activation states.
 
-    Draws that would strand a cell below its minimum input arity (or strip
-    a tremolo's only LFO) are repaired by re-enabling the dropped optional
-    connections in source order, so the resolved chain always renders.
+    Draws that would strand a cell below its minimum input arity are
+    repaired by re-enabling the dropped optional connections in source
+    order, so the resolved chain always renders (a valid tremolo has
+    exactly its two inputs, so both come back on, its LFO among them).
     A generator whose modulator connection resolved off is forced to
     bypass (fm_active = "off").
     """
     states: dict = {}
     for conn in chain.connections:
         states[conn] = True if not conn.optional else bool(rng.random() < 0.5)
-    cmap = chain.cell_map()
     for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
         if cell.kind == "empty" or cell.kind not in CATALOG:
             continue
@@ -361,13 +361,6 @@ def resolve_optional(chain: ChainSpec, rng: np.random.Generator) -> Resolution:
                 break
             if not states[conn]:
                 states[conn] = True
-        if cell.kind == "tremolo":
-            has_lfo = any(cmap.get(s) == "lfo" for s in on_sources())
-            if not has_lfo:
-                for conn in incoming:
-                    if not states[conn] and cmap.get(conn.source) == "lfo":
-                        states[conn] = True
-                        break
     forced: dict = {}
     for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
         if cell.kind == "fm_osc":

@@ -319,13 +319,23 @@ def cmd_sweep(args) -> int:
     spec = next((p for p in CATALOG[kind].continuous if p.name == name), None)
     if spec is None:
         raise ValueError(f"{kind} has no continuous parameter {name!r}")
+    target = _load_or_sample_assignment(chain, args, render_config)
     bounds = {"low": args.low, "high": args.high}
+    if spec.high is None:
+        # an envelope segment shares the duration with the target's other segments
+        others = [p.name for p in CATALOG[kind].continuous if p.high is None and p.name != name]
+        budget = render_config.duration - sum(float(target.values[address][n]) for n in others)
+        if args.high is not None and args.high > budget:
+            raise ValueError(
+                f"--high {args.high} exceeds the {budget} s that the target's "
+                f"{'+'.join(others)} leave of the {render_config.duration} s duration"
+            )
+        bounds["high"] = budget if args.high is None else args.high
     spec = replace(spec, **{k: v for k, v in bounds.items() if v is not None})
     low, high = resolve_range(spec, render_config)
     if not low < high:
         raise ValueError(f"need low < high, got {low} >= {high}")
     grid = from_unit(spec, np.linspace(0.0, 1.0, args.points), render_config)
-    target = _load_or_sample_assignment(chain, args, render_config)
     if args.config is not None:
         loss_cfg = load_run_config(args.config)[0].loss
     else:
@@ -498,7 +508,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", required=True, help="parameter as 'channel,layer.name'")
     p.add_argument("--points", type=int, default=500, help="grid size")
     p.add_argument("--low", type=float, help="grid start (default: catalog range)")
-    p.add_argument("--high", type=float, help="grid end (default: catalog range)")
+    p.add_argument("--high", type=float, help="grid end (default: catalog range or ADSR budget)")
     p.add_argument("--out", required=True, help="output CSV path")
     p.add_argument("--config", help="run configuration file (loss section)")
     _target_flags(p)

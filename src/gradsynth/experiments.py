@@ -203,12 +203,14 @@ def _trial_block(args: tuple) -> list:
             # order tones by level rather than position, which is not what
             # the mel rows probe.
             specs["mel"] = {
-                freq: process(mel_spectrogram(spec, n_mels=BENCHMARK_N_MELS), "log")
+                freq: process(
+                    mel_spectrogram(spec, BENCHMARK_RENDER.sample_rate, BENCHMARK_N_MELS), "log"
+                )
                 for freq, spec in stfts.items()
             }
         row = {}
         for transform, processing in variants:
-            feats = {freq: process(spec, processing).values for freq, spec in specs[transform].items()}
+            feats = {freq: process(spec, processing).value for freq, spec in specs[transform].items()}
             loss_pred = float(np.abs(feats[pred] - feats[f]).sum())
             loss_pert = float(np.abs(feats[pert] - feats[f]).sum())
             row[(transform, processing)] = PerturbTrial(

@@ -21,14 +21,7 @@ from .chains import (
     RenderTrace,
 )
 from .modules import CATALOG, resolve_range
-from .spectral import (
-    PROCESSINGS,
-    WINDOW_SIZES,
-    Spectrogram,
-    mel_spectrogram,
-    process,
-    stft_magnitude,
-)
+from .spectral import PROCESSINGS, WINDOW_SIZES, mel_spectrogram, process, stft_magnitude
 
 __all__ = [
     "CATEGORICAL_SMOOTHING",
@@ -156,7 +149,7 @@ def _select_signals(
     return pairs
 
 
-def spectral_features(signal: Signal, cfg: LossConfig) -> tuple[Spectrogram, ...]:
+def spectral_features(signal: Signal, cfg: LossConfig) -> tuple[DiffValue, ...]:
     """The processed spectra the spectral loss compares, for one signal.
 
     One entry per window x processing, window-major, in the order of
@@ -166,19 +159,19 @@ def spectral_features(signal: Signal, cfg: LossConfig) -> tuple[Spectrogram, ...
     for window in cfg.windows:
         spec = stft_magnitude(signal, window)
         if cfg.transform == "mel":
-            spec = mel_spectrogram(spec, n_mels=cfg.n_mels)
+            spec = mel_spectrogram(spec, signal.sample_rate, cfg.n_mels)
         for kind in cfg.processings:
             features.append(process(spec, kind, normalize=cfg.cumsum_normalize))
     return tuple(features)
 
 
 def feature_distance(
-    a: Sequence[Spectrogram], b: Sequence[Spectrogram], cfg: LossConfig
+    a: Sequence[DiffValue], b: Sequence[DiffValue], cfg: LossConfig
 ) -> DiffValue:
     """Sum of the entrywise p-norms of ``a[i] - b[i]``; p = 2 is the Frobenius norm."""
     total = DiffValue(0.0)
     for fa, fb in zip(a, b, strict=True):
-        diff = fa.magnitudes - fb.magnitudes
+        diff = fa - fb
         if cfg.norm_p == 1:
             total = total + bsum(absolute(diff))
         else:
@@ -188,7 +181,7 @@ def feature_distance(
 
 def signal_chain_loss(
     trace: RenderTrace,
-    target_trace: Union[RenderTrace, Sequence[Spectrogram]],
+    target_trace: Union[RenderTrace, Sequence[DiffValue]],
     cfg: LossConfig,
 ) -> DiffValue:
     """Spectral distance summed over cells x windows x processings.
@@ -227,7 +220,7 @@ def log_spectral_distance(x: Signal, x_hat: Signal, window: int = 1024) -> float
         raise ValueError(f"signal lengths differ: {len(x)} vs {len(x_hat)}")
     if x.sample_rate != x_hat.sample_rate:
         raise ValueError("sample rates differ")
-    a = stft_magnitude(x, window).values
-    b = stft_magnitude(x_hat, window).values
+    a = stft_magnitude(x, window).value
+    b = stft_magnitude(x_hat, window).value
     diff = np.log(np.maximum(a, 1e-5)) - np.log(np.maximum(b, 1e-5))
     return float(np.sqrt(np.sum(diff * diff)))

@@ -36,7 +36,6 @@ from .losses import (
     spectral_features,
 )
 from .modules import CATALOG, unit_scale
-from .spectral import Spectrogram
 
 __all__ = [
     "BranchResult",
@@ -228,7 +227,7 @@ def _step_loss(
     *,
     chain: ChainSpec,
     fixed: FixedParams,
-    target_features: tuple[Spectrogram, ...],
+    target_features: tuple[DiffValue, ...],
     target_params: Optional[ParameterAssignment],
     loss_cfg: LossConfig,
     render_config: RenderConfig,
@@ -288,14 +287,16 @@ def _run_branch(
             continue
         grads = tape.backward(total)
         g = np.array([grads[key] for key in free_keys])
-        if opt_cfg.algorithm == "sgd":
-            theta -= opt_cfg.learning_rate * g
-        else:
-            adam_m = 0.9 * adam_m + 0.1 * g
-            adam_v = 0.999 * adam_v + 0.001 * g * g
-            m_hat = adam_m / (1.0 - 0.9 ** (step + 1))
-            v_hat = adam_v / (1.0 - 0.999 ** (step + 1))
-            theta -= opt_cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
+        # an update that overflows marks the branch diverged just below
+        with np.errstate(over="ignore", invalid="ignore"):
+            if opt_cfg.algorithm == "sgd":
+                theta -= opt_cfg.learning_rate * g
+            else:
+                adam_m = 0.9 * adam_m + 0.1 * g
+                adam_v = 0.999 * adam_v + 0.001 * g * g
+                m_hat = adam_m / (1.0 - 0.9 ** (step + 1))
+                v_hat = adam_v / (1.0 - 0.999 ** (step + 1))
+                theta -= opt_cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
         if not np.isfinite(theta).all():
             diverged = True
             break

@@ -167,6 +167,14 @@ CATALOG: dict = {
 }
 
 
+# (kind, name) -> the catalog entry of every parameter
+_PARAMS = {
+    (kind, p.name): p
+    for kind, catalog in CATALOG.items()
+    for p in catalog.continuous + catalog.categorical
+}
+
+
 def resolve_range(param: ContinuousParam, config: RenderConfig) -> tuple:
     """Concrete (low, high), substituting the render duration for None."""
     high = config.duration if param.high is None else param.high
@@ -206,8 +214,7 @@ def _as_scalar(value: Paramlike) -> DiffValue:
 
 
 def _checked(kind: str, name: str, value: Paramlike, config: RenderConfig) -> DiffValue:
-    spec = next(p for p in CATALOG[kind].continuous if p.name == name)
-    low, high = resolve_range(spec, config)
+    low, high = resolve_range(_PARAMS[kind, name], config)
     scalar = _as_scalar(value)
     # Generator frequencies render at any positive value below the catalog
     # ceiling (the low bound constrains sampling and matching, not the
@@ -226,7 +233,7 @@ def _checked(kind: str, name: str, value: Paramlike, config: RenderConfig) -> Di
 
 def _label(params: Mapping, name: str, kind: str) -> str:
     value = params[name]
-    choices = next(p for p in CATALOG[kind].categorical if p.name == name).choices
+    choices = _PARAMS[kind, name].choices
     if value not in choices:
         raise ParameterRangeError(f"{kind}.{name} = {value!r} not in {choices}")
     return value

@@ -1,18 +1,19 @@
 """Spectrogram / mel-spectrogram transforms and the processing family
 applied before spectral distances (identity, log, cumulative sums).
 
-Frames are Hann-windowed with hop = window/4 and reflect center padding.
-The padding is realized as an index map into the original buffer, so
-framing, windowing and the FFT magnitudes are one tape node.  A mel
-spectrogram is a pooling of an STFT already taken, never a second STFT.
-It pools through a sparse copy of the filterbank rather than a dense BLAS
-product, whose threads would contend for the cores of parallel workers.
+Every spectrum is a (freq bins x time frames) :class:`DiffValue`, taped
+or constant like the signal it was taken from.  Frames are Hann-windowed
+with hop = window/4 and reflect center padding.  The padding is realized
+as an index map into the original buffer, so framing, windowing and the
+FFT magnitudes are one tape node.  A mel spectrogram is a pooling of an
+STFT already taken, never a second STFT.  It pools through a sparse copy
+of the filterbank rather than a dense BLAS product, whose threads would
+contend for the cores of parallel workers.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -26,7 +27,6 @@ __all__ = [
     "PROCESSINGS",
     "WINDOW_SIZES",
     "SpectralConfigError",
-    "Spectrogram",
     "mel_filterbank",
     "mel_spectrogram",
     "process",
@@ -42,25 +42,6 @@ LOG_OFFSET = 1e-5
 
 class SpectralConfigError(Exception):
     """Window/signal geometry or processing kind is unusable."""
-
-
-@dataclass(frozen=True)
-class Spectrogram:
-    """Magnitude time-frequency matrix, (freq bins x time frames)."""
-
-    magnitudes: DiffValue
-    window_size: int
-    hop: int
-    sample_rate: int
-    scale: str  # "linear" or "mel"
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.magnitudes.value
-
-    @property
-    def shape(self):
-        return self.magnitudes.shape
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -84,8 +65,9 @@ def _hann_periodic(window: int) -> np.ndarray:
     return _read_only(0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(window) / window))
 
 
-def stft_magnitude(signal: Signal, window_size: int) -> Spectrogram:
-    """Hann-windowed, reflect-center-padded magnitude STFT, hop window/4."""
+def stft_magnitude(signal: Signal, window_size: int) -> DiffValue:
+    """Hann-windowed, reflect-center-padded magnitude STFT, hop window/4,
+    as (window/2 + 1 bins x frames)."""
     if window_size not in WINDOW_SIZES:
         raise SpectralConfigError(
             f"window_size {window_size} not in {WINDOW_SIZES}"
@@ -96,10 +78,9 @@ def stft_magnitude(signal: Signal, window_size: int) -> Spectrogram:
         raise SpectralConfigError(
             f"window_size {window_size} longer than signal ({n} samples)"
         )
-    mag = ad.rfft_magnitude(
+    return ad.rfft_magnitude(
         signal.samples, _hann_periodic(window_size), _frame_indices(n, window_size, hop)
     )
-    return Spectrogram(mag, window_size, hop, signal.sample_rate, "linear")
 
 
 def _hz_to_mel(f):
@@ -146,10 +127,11 @@ def _mel_pooling(sample_rate: int, window_size: int, n_mels: int) -> sparse.csr_
     return pooling
 
 
-def mel_spectrogram(spec: Spectrogram, n_mels: int = 128) -> Spectrogram:
-    """Pool a linear magnitude STFT into ``n_mels`` Slaney mel bands."""
-    fb = _mel_pooling(spec.sample_rate, spec.window_size, n_mels)
-    return replace(spec, magnitudes=ad.const_matmul(fb, spec.magnitudes), scale="mel")
+def mel_spectrogram(spec: DiffValue, sample_rate: int, n_mels: int = 128) -> DiffValue:
+    """Pool a linear magnitude STFT into ``n_mels`` Slaney mel bands; its
+    window is 2 * (bins - 1)."""
+    fb = _mel_pooling(sample_rate, 2 * (spec.shape[0] - 1), n_mels)
+    return ad.const_matmul(fb, spec)
 
 
 def _mass_normalized(mag, axis: int):
@@ -157,7 +139,7 @@ def _mass_normalized(mag, axis: int):
     return mag / (total + LOG_OFFSET)
 
 
-def process(spec: Spectrogram, kind: str, normalize: bool = False) -> Spectrogram:
+def process(spec: DiffValue, kind: str, normalize: bool = False) -> DiffValue:
     """Apply one F_k: identity, ln(m + 1e-5), or a cumulative sum along
     time (axis 1) or frequency (axis 0).
 
@@ -167,11 +149,8 @@ def process(spec: Spectrogram, kind: str, normalize: bool = False) -> Spectrogra
     if kind == "identity":
         return spec
     if kind == "log":
-        return replace(spec, magnitudes=ad.ln(spec.magnitudes + LOG_OFFSET))
-    if kind == "cumsum_time":
-        mag = _mass_normalized(spec.magnitudes, 1) if normalize else spec.magnitudes
-        return replace(spec, magnitudes=ad.cumsum(mag, axis=1))
-    if kind == "cumsum_freq":
-        mag = _mass_normalized(spec.magnitudes, 0) if normalize else spec.magnitudes
-        return replace(spec, magnitudes=ad.cumsum(mag, axis=0))
+        return ad.ln(spec + LOG_OFFSET)
+    if kind in ("cumsum_time", "cumsum_freq"):
+        axis = 1 if kind == "cumsum_time" else 0
+        return ad.cumsum(_mass_normalized(spec, axis) if normalize else spec, axis=axis)
     raise SpectralConfigError(f"unknown processing kind {kind!r}; expected {PROCESSINGS}")

@@ -400,7 +400,7 @@ def test_criterion_4_loss_identities(capsys):
     direct = float(
         np.sum(
             np.abs(
-                stft_magnitude(x.output, 1024).values - stft_magnitude(y.output, 1024).values
+                stft_magnitude(x.output, 1024).value - stft_magnitude(y.output, 1024).value
             )
         )
     )

@@ -570,6 +570,31 @@ def test_resolve_keeps_arity_critical_connection():
         assert res.connections_on[conn]
 
 
+def test_resolve_turns_both_optional_tremolo_inputs_on():
+    # a valid tremolo has exactly two inputs, so the arity repair alone
+    # restores its LFO
+    chain = ChainSpec(
+        "c",
+        (Cell(addr(0, 0), "lfo"), Cell(addr(1, 0), "osc"), Cell(addr(0, 1), "tremolo")),
+        (
+            Connection(addr(0, 0), addr(0, 1), optional=True),
+            Connection(addr(1, 0), addr(0, 1), optional=True),
+        ),
+    )
+    assert validate(chain) == []
+    values = {
+        addr(0, 0): {"freq": 5.0, "active": "on"},
+        addr(1, 0): {"amp": 1.0, "freq": 440.0, "waveform": "sine", "active": "on"},
+        addr(0, 1): {"depth": 0.5},
+    }
+    for i in range(50):
+        res = resolve_optional(chain, np.random.default_rng(i))
+        assert all(res.connections_on[c] for c in chain.connections)
+        assert res.forced_activations == {}
+    trace = generate_signal(chain, ParameterAssignment(values, res.connections_on), CFG)
+    assert np.abs(trace.output.values).max() > 0.1
+
+
 def test_resolved_off_connection_drops_input():
     chain = _optional_fm_chain()
     conn = chain.connections[0]

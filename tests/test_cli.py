@@ -20,6 +20,7 @@ from gradsynth.cli import (
     load_run_config,
     main,
 )
+from gradsynth.datasets import sample_assignment
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -349,6 +350,35 @@ def test_sweep_log_grid_stays_in_the_catalog_range(tmp_path, basic_chain, param,
     first, last = (line.split(",")[0] for line in out.read_text().splitlines()[1:])
     assert first == "20.0"
     assert high * 0.999 < float(last) <= high
+
+
+SWEEP_ATTACK = ["-q", "sweep", str(REPO / "chains" / "basic.chain"), "--param", "0,2.attack",
+                "--points", "7", "--random", "--seed", "3", "--duration", "0.25"]
+
+
+def test_sweep_of_an_envelope_segment_ends_at_the_remaining_budget(tmp_path):
+    # the target's decay and release take their share of the 0.25 s first
+    target = sample_assignment(
+        parse_chain_file((REPO / "chains" / "basic.chain").read_text()),
+        np.random.default_rng(3),
+        RenderConfig(duration=0.25),
+    )
+    adsr = target.values[CellAddress(0, 2)]
+    budget = 0.25 - (adsr["decay"] + adsr["release"])
+    assert 0.0 < budget < 0.25
+    out = tmp_path / "sweep.csv"
+    assert main(SWEEP_ATTACK + ["--out", str(out)]) == 0
+    values = [float(line.split(",")[0]) for line in out.read_text().splitlines()[1:]]
+    assert len(values) == 7
+    assert values[0] == 0.0 and values[-1] == budget
+
+
+def test_sweep_rejects_a_high_past_the_remaining_budget(tmp_path, caplog):
+    out = tmp_path / "sweep.csv"
+    assert main(SWEEP_ATTACK + ["--high", "0.25", "--out", str(out)]) == 2
+    assert "--high 0.25 exceeds the 0.17" in caplog.text
+    assert "decay+release leave of the 0.25 s duration" in caplog.text
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("points", ["0", "-1"])

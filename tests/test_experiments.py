@@ -242,7 +242,7 @@ def _log_stft(freq):
     signal = render_oscillator(
         {"amp": 1.0, "freq": freq, "waveform": "square", "active": "on"}, BENCHMARK_RENDER
     )
-    return process(stft_magnitude(signal, BENCHMARK_WINDOW), "log").values
+    return process(stft_magnitude(signal, BENCHMARK_WINDOW), "log").value
 
 
 @pytest.fixture(scope="module")

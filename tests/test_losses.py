@@ -179,7 +179,7 @@ def test_chain_loss_output_only_reduces_to_plain_distance():
     cfg = LossConfig(cells="output", windows=(1024,), processings=("identity",), norm_p=1)
     loss = signal_chain_loss(ta, tb, cfg)
     plain = np.abs(
-        stft_magnitude(ta.output, 1024).values - stft_magnitude(tb.output, 1024).values
+        stft_magnitude(ta.output, 1024).value - stft_magnitude(tb.output, 1024).value
     ).sum()
     assert loss.value == pytest.approx(plain, rel=1e-9)
 
@@ -237,7 +237,7 @@ def test_chain_loss_p2_is_frobenius():
     tb = generate_signal(OSC_CHAIN, osc_assignment(0.5, 550.0), CFG)
     cfg = LossConfig(cells="output", windows=(1024,), norm_p=2)
     loss = signal_chain_loss(ta, tb, cfg)
-    diff = stft_magnitude(ta.output, 1024).values - stft_magnitude(tb.output, 1024).values
+    diff = stft_magnitude(ta.output, 1024).value - stft_magnitude(tb.output, 1024).value
     assert loss.value == pytest.approx(np.sqrt((diff**2).sum()), rel=1e-9)
 
 
@@ -255,7 +255,7 @@ def test_chain_loss_n_mels_sets_the_filter_count(n_mels):
     tb = generate_signal(OSC_CHAIN, osc_assignment(0.5, 470.0), one_second)
     cfg = LossConfig(cells="output", windows=(1024,), transform="mel", n_mels=n_mels)
     mel_a, mel_b = (
-        mel_spectrogram(stft_magnitude(t.output, 1024), n_mels=n_mels).values for t in (ta, tb)
+        mel_spectrogram(stft_magnitude(t.output, 1024), 16000, n_mels).value for t in (ta, tb)
     )
     assert mel_a.shape == (n_mels, 63)
     assert signal_chain_loss(ta, tb, cfg).value == pytest.approx(
@@ -326,6 +326,25 @@ def test_chain_loss_gradient_matches_fd():
 
     err = finite_difference_check(build, {"freq": 445.3, "amp": 0.62}, step=1e-3)
     assert err < 1e-3
+
+
+@pytest.mark.parametrize("processing", ["cumsum_time", "cumsum_freq"])
+@pytest.mark.parametrize("transform", ["spectrogram", "mel"])
+def test_normalized_cumsum_gradient_matches_fd(transform, processing):
+    # the unit-mass division broadcasts a (bins x 1) or (1 x frames) total,
+    # so its adjoint is summed back down to that shape
+    targ = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
+    cfg = LossConfig(
+        cells="output", windows=(512,), processings=(processing,), transform=transform,
+        cumsum_normalize=True,
+    )
+
+    def build(vals):
+        trace = generate_signal(OSC_CHAIN, osc_assignment(vals["amp"], 445.3), CFG)
+        return signal_chain_loss(trace, targ, cfg)
+
+    err = finite_difference_check(build, {"amp": 0.62}, step=1e-5)
+    assert err < 1e-4
 
 
 def test_combined_loss_gradient_matches_fd():
@@ -412,7 +431,7 @@ def test_lsd_scaling_closed_form():
     config = RenderConfig()
     x = _sine_signal(1000.0, 441.3, config)
     y = _sine_signal(2000.0, 441.3, config)
-    mags = stft_magnitude(x, 1024).values
+    mags = stft_magnitude(x, 1024).value
     assert mags.min() > 1e-5
     bins, frames = mags.shape
     expected = math.log(2.0) * math.sqrt(bins * frames)

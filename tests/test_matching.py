@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -491,6 +492,33 @@ def test_match_rejects_length_mismatch():
             fixed_params=AMP_FIXED,
             render_config=RenderConfig(duration=0.5),
         )
+
+
+@pytest.mark.parametrize("algorithm", ["adam", "sgd"])
+def test_an_overflowing_update_marks_the_branch_diverged(algorithm):
+    # lr = 1e308 sends theta past the float range on the first update; the
+    # silent combinations record no tape node, so their theta never moves
+    cfg = RenderConfig(duration=0.05)
+    target = generate_signal(
+        OSC_CHAIN,
+        ParameterAssignment({A00: {"amp": 0.63, "freq": 440.0, "waveform": "sine", "active": "on"}}),
+        cfg,
+    ).output
+    opt = OptimizerConfig(steps=4, learning_rate=1e308, restarts=1, seed=0, algorithm=algorithm)
+    loss_cfg = LossConfig(cells="output", windows=(256, 512))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the overflow itself is not reported
+        res = match(target, OSC_CHAIN, loss_cfg, opt, render_config=cfg)
+    assert res.diverged_branches == (0, 2, 4)
+    for i, branch in enumerate(res.branches):
+        active = dict(branch.combo)[(A00, "active")]
+        assert active == ("on" if i in (0, 2, 4) else "off")
+        if branch.diverged:
+            assert len(branch.trajectory) == 1 and math.isnan(branch.final_loss)
+        else:
+            assert branch.trajectory == (branch.final_loss,) * 4
+    assert res.best.values[A00]["active"] == "off"
+    assert res.final_loss == res.branches[1].final_loss
 
 
 def test_all_branches_diverging_raises():
