@@ -352,21 +352,22 @@ def sqrt(x):
     )
 
 
-def _sigmoid_value(v):
-    v = np.asarray(v, dtype=np.float64)
+def _sigmoid_value(v: float) -> float:
     # exp of a nonpositive argument only, so large |v| cannot overflow
-    z = np.exp(-np.abs(v))
-    out = np.where(v >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-    return out if out.ndim else float(out)
+    z = float(np.exp(-abs(v)))
+    return 1.0 / (1.0 + z) if v >= 0 else z / (1.0 + z)
 
 
 def sigmoid(x):
+    """1 / (1 + exp(-x)) for a scalar x."""
     v, n, tape = _unwrap(x)
+    if type(v) is not float:
+        raise NumericDomainError("sigmoid", "expected a scalar")
     out = _sigmoid_value(v)
     if n is None:
         return DiffValue(out)
     # the partial from the output, rather than two more forward passes
-    return _record_op(tape, out, [(n, _scaled_vjp(out * (1.0 - out), _shape_of(v)))])
+    return _record_op(tape, out, [(n, _scaled_vjp(out * (1.0 - out), ()))])
 
 
 def sigmoid_gate(x, low: float, span: float, clip: Optional[tuple] = None) -> DiffValue:

@@ -21,7 +21,7 @@ import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Optional
+from typing import Mapping
 
 import numpy as np
 
@@ -73,10 +73,6 @@ class DatasetRecord:
     seed: int
     assignment: ParameterAssignment
     wav_name: str
-
-    @property
-    def connections_on(self) -> Optional[Mapping]:
-        return self.assignment.connections_on
 
 
 def record_rng(seed: int, index: int) -> np.random.Generator:

@@ -6,11 +6,12 @@ Two study harnesses over the spectral losses, both exporting CSV:
   other parameter stays at its ground-truth value, recording the loss
   against the ground-truth render — a 1-D slice of the loss surface
   whose strict local minima are counted.
-* :func:`perturbation_benchmark` asks, for random target tones, whether
+* :func:`perturbation_trials` asks, for random target tones, whether
   a prediction placed closer to the target also scores a lower loss
-  than a farther perturbation.  Averaged over many trials this measures
-  how often the loss orders points correctly, i.e. how often its
-  gradient points the right way at benchmark scale.
+  than a farther perturbation; :func:`benchmark_table` averages that
+  over many trials, which measures how often the loss orders points
+  correctly, i.e. how often its gradient points the right way at
+  benchmark scale.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ __all__ = [
     "benchmark_table",
     "export_csv",
     "loss_surface_sweep",
-    "perturbation_benchmark",
     "perturbation_trials",
 ]
 
@@ -257,23 +257,6 @@ def perturbation_trials(
     else:
         rows = _trial_block((waveform, distance, variants, seed, 0, trials))
     return {variant: [row[variant] for row in rows] for variant in variants}
-
-
-def perturbation_benchmark(
-    waveform: str,
-    distance: Union[str, float],
-    transform: str,
-    processing: str,
-    trials: int = 1000,
-    seed: int = 0,
-    jobs: int = 1,
-) -> float:
-    """Success rate of one loss variant at ordering prediction vs perturbation."""
-    result = perturbation_trials(
-        waveform, distance, ((transform, processing),), trials, seed, jobs
-    )
-    outcomes = result[(transform, processing)]
-    return sum(t.success for t in outcomes) / len(outcomes)
 
 
 def _format_distance(distance: Union[str, float]) -> str:

@@ -116,7 +116,6 @@ class BranchResult:
 @dataclass(frozen=True)
 class MatchResult:
     best: ParameterAssignment
-    trajectories: tuple[tuple[float, ...], ...]
     final_loss: float
     final_spectral: float
     final_lsd: float
@@ -125,30 +124,25 @@ class MatchResult:
     diverged_branches: tuple[int, ...]
 
 
-def _free_continuous(chain: ChainSpec, fixed: FixedParams) -> list[tuple[CellAddress, str]]:
-    keys = []
+def _search_space(chain: ChainSpec, fixed: FixedParams):
+    """The free continuous keys and every categorical combination.
+
+    Cells in address order, parameters in catalog order; a fixed
+    categorical has its fixed label as its only choice.
+    """
+    free, slots, choices = [], [], []
     for cell in sorted(chain.cells, key=lambda c: c.address):
         if cell.kind == "empty":
             continue
-        for param in CATALOG[cell.kind].continuous:
+        catalog = CATALOG[cell.kind]
+        for param in catalog.continuous:
             if (cell.address, param.name) not in fixed:
-                keys.append((cell.address, param.name))
-    return keys
-
-
-def _categorical_combos(chain: ChainSpec, fixed: FixedParams):
-    slots, choices = [], []
-    for cell in sorted(chain.cells, key=lambda c: c.address):
-        if cell.kind == "empty":
-            continue
-        for param in CATALOG[cell.kind].categorical:
+                free.append((cell.address, param.name))
+        for param in catalog.categorical:
             key = (cell.address, param.name)
             slots.append(key)
-            if key in fixed:
-                choices.append((str(fixed[key]),))
-            else:
-                choices.append(tuple(param.choices))
-    return [tuple(zip(slots, combo)) for combo in itertools.product(*choices)]
+            choices.append((str(fixed[key]),) if key in fixed else tuple(param.choices))
+    return free, [tuple(zip(slots, combo)) for combo in itertools.product(*choices)]
 
 
 # ``sigmoid_gate`` arguments of every continuous parameter outside the
@@ -161,59 +155,45 @@ _GATES = {
 }
 
 
-def _reparam(
+def _assignment(
     chain: ChainSpec,
     theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
-    render_config: RenderConfig,
-    fixed: FixedParams,
-):
-    """Map unconstrained scalars onto catalog ranges, cell by cell.
-
-    Returns {(address, name): DiffValue} with every value strictly
-    inside its range.  Parameters whose catalog range ends at the render
-    duration (``high is None``: the ADSR attack, decay and release) share
-    it as a budget: stick-breaking over the remaining time, in catalog
-    order, keeps their sum under the duration minus whatever the caller
-    fixed of them.  Where a gate saturates, rounding can put the sum one
-    ulp past it, inside the slack ``modules.apply_adsr`` allows.
-    """
-    cell_map = chain.cell_map()
-    values = {}
-    by_cell: dict[CellAddress, dict[str, Union[DiffValue, float]]] = {}
-    for (address, name), raw in theta.items():
-        by_cell.setdefault(address, {})[name] = raw
-    for address, raw_params in by_cell.items():
-        kind = cell_map[address]
-        budgeted = [p.name for p in CATALOG[kind].continuous if p.high is None]
-        budget = [n for n in budgeted if n in raw_params]
-        if budget:
-            spent = sum(float(fixed[(address, n)]) for n in budgeted if (address, n) in fixed)
-            remaining = DiffValue(max(render_config.duration - spent, 0.0))
-            for n in budget:
-                piece = remaining * sigmoid(raw_params[n])
-                values[(address, n)] = piece
-                remaining = remaining - piece
-        for name, raw in raw_params.items():
-            if name not in budget:
-                values[(address, name)] = sigmoid_gate(raw, *_GATES[kind, name])
-    return values
-
-
-def _assignment_from(
-    chain: ChainSpec,
-    continuous: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
     combo: Mapping[tuple[CellAddress, str], str],
     fixed: FixedParams,
+    render_config: RenderConfig,
 ) -> ParameterAssignment:
+    """The assignment at unconstrained ``theta``, one catalog walk per cell.
+
+    Fixed values are copied and categorical labels come from ``combo``;
+    every other continuous value is gated strictly inside its range.
+    Parameters whose catalog range ends at the render duration (``high is
+    None``: the ADSR attack, decay and release) share it as a budget:
+    stick-breaking over the remaining time, in catalog order, keeps their
+    sum under the duration minus whatever the caller fixed of them.  Where
+    a gate saturates, rounding can put the sum one ulp past it, inside the
+    slack ``modules.apply_adsr`` allows.
+    """
     cells: dict[CellAddress, dict] = {}
     for cell in chain.cells:
         if cell.kind == "empty":
             continue
-        params: dict[str, Union[DiffValue, float, str]] = {}
         catalog = CATALOG[cell.kind]
+        spent = sum(
+            float(fixed[(cell.address, p.name)])
+            for p in catalog.continuous
+            if p.high is None and (cell.address, p.name) in fixed
+        )
+        remaining = DiffValue(max(render_config.duration - spent, 0.0))
+        params: dict[str, Union[DiffValue, float, str]] = {}
         for p in catalog.continuous:
             key = (cell.address, p.name)
-            params[p.name] = fixed[key] if key in fixed else continuous[key]
+            if key in fixed:
+                params[p.name] = fixed[key]
+            elif p.high is None:
+                params[p.name] = remaining * sigmoid(theta[key])
+                remaining = remaining - params[p.name]
+            else:
+                params[p.name] = sigmoid_gate(theta[key], *_GATES[cell.kind, p.name])
         for p in catalog.categorical:
             params[p.name] = combo[(cell.address, p.name)]
         cells[cell.address] = params
@@ -232,8 +212,7 @@ def _step_loss(
     loss_cfg: LossConfig,
     render_config: RenderConfig,
 ):
-    continuous = _reparam(chain, theta, render_config, fixed)
-    assignment = _assignment_from(chain, continuous, combo_map, fixed)
+    assignment = _assignment(chain, theta, combo_map, fixed, render_config)
     param_part = DiffValue(0.0)
     if target_params is not None:
         param_part = parameter_loss(
@@ -374,16 +353,13 @@ def match(
         loss_cfg=loss_cfg,
         render_config=render_config,
     )
+    free_keys, combos = _search_space(chain, fixed)
     run_branch = functools.partial(
-        _run_branch,
-        step_loss=step_loss,
-        free_keys=_free_continuous(chain, fixed),
-        betas=betas,
-        opt_cfg=opt_cfg,
+        _run_branch, step_loss=step_loss, free_keys=free_keys, betas=betas, opt_cfg=opt_cfg
     )
     jobs = [
         (combo_index, combo, restart)
-        for combo_index, combo in enumerate(_categorical_combos(chain, fixed))
+        for combo_index, combo in enumerate(combos)
         for restart in range(opt_cfg.restarts)
     ]
     if opt_cfg.jobs > 1:
@@ -397,16 +373,21 @@ def match(
         raise MatcherConfigError("all optimization branches diverged")
     best_branch = min(finished, key=lambda b: b.final_loss)
 
-    continuous = _reparam(chain, dict(best_branch.theta), render_config, fixed)
-    flat = {k: v.value for k, v in continuous.items()}
-    best = _assignment_from(chain, flat, dict(best_branch.combo), fixed)
+    at_best = _assignment(
+        chain, dict(best_branch.theta), dict(best_branch.combo), fixed, render_config
+    )
+    best = ParameterAssignment(
+        {
+            address: {n: v.value if isinstance(v, DiffValue) else v for n, v in params.items()}
+            for address, params in at_best.values.items()
+        }
+    )
 
     trace = generate_signal(chain, best, render_config)
     final_spectral = signal_chain_loss(trace, target_features, loss_cfg).value
     final_lsd = log_spectral_distance(trace.output, target, max(loss_cfg.windows))
     return MatchResult(
         best=best,
-        trajectories=tuple(b.trajectory for b in branches),
         final_loss=best_branch.final_loss,
         final_spectral=final_spectral,
         final_lsd=final_lsd,

@@ -23,7 +23,10 @@ def _cos(v):
 
 
 def _tanh(u):
-    return ad.sigmoid(u * 2.0) * 2.0 - 1.0
+    # 1 - 2 / (exp(2u) + 1) works on buffers too, which sigmoid does not
+    # take; past |2u| = 60 tanh is already +-1 in float64, so clamping
+    # there changes nothing but keeps exp from overflowing
+    return 1.0 - 2.0 / (ad.exp(ad.clamp(u * 2.0, -60.0, 60.0)) + 1.0)
 
 
 def test_product_gradient():
@@ -104,6 +107,13 @@ def test_sigmoid_gate_constant_input_records_nothing():
     assert ad.sigmoid_gate(DiffValue(-40.0), *_gate_args(20.0, 8000.0, True)).value == 20.0
     with pytest.raises(ad.NumericDomainError):
         ad.sigmoid_gate(DiffValue(np.zeros(3)), 0.0, 1.0)
+
+
+def test_sigmoid_takes_scalars_only():
+    assert ad.sigmoid(0.0).value == 0.5
+    assert ad.sigmoid(-800.0).value == 0.0 and ad.sigmoid(800.0).value == 1.0
+    with pytest.raises(ad.NumericDomainError):
+        ad.sigmoid(DiffValue(np.zeros(3)))
 
 
 @pytest.mark.parametrize("low, high, log", GATE_RANGES)

@@ -26,7 +26,6 @@ from gradsynth.losses import LossConfig, signal_chain_loss
 from gradsynth.matching import (
     MatcherConfigError,
     OptimizerConfig,
-    _reparam,
     beta_at,
     match,
 )
@@ -139,6 +138,25 @@ def test_optimizer_config_rejects(kwargs):
 # -- reparameterization -----------------------------------------------------
 
 
+def _theta(chain, fill):
+    """Every continuous parameter of ``chain`` at ``fill``."""
+    return {
+        (cell.address, p.name): DiffValue(fill)
+        for cell in chain.cells
+        for p in CATALOG[cell.kind].continuous
+    }
+
+
+def _mapped(chain, theta, fixed=None):
+    """``matching._assignment``'s values, each categorical at its first choice."""
+    combo = {
+        (cell.address, p.name): p.choices[0]
+        for cell in chain.cells
+        for p in CATALOG[cell.kind].categorical
+    }
+    return matching._assignment(chain, theta, combo, fixed or {}, CFG).values
+
+
 def test_reparam_stays_inside_ranges():
     rng = np.random.default_rng(7)
     for _ in range(50):
@@ -148,14 +166,14 @@ def test_reparam_stays_inside_ranges():
                 continue
             for p in CATALOG[cell.kind].continuous:
                 theta[(cell.address, p.name)] = DiffValue(rng.uniform(-30.0, 30.0))
-        values = _reparam(FULL_CHAIN, theta, CFG, {})
+        values = _mapped(FULL_CHAIN, theta)
         for cell in FULL_CHAIN.cells:
             for p in CATALOG[cell.kind].continuous:
                 low, high = resolve_range(p, CFG)
-                v = values[(cell.address, p.name)].value
+                v = values[cell.address][p.name].value
                 assert low < v < high, f"{cell.kind}.{p.name} = {v} not in ({low},{high})"
-        adsr = CellAddress(0, 2)
-        total = sum(values[(adsr, n)].value for n in ("attack", "decay", "release"))
+        adsr = values[CellAddress(0, 2)]
+        total = sum(adsr[n].value for n in ("attack", "decay", "release"))
         assert total <= CFG.duration + 1e-12
 
 
@@ -170,34 +188,28 @@ def test_gate_arguments_are_the_catalog_unit_scale():
 
 def test_reparam_respects_fixed_time_budget():
     fixed = {(CellAddress(0, 2), "attack"): 0.2}
-    theta = {
-        (CellAddress(0, 2), "decay"): DiffValue(30.0),
-        (CellAddress(0, 2), "release"): DiffValue(30.0),
-        (CellAddress(0, 2), "sustain"): DiffValue(0.0),
-    }
-    values = _reparam(FULL_CHAIN, theta, CFG, fixed)
-    free_total = (
-        values[(CellAddress(0, 2), "decay")].value
-        + values[(CellAddress(0, 2), "release")].value
-    )
-    assert free_total <= CFG.duration - 0.2 + 1e-12
+    theta = _theta(FULL_CHAIN, 30.0)
+    del theta[(CellAddress(0, 2), "attack")]
+    adsr = _mapped(FULL_CHAIN, theta, fixed)[CellAddress(0, 2)]
+    assert adsr["attack"] == 0.2
+    assert adsr["decay"].value + adsr["release"].value <= CFG.duration - 0.2 + 1e-12
 
 
 def test_log_scale_params_span_range():
-    lo = _reparam(OSC_CHAIN, {(A00, "freq"): DiffValue(-30.0)}, CFG, {})
-    hi = _reparam(OSC_CHAIN, {(A00, "freq"): DiffValue(30.0)}, CFG, {})
-    assert lo[(A00, "freq")].value == pytest.approx(20.0, rel=1e-6)
-    assert hi[(A00, "freq")].value == pytest.approx(20000.0, rel=1e-6)
+    lo = _mapped(OSC_CHAIN, _theta(OSC_CHAIN, -30.0))
+    hi = _mapped(OSC_CHAIN, _theta(OSC_CHAIN, 30.0))
+    assert lo[A00]["freq"].value == pytest.approx(20.0, rel=1e-6)
+    assert hi[A00]["freq"].value == pytest.approx(20000.0, rel=1e-6)
 
 
 def test_saturated_log_scale_gate_stays_in_range():
     # sigmoid(-40) is under half an ulp of log(20), and exp(log(20.0)) rounds
     # to 19.999999999999996, which the low-pass rejects
-    cutoff = (CellAddress(0, 3), "cutoff")
-    theta = {cutoff: DiffValue(-40.0), (A00, "freq"): DiffValue(-40.0)}
-    values = _reparam(FULL_CHAIN, theta, CFG, {})
-    assert values[cutoff].value == 20.0
-    assert values[(A00, "freq")].value == 20.0
+    theta = _theta(FULL_CHAIN, 0.0)
+    theta[(CellAddress(0, 3), "cutoff")] = theta[(A00, "freq")] = DiffValue(-40.0)
+    values = _mapped(FULL_CHAIN, theta)
+    assert values[CellAddress(0, 3)]["cutoff"].value == 20.0
+    assert values[A00]["freq"].value == 20.0
 
 
 # -- matching behavior ------------------------------------------------------
@@ -215,8 +227,8 @@ def test_trajectories_cover_all_steps():
     target = sine_target()
     opt = OptimizerConfig(steps=40, learning_rate=0.1, restarts=3, seed=1)
     res = match(target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=AMP_FIXED, render_config=CFG)
-    assert len(res.trajectories) == 3
-    assert all(len(t) == 40 for t in res.trajectories)
+    assert len(res.branches) == 3
+    assert all(len(b.trajectory) == 40 for b in res.branches)
     assert res.diverged_branches == ()
     assert res.wall_time > 0
 
@@ -226,7 +238,7 @@ def test_determinism_bit_identical():
     opt = OptimizerConfig(steps=25, learning_rate=0.1, restarts=2, seed=9)
     a = match(target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=AMP_FIXED, render_config=CFG)
     b = match(target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=AMP_FIXED, render_config=CFG)
-    assert a.trajectories == b.trajectories
+    assert [x.trajectory for x in a.branches] == [x.trajectory for x in b.branches]
     assert a.best.values[A00]["amp"] == b.best.values[A00]["amp"]
 
 
@@ -248,7 +260,7 @@ def test_loss_decreases_on_amplitude_problem():
         res = match(
             target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=AMP_FIXED, render_config=CFG
         )
-        traj = res.trajectories[0]
+        traj = res.branches[0].trajectory
         decreased += traj[199] < traj[0]
     assert decreased >= 9
 
@@ -293,7 +305,7 @@ def test_parallel_jobs_match_sequential():
     par = OptimizerConfig(steps=10, learning_rate=0.1, restarts=2, seed=6, jobs=2)
     a = match(target, OSC_CHAIN, SPECTRAL_L2, seq, fixed_params=AMP_FIXED, render_config=CFG)
     b = match(target, OSC_CHAIN, SPECTRAL_L2, par, fixed_params=AMP_FIXED, render_config=CFG)
-    assert a.trajectories == b.trajectories
+    assert [x.trajectory for x in a.branches] == [x.trajectory for x in b.branches]
 
 
 @pytest.mark.parametrize("steps", [2, 5])
@@ -370,8 +382,7 @@ def test_optimizer_algorithm_sets_the_first_step(algorithm):
     theta0 = {(A00, p.name): float(rng.uniform(-2.0, 2.0)) for p in CATALOG["osc"].continuous}
     tape = Tape()
     tracked = {key: tape.parameter(value, key[1]) for key, value in theta0.items()}
-    params = {name: v for (_, name), v in _reparam(OSC_CHAIN, tracked, CFG, fixed).items()}
-    predicted = ParameterAssignment({A00: {**params, "waveform": "sine", "active": "on"}})
+    predicted = matching._assignment(OSC_CHAIN, tracked, fixed, fixed, CFG)
     trace = generate_signal(OSC_CHAIN, predicted, CFG)
     grads = tape.backward(signal_chain_loss(trace, RenderTrace({}, target), SPECTRAL_L2))
 
