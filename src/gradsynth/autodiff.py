@@ -572,6 +572,7 @@ def finite_difference_check(
     central difference's rounding bound eps * (|f(x+h)| + |f(x-h)|) / (2h),
     divided by |grad| + 1e-8 and maximized over parameters; the bound keeps
     the rounding of fd from reading as error where the gradient is 0.
+    A non-finite gradient or central difference reads as an infinite error.
     """
     tape = Tape()
     tracked = {k: tape.parameter(v, k) for k, v in params.items()}
@@ -592,6 +593,8 @@ def finite_difference_check(
         lo[name] = value - h
         f_hi, f_lo = eval_at(hi), eval_at(lo)
         fd = (f_hi - f_lo) / (2.0 * h)
+        if not (np.isfinite(fd) and np.isfinite(grads[name])):
+            return np.inf  # max() would pass over a NaN error
         rounding = np.finfo(float).eps * (abs(f_hi) + abs(f_lo)) / (2.0 * h)
         rel = max(abs(fd - grads[name]) - rounding, 0.0) / (abs(grads[name]) + 1e-8)
         worst = max(worst, rel)

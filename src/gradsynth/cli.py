@@ -43,7 +43,7 @@ from .datasets import (
     sample_assignment,
 )
 from .experiments import benchmark_table, export_csv, loss_surface_sweep
-from .losses import LossConfig, LossConfigError, signal_chain_loss
+from .losses import LossConfig, LossConfigError, chain_features, signal_chain_loss
 from .matching import MatcherConfigError, OptimizerConfig, match
 from .modules import (
     CATALOG,
@@ -412,6 +412,7 @@ def cmd_gradcheck(args) -> int:
     target = _gradcheck_assignment(chain, args.seed, render_config)
     prediction = _gradcheck_assignment(chain, args.seed + 1, render_config)
     target_trace = generate_signal(chain, target, render_config)
+    target_features = chain_features(target_trace, SINGLE_WINDOW_LOSS)
     cmap = chain.cell_map()
 
     rows = []
@@ -428,7 +429,7 @@ def cmd_gradcheck(args) -> int:
                 values[_address][_name] = tracked[key]
                 assignment = ParameterAssignment(values, prediction.connections_on)
                 trace = generate_signal(chain, assignment, render_config)
-                return signal_chain_loss(trace, target_trace, SINGLE_WINDOW_LOSS)
+                return signal_chain_loss(trace, target_features, SINGLE_WINDOW_LOSS)
 
             # Log-scaled parameters get a step relative to the value: the
             # loss wiggles on a cents scale, so a span-relative step is

@@ -26,7 +26,7 @@ import numpy as np
 
 from .audio import RenderConfig
 from .chains import ChainSpec, ParameterAssignment, generate_signal
-from .losses import LossConfig, signal_chain_loss
+from .losses import LossConfig, chain_features, signal_chain_loss
 from .modules import CATALOG, ContinuousParam, from_unit, render_oscillator
 from .spectral import mel_spectrogram, process, stft_magnitude
 
@@ -132,14 +132,14 @@ def loss_surface_sweep(
     if name not in CATALOG[kind].continuous_names():
         raise ValueError(f"{kind} cell {address}: {name!r} is not continuous")
     grid = tuple(float(g) for g in grid)
-    target_trace = generate_signal(chain, target_assignment, render_config)
+    target = chain_features(generate_signal(chain, target_assignment, render_config), loss_cfg)
     losses = []
     for value in grid:
         values = {a: dict(p) for a, p in target_assignment.values.items()}
         values[address][name] = value
         assignment = ParameterAssignment(values, target_assignment.connections_on)
         trace = generate_signal(chain, assignment, render_config)
-        losses.append(float(signal_chain_loss(trace, target_trace, loss_cfg).value))
+        losses.append(float(signal_chain_loss(trace, target, loss_cfg).value))
     return SweepResult(
         param_name=f"{address.channel},{address.layer}:{name}",
         grid=grid,

@@ -1,14 +1,14 @@
 """Loss functions for sound matching.
 
 Three differentiable pieces — a parameter-space loss, a spectral loss
-summed over chain cells, and their weighted combination — plus the
-non-differentiable log-spectral distance used only for evaluation.
+against the target's ``chain_features``, and their weighted combination —
+plus the non-differentiable log-spectral distance used only for evaluation.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -27,6 +27,7 @@ __all__ = [
     "CATEGORICAL_SMOOTHING",
     "LossConfig",
     "LossConfigError",
+    "chain_features",
     "combined_loss",
     "feature_distance",
     "log_spectral_distance",
@@ -136,19 +137,6 @@ def parameter_loss(
     return total
 
 
-def _select_signals(
-    trace: RenderTrace, target_trace: RenderTrace, cfg: LossConfig
-) -> list[tuple[Signal, Signal]]:
-    if cfg.cells == "output":
-        return [(trace.output, target_trace.output)]
-    pairs = []
-    for address in sorted(trace.cell_outputs):
-        if address not in target_trace.cell_outputs:
-            raise LossConfigError(f"cell {address} missing from the target trace")
-        pairs.append((trace.cell_outputs[address], target_trace.cell_outputs[address]))
-    return pairs
-
-
 def spectral_features(signal: Signal, cfg: LossConfig) -> tuple[DiffValue, ...]:
     """The processed spectra the spectral loss compares, for one signal.
 
@@ -179,28 +167,34 @@ def feature_distance(
     return total
 
 
-def signal_chain_loss(
-    trace: RenderTrace,
-    target_trace: Union[RenderTrace, Sequence[DiffValue]],
-    cfg: LossConfig,
-) -> DiffValue:
+def chain_features(trace: RenderTrace, cfg: LossConfig) -> dict:
+    """The ``spectral_features`` of every signal the spectral loss compares.
+
+    With ``cells="all"``, one entry per non-empty cell in address order;
+    with ``cells="output"``, one ``"output"`` entry for the final mix.
+    """
+    if cfg.cells == "output":
+        return {"output": spectral_features(trace.output, cfg)}
+    return {a: spectral_features(trace.cell_outputs[a], cfg) for a in sorted(trace.cell_outputs)}
+
+
+def signal_chain_loss(trace: RenderTrace, target: Mapping, cfg: LossConfig) -> DiffValue:
     """Spectral distance summed over cells x windows x processings.
 
-    Each cell contributes ``feature_distance`` of the two signals'
-    ``spectral_features``.  With ``cells="output"``, ``target_trace`` may
-    instead be the target output's ``spectral_features``, so a caller that
-    scores many predictions against one target computes its spectra once.
+    ``target`` is the target's :func:`chain_features` under the same
+    ``cfg``, taken once however many predictions are scored against it.
+    Each compared cell adds the ``feature_distance`` of the prediction's
+    features and the target's, in address order.
     """
-    if not isinstance(target_trace, RenderTrace):
-        if cfg.cells != "output":
-            raise LossConfigError("precomputed target features require cells='output'")
-        return feature_distance(spectral_features(trace.output, cfg), target_trace, cfg)
-    total = DiffValue(0.0)
-    for predicted, target in _select_signals(trace, target_trace, cfg):
-        total = total + feature_distance(
-            spectral_features(predicted, cfg), spectral_features(target, cfg), cfg
+    predicted = chain_features(trace, cfg)
+    if predicted.keys() != target.keys():
+        raise LossConfigError(
+            f"the prediction compares cells {', '.join(map(str, predicted))} but the "
+            f"target's features cover {', '.join(map(str, target))}"
         )
-    return total
+    distances = [feature_distance(f, target[key], cfg) for key, f in predicted.items()]
+    # summed from the first distance, so no constant 0.0 joins the tape
+    return sum(distances[1:], distances[0]) if distances else DiffValue(0.0)
 
 
 def combined_loss(param_part: DiffValue, chain_part: DiffValue, beta: float) -> DiffValue:

@@ -24,16 +24,17 @@ from .chains import (
     ChainSpec,
     ChainValidationError,
     ParameterAssignment,
+    RenderTrace,
     generate_signal,
     validate,
 )
 from .losses import (
     LossConfig,
+    chain_features,
     combined_loss,
     log_spectral_distance,
     parameter_loss,
     signal_chain_loss,
-    spectral_features,
 )
 from .modules import CATALOG, unit_scale
 
@@ -207,7 +208,7 @@ def _step_loss(
     *,
     chain: ChainSpec,
     fixed: FixedParams,
-    target_features: tuple[DiffValue, ...],
+    target_features: Mapping[str, tuple[DiffValue, ...]],
     target_params: Optional[ParameterAssignment],
     loss_cfg: LossConfig,
     render_config: RenderConfig,
@@ -343,7 +344,7 @@ def match(
 
     fixed = dict(fixed_params or {})
     # the target is constant, so its features are taken once per call
-    target_features = spectral_features(target, loss_cfg)
+    target_features = chain_features(RenderTrace({}, target), loss_cfg)
     step_loss = functools.partial(
         _step_loss,
         chain=chain,

@@ -38,6 +38,7 @@ from gradsynth.datasets import generate_dataset, sample_assignment
 from gradsynth.experiments import benchmark_table, export_csv, loss_surface_sweep
 from gradsynth.losses import (
     LossConfig,
+    chain_features,
     log_spectral_distance,
     parameter_loss,
     signal_chain_loss,
@@ -181,7 +182,8 @@ def test_criterion_1_gradients(capsys):
                 target_values[addr][spec.name] = _displaced(
                     rng, kind, spec, base, pred.values[addr]
                 )
-                target = generate_signal(chain, ParameterAssignment(target_values), CFG)
+                target_trace = generate_signal(chain, ParameterAssignment(target_values), CFG)
+                target = chain_features(target_trace, GRAD_LOSS)
                 key = f"{kind}.{spec.name}"
 
                 def build(tracked, _pred=pred, _addr=addr, _name=spec.name, _key=key):
@@ -375,7 +377,7 @@ def test_criterion_4_loss_identities(capsys):
             assert p_self <= n_categorical * 1e-5 + 1e-12, p_self
             worst_param_self = max(worst_param_self, p_self)
             trace = generate_signal(chain, assignment, half)
-            s_self = float(signal_chain_loss(trace, trace, self_cfg).value)
+            s_self = float(signal_chain_loss(trace, chain_features(trace, self_cfg), self_cfg).value)
             assert s_self == 0.0
             assert log_spectral_distance(trace.output, trace.output) == 0.0
             n += 1
@@ -396,7 +398,7 @@ def test_criterion_4_loss_identities(capsys):
         CFG,
     )
     cfg = LossConfig(cells="output", windows=(1024,), processings=("identity",), norm_p=1)
-    via_chain = float(signal_chain_loss(x, y, cfg).value)
+    via_chain = float(signal_chain_loss(x, chain_features(y, cfg), cfg).value)
     direct = float(
         np.sum(
             np.abs(

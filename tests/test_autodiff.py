@@ -638,3 +638,18 @@ def test_fd_check_still_sees_a_slightly_wrong_vjp():
         return wrong_sin(p["x"]) * p["y"]
 
     assert ad.finite_difference_check(f, {"x": 0.7, "y": 1.3}, step=1e-6) > 1e-4
+
+
+def test_fd_check_reads_non_finite_gradients_as_infinite_error():
+    # At x = 400 exp(2x) overflows: f is 1.0 on both sides, so the central
+    # difference is 0, but the div adjoint multiplies 0 by inf into a NaN.
+    def overflowing_tanh(p):
+        return 1.0 - 2.0 / (ad.exp(p["x"] * 2.0) + 1.0)
+
+    # exp(709 + 1) overflows, so the central difference is inf.
+    def exp(p):
+        return ad.exp(p["x"])
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert ad.finite_difference_check(overflowing_tanh, {"x": 400.0}, step=1e-6) == math.inf
+        assert ad.finite_difference_check(exp, {"x": 709.0}, step=1.0) == math.inf

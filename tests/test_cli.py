@@ -12,10 +12,13 @@ from scipy.io import wavfile
 
 from gradsynth.audio import RenderConfig, read_wav
 from gradsynth.chains import CellAddress, ParameterAssignment, generate_signal, parse_chain_file
+from gradsynth import losses
 from gradsynth.cli import (
     CONFIG_FIELDS,
+    SINGLE_WINDOW_LOSS,
     ConfigError,
     RunConfig,
+    _gradcheck_assignment,
     _parser_for,
     load_run_config,
     main,
@@ -478,6 +481,25 @@ def test_gradcheck_passes_at_a_sharply_curved_carrier(capsys):
     out = capsys.readouterr().out
     assert "18317.3" in next(line for line in out.splitlines() if line.startswith("0,0.freq"))
     assert code == 0
+
+
+def test_gradcheck_takes_the_target_spectra_once(monkeypatch, basic_chain):
+    render_config = RenderConfig(duration=0.25)
+    chain = parse_chain_file(BASIC)
+    target = generate_signal(chain, _gradcheck_assignment(chain, 0, render_config), render_config)
+    original = losses.stft_magnitude
+    target_calls = []
+
+    def counting(signal, window_size, **kwargs):
+        if np.array_equal(signal.values, target.output.values):
+            target_calls.append(window_size)
+        return original(signal, window_size, **kwargs)
+
+    monkeypatch.setattr(losses, "stft_magnitude", counting)
+    assert main(["-q", "gradcheck", "--chain", str(basic_chain), "--seed", "0",
+                 "--duration", "0.25"]) == 0
+    # one per window of the check's loss, however many parameters and steps
+    assert target_calls == list(SINGLE_WINDOW_LOSS.windows)
 
 
 def test_gradcheck_tiny_tolerance_fails(tmp_path, basic_chain):

@@ -28,7 +28,7 @@ from gradsynth.datasets import (
     sample_assignment,
     sample_record,
 )
-from gradsynth.losses import LossConfig, signal_chain_loss
+from gradsynth.losses import LossConfig, chain_features, signal_chain_loss
 from gradsynth.modules import CATALOG, resolve_range
 
 CFG = RenderConfig(duration=0.125)
@@ -158,7 +158,8 @@ def test_sampled_assignment_renders(index):
     # and the loss of every cell against a second draw is finite
     second = sample_assignment(KITCHEN_CHAIN, record_rng(37, index), CFG)
     other = generate_signal(KITCHEN_CHAIN, second, CFG)
-    assert math.isfinite(signal_chain_loss(trace, other, LossConfig(cells="all")).value)
+    cfg = LossConfig(cells="all")
+    assert math.isfinite(signal_chain_loss(trace, chain_features(other, cfg), cfg).value)
 
 
 def test_dropped_modulator_forces_fm_bypass():

@@ -6,8 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradsynth import losses
 from gradsynth.audio import RenderConfig
-from gradsynth.chains import CellAddress, ParameterAssignment, parse_chain_file
+from gradsynth.chains import CellAddress, ParameterAssignment, generate_signal, parse_chain_file
 from gradsynth.experiments import (
     BENCHMARK_RENDER,
     BENCHMARK_VARIANTS,
@@ -100,6 +101,25 @@ def test_sweep_deterministic():
         OSC_CHAIN, OSC_TARGET, (CellAddress(0, 0), "amp"), grid, ID_L2, CFG
     )
     assert run() == run()
+
+
+def test_sweep_takes_the_target_spectra_once(monkeypatch):
+    # every cell is compared; (0,1) is the final cell, so its samples are the
+    # target output's, and no grid point below renders the true 700 Hz carrier
+    target = generate_signal(FM_CHAIN, FM_TARGET, CFG).output
+    original = losses.stft_magnitude
+    target_calls = []
+
+    def counting(signal, window_size, **kwargs):
+        if np.array_equal(signal.values, target.values):
+            target_calls.append(window_size)
+        return original(signal, window_size, **kwargs)
+
+    monkeypatch.setattr(losses, "stft_magnitude", counting)
+    loss_cfg = LossConfig(cells="all", windows=(512, 1024))
+    grid = (500.0, 600.0, 800.0, 900.0)
+    loss_surface_sweep(FM_CHAIN, FM_TARGET, (CellAddress(0, 1), "freq_c"), grid, loss_cfg, CFG)
+    assert sorted(target_calls) == [512, 1024]
 
 
 def test_sweep_rejects_bad_swept_param():

@@ -19,6 +19,7 @@ from gradsynth.losses import (
     CATEGORICAL_SMOOTHING,
     LossConfig,
     LossConfigError,
+    chain_features,
     combined_loss,
     feature_distance,
     log_spectral_distance,
@@ -170,14 +171,14 @@ def test_parameter_loss_symmetric_nonnegative(a, b):
 def test_chain_loss_identical_traces_zero():
     trace = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
     cfg = LossConfig(windows=(512, 1024), processings=("identity", "log"))
-    assert signal_chain_loss(trace, trace, cfg).value == 0.0
+    assert signal_chain_loss(trace, chain_features(trace, cfg), cfg).value == 0.0
 
 
 def test_chain_loss_output_only_reduces_to_plain_distance():
     ta = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
     tb = generate_signal(OSC_CHAIN, osc_assignment(0.5, 523.0), CFG)
     cfg = LossConfig(cells="output", windows=(1024,), processings=("identity",), norm_p=1)
-    loss = signal_chain_loss(ta, tb, cfg)
+    loss = signal_chain_loss(ta, chain_features(tb, cfg), cfg)
     plain = np.abs(
         stft_magnitude(ta.output, 1024).value - stft_magnitude(tb.output, 1024).value
     ).sum()
@@ -192,8 +193,8 @@ def test_chain_loss_more_cells_never_decreases():
     only_out = LossConfig(cells="output", windows=(1024,))
     all_cells = LossConfig(cells="all", windows=(1024,))
     assert (
-        signal_chain_loss(ta, tb, all_cells).value
-        >= signal_chain_loss(ta, tb, only_out).value - 1e-12
+        signal_chain_loss(ta, chain_features(tb, all_cells), all_cells).value
+        >= signal_chain_loss(ta, chain_features(tb, only_out), only_out).value - 1e-12
     )
 
 
@@ -201,8 +202,8 @@ def test_chain_loss_symmetric():
     ta = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
     tb = generate_signal(OSC_CHAIN, osc_assignment(0.7, 555.0), CFG)
     cfg = LossConfig(windows=(512,), processings=("identity", "cumsum_freq"))
-    assert signal_chain_loss(ta, tb, cfg).value == pytest.approx(
-        signal_chain_loss(tb, ta, cfg).value, rel=1e-12
+    assert signal_chain_loss(ta, chain_features(tb, cfg), cfg).value == pytest.approx(
+        signal_chain_loss(tb, chain_features(ta, cfg), cfg).value, rel=1e-12
     )
 
 
@@ -217,7 +218,7 @@ def test_cumsum_normalize_removes_overall_level(processing):
         cfg = LossConfig(
             cells="output", windows=(1024,), processings=(processing,), cumsum_normalize=normalize
         )
-        return signal_chain_loss(ta, tb, cfg).value
+        return signal_chain_loss(ta, chain_features(tb, cfg), cfg).value
 
     assert loss(False) > 1.0
     assert loss(True) < 1e-3 * loss(False)
@@ -228,15 +229,18 @@ def test_chain_loss_missing_cell_rejected():
     trace = generate_signal(*mix_assignment(440.0, 660.0), CFG)
     target = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
     cfg = LossConfig(cells="all", windows=(1024,))
-    with pytest.raises(LossConfigError, match=r"cell \(0,1\) missing from the target trace"):
-        signal_chain_loss(trace, target, cfg)
+    with pytest.raises(
+        LossConfigError,
+        match=r"cells \(0,0\), \(0,1\), \(1,0\) but the target's features cover \(0,0\)$",
+    ):
+        signal_chain_loss(trace, chain_features(target, cfg), cfg)
 
 
 def test_chain_loss_p2_is_frobenius():
     ta = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
     tb = generate_signal(OSC_CHAIN, osc_assignment(0.5, 550.0), CFG)
     cfg = LossConfig(cells="output", windows=(1024,), norm_p=2)
-    loss = signal_chain_loss(ta, tb, cfg)
+    loss = signal_chain_loss(ta, chain_features(tb, cfg), cfg)
     diff = stft_magnitude(ta.output, 1024).value - stft_magnitude(tb.output, 1024).value
     assert loss.value == pytest.approx(np.sqrt((diff**2).sum()), rel=1e-9)
 
@@ -245,7 +249,7 @@ def test_chain_loss_mel_transform_runs():
     ta = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
     tb = generate_signal(OSC_CHAIN, osc_assignment(0.5, 550.0), CFG)
     cfg = LossConfig(cells="output", windows=(1024,), transform="mel", n_mels=64)
-    assert signal_chain_loss(ta, tb, cfg).value > 0.0
+    assert signal_chain_loss(ta, chain_features(tb, cfg), cfg).value > 0.0
 
 
 @pytest.mark.parametrize("n_mels", [32, 64])
@@ -258,7 +262,7 @@ def test_chain_loss_n_mels_sets_the_filter_count(n_mels):
         mel_spectrogram(stft_magnitude(t.output, 1024), 16000, n_mels).value for t in (ta, tb)
     )
     assert mel_a.shape == (n_mels, 63)
-    assert signal_chain_loss(ta, tb, cfg).value == pytest.approx(
+    assert signal_chain_loss(ta, chain_features(tb, cfg), cfg).value == pytest.approx(
         np.abs(mel_a - mel_b).sum(), rel=1e-12
     )
 
@@ -293,17 +297,10 @@ def test_chain_loss_is_feature_distance_of_spectral_features(
     for pa, pb in pairs:
         want += feature_distance(spectral_features(pa, cfg), spectral_features(pb, cfg), cfg).value
     assert len(spectral_features(ta.output, cfg)) == 2
-    assert signal_chain_loss(ta, tb, cfg).value == want
+    assert signal_chain_loss(ta, chain_features(tb, cfg), cfg).value == want
     if cells == "output":
-        target_features = spectral_features(tb.output, cfg)
+        target_features = {"output": spectral_features(tb.output, cfg)}
         assert signal_chain_loss(ta, target_features, cfg).value == want
-
-
-def test_chain_loss_precomputed_target_needs_output_cells():
-    ta = generate_signal(OSC_CHAIN, osc_assignment(0.5, 440.0), CFG)
-    cfg = LossConfig(cells="all", windows=(1024,))
-    with pytest.raises(LossConfigError):
-        signal_chain_loss(ta, spectral_features(ta.output, cfg), cfg)
 
 
 def test_chain_loss_gradient_matches_fd():
@@ -322,7 +319,7 @@ def test_chain_loss_gradient_matches_fd():
             }
         )
         trace = generate_signal(OSC_CHAIN, pred, CFG)
-        return signal_chain_loss(trace, targ, cfg)
+        return signal_chain_loss(trace, chain_features(targ, cfg), cfg)
 
     err = finite_difference_check(build, {"freq": 445.3, "amp": 0.62}, step=1e-3)
     assert err < 1e-3
@@ -341,7 +338,7 @@ def test_normalized_cumsum_gradient_matches_fd(transform, processing):
 
     def build(vals):
         trace = generate_signal(OSC_CHAIN, osc_assignment(vals["amp"], 445.3), CFG)
-        return signal_chain_loss(trace, targ, cfg)
+        return signal_chain_loss(trace, chain_features(targ, cfg), cfg)
 
     err = finite_difference_check(build, {"amp": 0.62}, step=1e-5)
     assert err < 1e-4
@@ -364,7 +361,7 @@ def test_combined_loss_gradient_matches_fd():
             }
         )
         trace = generate_signal(OSC_CHAIN, pred, CFG)
-        spectral = signal_chain_loss(trace, targ, cfg)
+        spectral = signal_chain_loss(trace, chain_features(targ, cfg), cfg)
         params = parameter_loss(OSC_CHAIN, pred, targ_assign, "L2", CFG)
         return combined_loss(params, spectral, beta=0.5)
 
@@ -379,7 +376,7 @@ def test_chain_loss_continuous_in_frequency():
     values = []
     for f in np.linspace(60.0, 4000.0, 1000):
         trace = generate_signal(OSC_CHAIN, osc_assignment(0.5, float(f)), cfg_render)
-        values.append(signal_chain_loss(trace, targ, cfg).value)
+        values.append(signal_chain_loss(trace, chain_features(targ, cfg), cfg).value)
     assert np.all(np.isfinite(values))
 
 

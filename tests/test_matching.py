@@ -22,7 +22,7 @@ from gradsynth.chains import (
     parse_chain_file,
 )
 from gradsynth.datasets import record_rng, sample_assignment
-from gradsynth.losses import LossConfig, signal_chain_loss
+from gradsynth.losses import LossConfig, chain_features, signal_chain_loss
 from gradsynth.matching import (
     MatcherConfigError,
     OptimizerConfig,
@@ -384,7 +384,8 @@ def test_optimizer_algorithm_sets_the_first_step(algorithm):
     tracked = {key: tape.parameter(value, key[1]) for key, value in theta0.items()}
     predicted = matching._assignment(OSC_CHAIN, tracked, fixed, fixed, CFG)
     trace = generate_signal(OSC_CHAIN, predicted, CFG)
-    grads = tape.backward(signal_chain_loss(trace, RenderTrace({}, target), SPECTRAL_L2))
+    target_features = chain_features(RenderTrace({}, target), SPECTRAL_L2)
+    grads = tape.backward(signal_chain_loss(trace, target_features, SPECTRAL_L2))
 
     assert set(theta1) == set(theta0)
     for key, start in theta0.items():
