@@ -20,7 +20,7 @@ the fast inference path.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Mapping, Optional, Union
+from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -563,39 +563,42 @@ def convolve_same(x, kernel) -> DiffValue:
 def finite_difference_check(
     f: Callable[[Mapping[str, DiffValue]], DiffValue],
     params: Mapping[str, float],
-    step: Union[float, Mapping[str, float]],
-) -> float:
-    """Max relative error between autodiff and central differences.
+    step: Union[float, Mapping[str, Union[float, Sequence[float]]]],
+) -> dict[str, float]:
+    """Relative error between autodiff and central differences, per parameter.
 
     ``f`` maps a dict of named scalars to a scalar loss and must be
-    deterministic.  Relative error is the part of |fd - grad| above the
-    central difference's rounding bound eps * (|f(x+h)| + |f(x-h)|) / (2h),
-    divided by |grad| + 1e-8 and maximized over parameters; the bound keeps
-    the rounding of fd from reading as error where the gradient is 0.
-    A non-finite gradient or central difference reads as an infinite error.
+    deterministic; one taped evaluation gives every gradient.  ``step`` is
+    one positive step for every parameter or a mapping from each name to
+    its step or sequence of steps; each parameter reports its smallest
+    error over its steps.  Relative error is the part of |fd - grad|
+    above the central difference's rounding bound
+    eps * (|f(x+h)| + |f(x-h)|) / (2h), divided by |grad| + 1e-8; the
+    bound keeps the rounding of fd from reading as error where the
+    gradient is 0.  A non-finite gradient or central difference reads
+    as an infinite error.
     """
+    if not params:
+        return {}
     tape = Tape()
     tracked = {k: tape.parameter(v, k) for k, v in params.items()}
     grads = tape.backward(f(tracked))
 
-    def eval_at(values: Mapping[str, float]) -> float:
-        out = f({k: DiffValue(v) for k, v in values.items()})
-        return out.value
+    def eval_at(name: str, value: float) -> float:
+        values = {**params, name: value}
+        return f({k: DiffValue(v) for k, v in values.items()}).value
 
-    worst = 0.0
+    errors = dict.fromkeys(params, np.inf)
     for name, value in params.items():
-        h = step[name] if isinstance(step, Mapping) else float(step)
-        if h <= 0:
-            raise ValueError("finite-difference step must be positive")
-        hi = dict(params)
-        lo = dict(params)
-        hi[name] = value + h
-        lo[name] = value - h
-        f_hi, f_lo = eval_at(hi), eval_at(lo)
-        fd = (f_hi - f_lo) / (2.0 * h)
-        if not (np.isfinite(fd) and np.isfinite(grads[name])):
-            return np.inf  # max() would pass over a NaN error
-        rounding = np.finfo(float).eps * (abs(f_hi) + abs(f_lo)) / (2.0 * h)
-        rel = max(abs(fd - grads[name]) - rounding, 0.0) / (abs(grads[name]) + 1e-8)
-        worst = max(worst, rel)
-    return worst
+        steps = step[name] if isinstance(step, Mapping) else float(step)
+        for h in steps if isinstance(steps, Sequence) else (steps,):
+            if h <= 0:
+                raise ValueError("finite-difference step must be positive")
+            f_hi, f_lo = eval_at(name, value + h), eval_at(name, value - h)
+            fd = (f_hi - f_lo) / (2.0 * h)
+            if not (np.isfinite(fd) and np.isfinite(grads[name])):
+                continue  # the error stays inf; min() would pass over a NaN
+            rounding = np.finfo(float).eps * (abs(f_hi) + abs(f_lo)) / (2.0 * h)
+            rel = max(abs(fd - grads[name]) - rounding, 0.0) / (abs(grads[name]) + 1e-8)
+            errors[name] = min(errors[name], rel)
+    return errors

@@ -359,10 +359,10 @@ def cmd_bench(args) -> int:
 
 
 # Relative finite-difference steps (fractions of each parameter's scale);
-# each parameter reports its smallest error over them.  One fixed step is
-# too coarse where the loss curves sharply: for the 14.2 kHz carrier of
-# chains/fm.chain at seed 0 the error is 7.4e-2, 6.2e-4 and 2.1e-6 at
-# these three steps.
+# finite_difference_check applies them all, and each parameter reports its
+# smallest error over them.  One fixed step is too coarse where the loss
+# curves sharply: for the 14.2 kHz carrier of chains/fm.chain at seed 0
+# the error is 7.4e-2, 6.2e-4 and 2.1e-6 at these three steps.
 GRADCHECK_REL_STEPS = (1e-6, 1e-7, 1e-8)
 
 
@@ -415,37 +415,33 @@ def cmd_gradcheck(args) -> int:
     target_features = chain_features(target_trace, SINGLE_WINDOW_LOSS)
     cmap = chain.cell_map()
 
-    rows = []
-    worst = 0.0
+    fields, bases, steps = {}, {}, {}
     for address in sorted(prediction.values):
-        cat = CATALOG[cmap[address]]
-        for spec in cat.continuous:
+        for spec in CATALOG[cmap[address]].continuous:
             key = f"{address.channel},{address.layer}.{spec.name}"
-            base = prediction.values[address][spec.name]
+            fields[key] = (address, spec.name)
+            bases[key] = prediction.values[address][spec.name]
             low, high = resolve_range(spec, render_config)
-
-            def build(tracked, _address=address, _name=spec.name):
-                values = {a: dict(p) for a, p in prediction.values.items()}
-                values[_address][_name] = tracked[key]
-                assignment = ParameterAssignment(values, prediction.connections_on)
-                trace = generate_signal(chain, assignment, render_config)
-                return signal_chain_loss(trace, target_features, SINGLE_WINDOW_LOSS)
-
             # Log-scaled parameters get a step relative to the value: the
             # loss wiggles on a cents scale, so a span-relative step is
             # far too coarse at high frequencies.
-            scale = base if spec.log else high - low
-            error = min(
-                finite_difference_check(build, {key: base}, max(scale * rel, 1e-12))
-                for rel in GRADCHECK_REL_STEPS
-            )
-            rows.append((key, base, error))
-            worst = max(worst, error)
+            scale = bases[key] if spec.log else high - low
+            steps[key] = tuple(max(scale * rel, 1e-12) for rel in GRADCHECK_REL_STEPS)
 
-    width = max(len(key) for key, _, _ in rows) if rows else 9
+    def loss(tracked):
+        values = {a: dict(p) for a, p in prediction.values.items()}
+        for key, (address, name) in fields.items():
+            values[address][name] = tracked[key]
+        assignment = ParameterAssignment(values, prediction.connections_on)
+        trace = generate_signal(chain, assignment, render_config)
+        return signal_chain_loss(trace, target_features, SINGLE_WINDOW_LOSS)
+
+    errors = finite_difference_check(loss, bases, steps)
+    worst = max(errors.values(), default=0.0)
+    width = max(map(len, errors), default=9)
     print(f"{'parameter':<{width}}  {'value':>12}  {'max rel err':>12}")
-    for key, base, error in rows:
-        print(f"{key:<{width}}  {base:>12.6g}  {error:>12.3e}")
+    for key, error in errors.items():
+        print(f"{key:<{width}}  {bases[key]:>12.6g}  {error:>12.3e}")
     print(f"worst: {worst:.3e} (tolerance {args.tolerance:g})")
     if worst > args.tolerance:
         log.error("gradient check failed: %.3e > %g", worst, args.tolerance)

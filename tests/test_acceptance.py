@@ -199,7 +199,7 @@ def test_criterion_1_gradients(capsys):
                     step = base * 3e-7
                 else:
                     step = (high - low) * 1e-7
-                err = finite_difference_check(build, {key: base}, max(step, 1e-12))
+                err = finite_difference_check(build, {key: base}, max(step, 1e-12))[key]
                 worst = max(worst, err)
             checked.add((kind, spec.name))
             if worst > worst_overall:

@@ -122,7 +122,7 @@ def test_sigmoid_gate_matches_fd(low, high, log, theta):
     def f(p):
         return ad.sigmoid_gate(p["t"], *_gate_args(low, high, log))
 
-    assert ad.finite_difference_check(f, {"t": theta}, step=1e-6) < 1e-6
+    assert ad.finite_difference_check(f, {"t": theta}, step=1e-6)["t"] < 1e-6
 
 
 def test_clamp_flat_outside_band():
@@ -187,7 +187,7 @@ def test_composite_matches_finite_differences():
     def f(p):
         return ad.exp(ad.sin(p["x"]) * p["x"])
 
-    err = ad.finite_difference_check(f, {"x": 0.7}, step=1e-6)
+    err = ad.finite_difference_check(f, {"x": 0.7}, step=1e-6)["x"]
     assert err < 1e-6
 
 
@@ -202,7 +202,7 @@ def test_smooth_ops_match_finite_differences_at_random_points():
 
     for _ in range(100):
         x, y = rng.uniform(-2.0, 2.0, size=2)
-        err = ad.finite_difference_check(f, {"x": x, "y": y}, step=1e-6)
+        err = max(ad.finite_difference_check(f, {"x": x, "y": y}, step=1e-6).values())
         assert err < 1e-5
 
 
@@ -304,7 +304,7 @@ def _directional_check(build, value=1.0, step=1e-6, tol=1e-6):
     def f(p):
         return build(p["s"])
 
-    err = ad.finite_difference_check(f, {"s": value}, step=step)
+    err = ad.finite_difference_check(f, {"s": value}, step=step)["s"]
     assert err < tol
 
 
@@ -615,7 +615,7 @@ def test_random_smooth_expressions_match_fd(data):
         out = vals[-1]
         return out * out + p["x"] * 0.5 + p["y"] * 0.25
 
-    err = ad.finite_difference_check(f, {"x": x0, "y": y0}, step=1e-6)
+    err = max(ad.finite_difference_check(f, {"x": x0, "y": y0}, step=1e-6).values())
     assert err < 1e-4
 
 
@@ -627,7 +627,7 @@ def test_fd_check_reads_zero_gradient_rounding_as_no_error():
         s = ad.sigmoid(p["x"] - p["y"])
         return s * s + p["x"] * 0.5 + p["y"] * 0.25
 
-    assert ad.finite_difference_check(f, {"x": 1.5, "y": 1.5}, step=1e-6) < 1e-4
+    assert max(ad.finite_difference_check(f, {"x": 1.5, "y": 1.5}, step=1e-6).values()) < 1e-4
 
 
 def test_fd_check_still_sees_a_slightly_wrong_vjp():
@@ -637,7 +637,7 @@ def test_fd_check_still_sees_a_slightly_wrong_vjp():
     def f(p):
         return wrong_sin(p["x"]) * p["y"]
 
-    assert ad.finite_difference_check(f, {"x": 0.7, "y": 1.3}, step=1e-6) > 1e-4
+    assert max(ad.finite_difference_check(f, {"x": 0.7, "y": 1.3}, step=1e-6).values()) > 1e-4
 
 
 def test_fd_check_reads_non_finite_gradients_as_infinite_error():
@@ -651,5 +651,51 @@ def test_fd_check_reads_non_finite_gradients_as_infinite_error():
         return ad.exp(p["x"])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        assert ad.finite_difference_check(overflowing_tanh, {"x": 400.0}, step=1e-6) == math.inf
-        assert ad.finite_difference_check(exp, {"x": 709.0}, step=1.0) == math.inf
+        assert ad.finite_difference_check(overflowing_tanh, {"x": 400.0}, step=1e-6) == {
+            "x": math.inf
+        }
+        assert ad.finite_difference_check(exp, {"x": 709.0}, step=1.0) == {"x": math.inf}
+
+
+def test_fd_check_searches_steps_and_reports_each_parameter():
+    # the central difference of x**3 is 3x**2 + h**2, so at x = 1 a step
+    # of 1e-1 reads a relative error of 3.3e-3 and a step of 1e-4 none
+    def wrong_sin(x):
+        return ad._unary(x, np.sin, lambda v: 1.001 * np.cos(v))
+
+    def f(p):
+        return p["x"] * p["x"] * p["x"] + wrong_sin(p["y"])
+
+    params = {"x": 1.0, "y": 0.7}
+    coarse = ad.finite_difference_check(f, params, step=1e-1)
+    fine = ad.finite_difference_check(f, params, step=1e-4)
+    assert coarse["x"] > 1e-3 > 1e-6 > fine["x"]
+    for steps in [(1e-1, 1e-4), (1e-4, 1e-1)]:
+        errors = ad.finite_difference_check(f, params, step={"x": steps, "y": 1e-6})
+        assert list(errors) == ["x", "y"]
+        assert errors["x"] == fine["x"]
+        # the wrong vjp shows on y alone
+        assert errors["y"] > 1e-4
+    # a loss with nothing to check reports nothing
+    assert ad.finite_difference_check(f, {}, step=1e-6) == {}
+
+
+def test_fd_check_reads_a_non_finite_gradient_as_infinite_at_every_step():
+    def f(p):
+        return 1.0 - 2.0 / (ad.exp(p["x"] * 2.0) + 1.0) + p["y"] * p["y"]
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = ad.finite_difference_check(
+            f, {"x": 400.0, "y": 0.5}, step={"x": (1e-6, 1e-3, 1.0), "y": (1e-6, 1e-3)}
+        )
+    assert errors["x"] == math.inf
+    assert errors["y"] < 1e-6
+
+
+@pytest.mark.parametrize("steps", [(1e-6, 0.0), (-1e-6, 1e-6), (1e-6, 1e-3, -1.0)])
+def test_fd_check_rejects_a_non_positive_step_anywhere(steps):
+    def f(p):
+        return p["x"] * p["x"]
+
+    with pytest.raises(ValueError, match="step must be positive"):
+        ad.finite_difference_check(f, {"x": 0.5}, step={"x": steps})

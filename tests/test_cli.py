@@ -11,6 +11,7 @@ import pytest
 from scipy.io import wavfile
 
 from gradsynth.audio import RenderConfig, read_wav
+from gradsynth.autodiff import Tape
 from gradsynth.chains import CellAddress, ParameterAssignment, generate_signal, parse_chain_file
 from gradsynth import losses
 from gradsynth.cli import (
@@ -507,6 +508,32 @@ def test_gradcheck_tiny_tolerance_fails(tmp_path, basic_chain):
                  "--duration", "0.25", "--tolerance", "1e-14"]) == 1
 
 
+def test_gradcheck_makes_one_taped_pass(monkeypatch):
+    original = Tape.backward
+    calls = []
+
+    def counting(self, loss):
+        calls.append(loss)
+        return original(self, loss)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    assert main(["-q", "gradcheck", "--chain", str(REPO / "chains" / "basic.chain"),
+                 "--seed", "0", "--duration", "0.25"]) == 0
+    # one taped evaluation gives every parameter's gradient, whatever the steps
+    assert len(calls) == 1
+
+
+# recorded before finite_difference_check took the step search over from cmd_gradcheck
+GRADCHECK_GOLDEN = json.loads((REPO / "tests" / "data" / "gradcheck_golden.json").read_text())
+
+
+@pytest.mark.parametrize("args", sorted(GRADCHECK_GOLDEN))
+def test_gradcheck_table_matches_golden(args, capsys):
+    chain, *rest = args.split()
+    assert main(["-q", "gradcheck", "--chain", str(REPO / chain), *rest]) == 0
+    assert capsys.readouterr().out == GRADCHECK_GOLDEN[args]
+
+
 # -- match ----------------------------------------------------------------------
 
 
@@ -528,6 +555,25 @@ def test_match_command_writes_results(tmp_path, osc_chain):
     assert (out_dir / "match.wav").exists()
     rendered = read_wav(out_dir / "match.wav")
     assert len(rendered) == 4000
+
+
+def test_match_out_dir_from_config_unless_flag_given(tmp_path, osc_chain):
+    params = {"params": {"0,0": {"amp": 0.7, "freq": 440.0, "waveform": "sine", "active": "on"}}}
+    (tmp_path / "t.json").write_text(json.dumps(params))
+    assert main(["-q", "render", str(osc_chain), "--params", str(tmp_path / "t.json"),
+                 "--out", str(tmp_path / "target.wav"), "--duration", "0.25"]) == 0
+    from_config, from_flag = tmp_path / "from_config", tmp_path / "from_flag"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        "loss.cells = output\nloss.windows = 1024\noptimizer.steps = 3\n"
+        f"optimizer.restarts = 1\npaths.out_dir = {from_config}\n"
+    )
+    match = ["-q", "match", str(tmp_path / "target.wav"), str(osc_chain), "--config", str(cfg)]
+    assert main(match + ["--out-dir", str(from_flag)]) == 0
+    assert (from_flag / "result.json").exists() and (from_flag / "match.wav").exists()
+    assert not from_config.exists()
+    assert main(match) == 0
+    assert (from_config / "result.json").exists() and (from_config / "match.wav").exists()
 
 
 def test_match_all_branches_diverged_exits_2(tmp_path, caplog):

@@ -321,7 +321,7 @@ def test_chain_loss_gradient_matches_fd():
         trace = generate_signal(OSC_CHAIN, pred, CFG)
         return signal_chain_loss(trace, chain_features(targ, cfg), cfg)
 
-    err = finite_difference_check(build, {"freq": 445.3, "amp": 0.62}, step=1e-3)
+    err = max(finite_difference_check(build, {"freq": 445.3, "amp": 0.62}, step=1e-3).values())
     assert err < 1e-3
 
 
@@ -340,7 +340,7 @@ def test_normalized_cumsum_gradient_matches_fd(transform, processing):
         trace = generate_signal(OSC_CHAIN, osc_assignment(vals["amp"], 445.3), CFG)
         return signal_chain_loss(trace, chain_features(targ, cfg), cfg)
 
-    err = finite_difference_check(build, {"amp": 0.62}, step=1e-5)
+    err = finite_difference_check(build, {"amp": 0.62}, step=1e-5)["amp"]
     assert err < 1e-4
 
 
@@ -365,7 +365,7 @@ def test_combined_loss_gradient_matches_fd():
         params = parameter_loss(OSC_CHAIN, pred, targ_assign, "L2", CFG)
         return combined_loss(params, spectral, beta=0.5)
 
-    err = finite_difference_check(build, {"amp": 0.31}, step=1e-4)
+    err = finite_difference_check(build, {"amp": 0.31}, step=1e-4)["amp"]
     assert err < 1e-3
 
 
