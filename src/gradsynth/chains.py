@@ -391,8 +391,10 @@ def generate_signal(
     """Evaluate cells in ascending layer order and average the final layer.
 
     Inactive sources (switched-off generators, empty cells) emit the zero
-    signal; processors whose live inputs are all inactive are skipped and
-    likewise emit zeros.
+    signal.  A processor (a kind that takes at least one input) whose
+    audio inputs are all inactive is not rendered and likewise emits
+    zeros.  Its audio inputs are its live inputs, except a tremolo's LFO,
+    which is a control input.
     """
     violations = validate(chain)
     if violations:
@@ -403,55 +405,42 @@ def generate_signal(
     for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
         addr, kind = cell.address, cell.kind
         if kind == "empty":
-            outputs[addr] = zeros(config)
-            active[addr] = False
+            outputs[addr], active[addr] = zeros(config), False
             continue
         params = assignment.values.get(addr)
         if params is None:
             raise AssignmentError(f"cell {addr} ({kind}): no parameters assigned")
         _check_assignment(kind, addr, params)
-        live = [c for c in chain.incoming(addr) if assignment.connection_on(c)]
-        in_sigs = [outputs[c.source] for c in live]
-        in_active = [active[c.source] for c in live]
-        if kind == "osc":
-            out = render_oscillator(params, config)
-            is_active = params["active"] == "on"
-        elif kind == "lfo":
-            out = render_lfo(params, config)
-            is_active = params["active"] == "on"
-        elif kind == "fm_osc":
-            modulator = in_sigs[0] if in_sigs else None
-            out = render_fm_oscillator(params, modulator, config)
-            is_active = True
-        elif kind == "mix":
-            if any(in_active):
-                out = mix(in_sigs)
-                is_active = True
-            else:
-                out, is_active = zeros(config), False
-        elif kind == "tremolo":
-            lfo_pos = [i for i, c in enumerate(live) if cmap.get(c.source) == "lfo"]
-            if not lfo_pos or len(live) != 2:
+        live = [c.source for c in chain.incoming(addr) if assignment.connection_on(c)]
+        audio = live
+        if kind == "tremolo":
+            audio = [s for s in live if cmap[s] != "lfo"]
+            if len(live) != 2 or len(audio) != 1:
                 raise MissingInputError(
                     f"tremolo cell {addr}: needs one live LFO and one audio input"
                 )
-            audio_pos = 1 - lfo_pos[0]
-            if in_active[audio_pos]:
-                out = apply_tremolo(in_sigs[audio_pos], in_sigs[lfo_pos[0]], params)
-                is_active = True
-            else:
-                out, is_active = zeros(config), False
-        elif kind in ("lowpass", "adsr"):
-            if in_sigs and any(in_active):
-                fn = apply_lowpass if kind == "lowpass" else apply_adsr
-                out = fn(in_sigs[0], params, config)
-                is_active = True
-            else:
-                out, is_active = zeros(config), False
-        else:  # pragma: no cover - validate() rejects unknown kinds
-            raise AssignmentError(f"cell {addr}: unknown kind {kind!r}")
+        if CATALOG[kind].min_inputs and not any(active[s] for s in audio):
+            outputs[addr], active[addr] = zeros(config), False
+            continue
+        in_sigs = [outputs[s] for s in audio]
+        if kind == "osc":
+            out = render_oscillator(params, config)
+        elif kind == "lfo":
+            out = render_lfo(params, config)
+        elif kind == "fm_osc":
+            out = render_fm_oscillator(params, in_sigs[0] if in_sigs else None, config)
+        elif kind == "mix":
+            out = mix(in_sigs)
+        elif kind == "tremolo":
+            lfo = next(s for s in live if cmap[s] == "lfo")
+            out = apply_tremolo(in_sigs[0], outputs[lfo], params)
+        elif kind == "lowpass":
+            out = apply_lowpass(in_sigs[0], params, config)
+        else:
+            out = apply_adsr(in_sigs[0], params, config)
         outputs[addr] = out
-        active[addr] = is_active
+        # only osc and lfo carry an on/off switch
+        active[addr] = params.get("active", "on") == "on"
     last = chain.max_layer()
     finals = [c.address for c in chain.cells if c.address.layer == last]
     finals.sort(key=lambda a: a.channel)

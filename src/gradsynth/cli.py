@@ -92,8 +92,6 @@ def _parse_bool(raw: str) -> bool:
 
 
 def _parse_schedule(raw: str):
-    if raw.lower() == "none":
-        return None
     pairs = []
     for piece in raw.split(","):
         step_text, _, beta_text = piece.partition(":")
@@ -109,7 +107,7 @@ _PARSERS = {
     float: float,
     str: str,
     bool: _parse_bool,
-    Optional[tuple[tuple[int, float], ...]]: _parse_schedule,
+    tuple[tuple[int, float], ...]: _parse_schedule,
 }
 
 

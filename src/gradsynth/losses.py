@@ -50,7 +50,8 @@ class LossConfig:
     """Which cells, windows, and processings the spectral loss sums over.
 
     ``cells`` is "all" (every non-empty cell) or "output" (final mix
-    only). ``beta`` weights the spectral term inside :func:`combined_loss`.
+    only).  The spectral term's weight in :func:`combined_loss` is the
+    optimizer's ``beta_schedule``.
     """
 
     cells: str = "all"
@@ -58,7 +59,6 @@ class LossConfig:
     processings: tuple[str, ...] = ("identity",)
     norm_p: int = 1
     transform: str = "spectrogram"
-    beta: float = 1.0
     regression_kind: str = "L1"
     cumsum_normalize: bool = False
     n_mels: int = 128
@@ -80,8 +80,6 @@ class LossConfig:
             raise LossConfigError(f"norm_p must be 1 or 2, got {self.norm_p}")
         if self.transform not in ("spectrogram", "mel"):
             raise LossConfigError(f"unknown transform {self.transform!r}")
-        if not (math.isfinite(self.beta) and self.beta >= 0):
-            raise LossConfigError(f"beta must be finite and >= 0, got {self.beta}")
         if self.regression_kind not in ("L1", "L2"):
             raise LossConfigError(
                 f"regression_kind must be 'L1' or 'L2', got {self.regression_kind!r}"

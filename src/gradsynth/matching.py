@@ -59,7 +59,8 @@ class OptimizerConfig:
     steps: int = 500
     learning_rate: float = 0.05
     algorithm: str = "adam"
-    beta_schedule: Optional[tuple[tuple[int, float], ...]] = None
+    # (step, beta) breakpoints of the spectral weight; one pair is a constant
+    beta_schedule: tuple[tuple[int, float], ...] = ((0, 1.0),)
     restarts: int = 8
     seed: int = 0
     jobs: int = 1
@@ -77,14 +78,13 @@ class OptimizerConfig:
             raise MatcherConfigError(f"restarts must be > 0, got {self.restarts}")
         if self.jobs <= 0:
             raise MatcherConfigError(f"jobs must be > 0, got {self.jobs}")
-        if self.beta_schedule is not None:
-            if len(self.beta_schedule) == 0:
-                raise MatcherConfigError("beta_schedule must be None or non-empty")
-            steps = [s for s, _ in self.beta_schedule]
-            if any(b < a for a, b in zip(steps, steps[1:])) or len(set(steps)) != len(steps):
-                raise MatcherConfigError("beta_schedule breakpoints must be strictly increasing")
-            if not all(math.isfinite(b) and b >= 0 for _, b in self.beta_schedule):
-                raise MatcherConfigError("beta values must be finite and >= 0")
+        if len(self.beta_schedule) == 0:
+            raise MatcherConfigError("beta_schedule must be non-empty")
+        steps = [s for s, _ in self.beta_schedule]
+        if any(b < a for a, b in zip(steps, steps[1:])) or len(set(steps)) != len(steps):
+            raise MatcherConfigError("beta_schedule breakpoints must be strictly increasing")
+        if not all(math.isfinite(b) and b >= 0 for _, b in self.beta_schedule):
+            raise MatcherConfigError("beta values must be finite and >= 0")
 
 
 def beta_at(schedule: tuple[tuple[int, float], ...], step: int) -> float:
@@ -260,7 +260,7 @@ def _run_branch(
             # nothing differentiable this step (a silent combination, or
             # every parameter fixed); with a constant beta, theta and so
             # the loss are frozen for good
-            if opt_cfg.beta_schedule is None:
+            if min(betas) == max(betas):
                 frozen = value
                 trajectory.extend([value] * (opt_cfg.steps - step - 1))
                 break
@@ -311,9 +311,10 @@ def match(
     """Fit chain parameters to a target signal; returns the best branch.
 
     Every (categorical combination, restart) pair is optimized
-    independently and the lowest final loss wins. Optional connections
-    are treated as fixed in their declared state. Unsupervised runs
-    (no ``target_params``) must keep the spectral weight positive at
+    independently and the lowest final loss wins. Every declared
+    connection, optional ones included, stays on: the fitted assignments
+    carry no connection states. Unsupervised runs (no ``target_params``)
+    must keep the spectral weight, ``opt_cfg.beta_schedule``, positive at
     every step, since the parameter term is then unavailable.
     """
     started = time.perf_counter()
@@ -334,11 +335,7 @@ def match(
             f"target sample rate {target.sample_rate} != render rate "
             f"{render_config.sample_rate}"
         )
-    schedule = opt_cfg.beta_schedule
-    betas = tuple(
-        beta_at(schedule, s) if schedule is not None else loss_cfg.beta
-        for s in range(opt_cfg.steps)
-    )
+    betas = tuple(beta_at(opt_cfg.beta_schedule, s) for s in range(opt_cfg.steps))
     if target_params is None and min(betas) <= 0.0:
         raise MatcherConfigError("unsupervised matching requires beta > 0 at every step")
 

@@ -463,8 +463,10 @@ def test_criterion_5_matching(capsys):
         (CellAddress(1, 0), "waveform"): "square",
         (CellAddress(1, 0), "active"): "on",
     }
-    param_only = LossConfig(cells="output", windows=(1024,), beta=0.0, regression_kind="L2")
-    opt = OptimizerConfig(steps=500, learning_rate=0.1, restarts=1, seed=2)
+    param_only = LossConfig(cells="output", windows=(1024,), regression_kind="L2")
+    opt = OptimizerConfig(
+        steps=500, learning_rate=0.1, beta_schedule=((0, 0.0),), restarts=1, seed=2
+    )
     target = generate_signal(basic, target_params, CFG).output
     res = match(
         target,

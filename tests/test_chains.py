@@ -348,17 +348,35 @@ def test_empty_cells_render_as_zeros_and_stay_out_of_trace():
     np.testing.assert_allclose(trace.output.values, direct.values / 2, atol=1e-15)
 
 
-def test_processor_with_all_inactive_inputs_outputs_zeros():
-    chain = ChainSpec(
-        "c",
-        (Cell(addr(0, 0), "osc"), Cell(addr(0, 1), "lowpass")),
-        (Connection(addr(0, 0), addr(0, 1)),),
-    )
-    assignment = ParameterAssignment(
-        {addr(0, 0): dict(OSC, active="off"), addr(0, 1): {"cutoff": 1000.0}}
-    )
-    trace = generate_signal(chain, assignment, CFG)
-    assert not trace.output.values.any()
+# processor kind -> its parameters; every input but the tremolo's LFO is off
+SILENT_PROCESSORS = {
+    "mix": {},
+    "lowpass": {"cutoff": 1000.0},
+    "adsr": {"attack": 0.1, "decay": 0.1, "sustain": 0.5, "release": 0.1},
+    "tremolo": {"depth": 0.5},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SILENT_PROCESSORS))
+def test_processor_with_all_inactive_inputs_outputs_zeros(kind):
+    # A silent processor emits constant zeros, so nothing it holds joins
+    # the tape; a silent match branch freezes only because of this.
+    cells = [Cell(addr(0, 0), "osc"), Cell(addr(0, 1), kind)]
+    connections = [Connection(addr(0, 0), addr(0, 1))]
+    values = {addr(0, 0): dict(OSC, active="off")}
+    if kind == "tremolo":
+        cells.append(Cell(addr(1, 0), "lfo"))
+        connections.append(Connection(addr(1, 0), addr(0, 1)))
+        values[addr(1, 0)] = {"freq": 5.0, "active": "on"}
+    chain = ChainSpec("c", tuple(cells), tuple(connections))
+    tape = ad.Tape()
+    values[addr(0, 1)] = {
+        name: tape.parameter(value, name) for name, value in SILENT_PROCESSORS[kind].items()
+    }
+    trace = generate_signal(chain, ParameterAssignment(values), CFG)
+    for signal in (trace.cell_outputs[addr(0, 1)], trace.output):
+        assert not signal.values.any()
+        assert signal.samples.node is None
 
 
 def test_duplicated_final_cell_preserves_output():

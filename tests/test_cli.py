@@ -25,6 +25,10 @@ from gradsynth.cli import (
     main,
 )
 from gradsynth.datasets import sample_assignment
+from gradsynth.experiments import export_csv, loss_surface_sweep
+from gradsynth.losses import LossConfig
+from gradsynth.matching import match
+from gradsynth.modules import CATALOG, from_unit
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -67,7 +71,6 @@ NON_DEFAULT_CONFIG = {
     "loss.processings": ("identity,cumsum_freq", ("identity", "cumsum_freq")),
     "loss.norm_p": ("2", 2),
     "loss.transform": ("mel", "mel"),
-    "loss.beta": ("0.25", 0.25),
     "loss.regression_kind": ("L2", "L2"),
     "loss.cumsum_normalize": ("true", True),
     "loss.n_mels": ("64", 64),
@@ -150,7 +153,7 @@ def test_config_defaults_when_empty(tmp_path):
 )
 def test_config_parse_errors_name_the_line(tmp_path, line, fragment):
     path = tmp_path / "bad.cfg"
-    path.write_text("loss.beta = 1.0\n" + line + "\n")
+    path.write_text("optimizer.beta_schedule = 0:1.0\n" + line + "\n")
     with pytest.raises(ConfigError, match="line 2") as err:
         load_run_config(path)
     assert fragment in str(err.value)
@@ -167,8 +170,8 @@ def test_config_field_validation_errors(tmp_path):
     for line in [
         "optimizer.learning_rate = nan",
         "optimizer.learning_rate = inf",
-        "loss.beta = nan",
-        "loss.beta = inf",
+        "optimizer.beta_schedule = 0:nan",
+        "optimizer.beta_schedule = 0:inf",
         "optimizer.beta_schedule = 0:0.0,10:nan",
         "paths.scratch = tmp",
     ]:
@@ -246,6 +249,15 @@ def test_invalid_chain_exits_2_with_line_number(tmp_path, caplog):
     assert any("line 3" in record.message for record in caplog.records)
 
 
+def test_structurally_invalid_chain_exits_2(tmp_path, caplog):
+    bad = tmp_path / "bad.chain"
+    bad.write_text("chain a\ncell 0 0 lowpass\n")
+    out = tmp_path / "x.wav"
+    assert main(["render", str(bad), "--random", "--out", str(out)]) == 2
+    assert "lowpass cell (0,0) requires exactly 1 input(s), got 0" in caplog.text
+    assert not out.exists()
+
+
 def test_missing_chain_file_exits_2(tmp_path):
     assert main(["-q", "render", str(tmp_path / "nope.chain"), "--random",
                  "--out", str(tmp_path / "x.wav")]) == 2
@@ -317,6 +329,41 @@ def test_sweep_command_writes_csv(tmp_path, osc_chain):
     assert lines[0] == "param_value,loss"
     assert main(argv) == 0  # determinism: same bytes on re-run
     assert out.read_text().splitlines() == lines
+
+
+FILTERED = OSC + "cell 0 1 lowpass\nconnect 0,0 -> 0,1\n"
+
+
+def test_sweep_takes_its_loss_from_config(tmp_path):
+    chain_path = tmp_path / "filtered.chain"
+    chain_path.write_text(FILTERED)
+    params = {"0,0": {"amp": 0.7, "freq": 440.0, "waveform": "saw", "active": "on"},
+              "0,1": {"cutoff": 1000.0}}
+    (tmp_path / "p.json").write_text(json.dumps({"params": params}))
+    sweep = ["-q", "sweep", str(chain_path), "--param", "0,0.freq", "--points", "5",
+             "--params", str(tmp_path / "p.json"), "--duration", "0.25"]
+    csv = {}
+    for cells in ("all", "output"):
+        cfg = tmp_path / f"{cells}.cfg"
+        cfg.write_text(f"loss.cells = {cells}\nloss.windows = 256\n")
+        csv[cells] = tmp_path / f"{cells}.csv"
+        assert main(sweep + ["--config", str(cfg), "--out", str(csv[cells])]) == 0
+
+    chain = parse_chain_file(FILTERED)
+    render_config = RenderConfig(duration=0.25)
+    target = ParameterAssignment(
+        {CellAddress(0, 0): params["0,0"], CellAddress(0, 1): params["0,1"]}
+    )
+    spec = next(p for p in CATALOG["osc"].continuous if p.name == "freq")
+    grid = from_unit(spec, np.linspace(0.0, 1.0, 5), render_config)
+    expected = loss_surface_sweep(
+        chain, target, (CellAddress(0, 0), "freq"), grid,
+        LossConfig(cells="all", windows=(256,)), render_config,
+    )
+    assert max(expected.losses) > 0.0
+    export_csv(expected, tmp_path / "expected.csv")
+    assert csv["all"].read_bytes() == (tmp_path / "expected.csv").read_bytes()
+    assert csv["all"].read_bytes() != csv["output"].read_bytes()
 
 
 def test_sweep_log_scale_for_frequency(tmp_path, osc_chain):
@@ -637,6 +684,45 @@ def test_match_keeps_every_config_field_but_cells_and_jobs(tmp_path, osc_chain, 
     assert captured["loss"] == replace(run.loss, cells="output")
     assert captured["optimizer"] == replace(run.optimizer, jobs=2)
     assert (captured["loss"].n_mels, captured["loss"].cumsum_normalize) == (64, True)
+
+
+def test_beta_schedule_scales_the_first_loss(tmp_path):
+    # β is optimizer.beta_schedule alone; one breakpoint is a constant
+    assert RunConfig().optimizer.beta_schedule == ((0, 1.0),)
+    chain = parse_chain_file(OSC)
+    target = generate_signal(
+        chain,
+        ParameterAssignment(
+            {CellAddress(0, 0): {"amp": 0.7, "freq": 440.0, "waveform": "sine", "active": "on"}}
+        ),
+        RenderConfig(duration=0.25),
+    ).output
+    first = {}
+    for name, extra in (("default", ""), ("quarter", "optimizer.beta_schedule = 0:0.25\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(
+            "loss.cells = output\nloss.windows = 1024\noptimizer.steps = 1\n"
+            "optimizer.restarts = 1\n" + extra
+        )
+        run = load_run_config(cfg)
+        result = match(target, chain, run.loss, run.optimizer,
+                       render_config=RenderConfig(duration=0.25))
+        first[name] = [b.trajectory[0] for b in result.branches]
+    assert all(v > 0.0 for v in first["default"])
+    assert first["quarter"] == [0.25 * v for v in first["default"]]
+
+
+def test_match_config_with_loss_beta_exits_2(tmp_path, osc_chain, caplog):
+    # the spectral weight moved to optimizer.beta_schedule
+    assert main(["-q", "render", str(osc_chain), "--random", "--duration", "0.25",
+                 "--out", str(tmp_path / "target.wav")]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("optimizer.steps = 3\nloss.beta = 0.25\n")
+    out_dir = tmp_path / "res"
+    assert main(["-q", "match", str(tmp_path / "target.wav"), str(osc_chain),
+                 "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
+    assert "line 2: unknown config key 'loss.beta'" in caplog.text
+    assert not out_dir.exists()
 
 
 # -- plumbing -------------------------------------------------------------------

@@ -266,8 +266,10 @@ def test_loss_decreases_on_amplitude_problem():
 
 
 def test_parameter_loss_only_recovers_full_chain():
-    opt = OptimizerConfig(steps=500, learning_rate=0.1, restarts=1, seed=2)
-    loss_cfg = LossConfig(cells="output", windows=(1024,), beta=0.0, regression_kind="L2")
+    opt = OptimizerConfig(
+        steps=500, learning_rate=0.1, beta_schedule=((0, 0.0),), restarts=1, seed=2
+    )
+    loss_cfg = LossConfig(cells="output", windows=(1024,), regression_kind="L2")
     target = generate_signal(FULL_CHAIN, FULL_TARGET, CFG).output
     res = match(
         target,
@@ -285,6 +287,19 @@ def test_parameter_loss_only_recovers_full_chain():
             got = res.best.values[address][p.name]
             want = params[p.name]
             assert abs(got - want) / (high - low) < 0.01, f"{kind}.{p.name}"
+
+
+def test_match_keeps_an_optional_connection_on():
+    optional = Connection(A00, CellAddress(0, 1), optional=True)
+    chain = ChainSpec(
+        "filtered", (Cell(A00, "osc"), Cell(CellAddress(0, 1), "lowpass")), (optional,)
+    )
+    opt = OptimizerConfig(steps=2, learning_rate=0.1, restarts=1, seed=0)
+    res = match(sine_target(), chain, SPECTRAL_L2, opt, fixed_params=AMP_FIXED, render_config=CFG)
+    assert res.best.connections_on is None
+    assert res.best.connection_on(optional)
+    # the osc is on, so the fitted render reaches the output through it
+    assert generate_signal(chain, res.best, CFG).output.values.any()
 
 
 def test_categorical_enumeration_picks_right_waveform():
@@ -343,9 +358,13 @@ def _count_renders(monkeypatch):
 SILENT = {(A00, "waveform"): "sine", (A00, "active"): "off"}
 
 
-def test_silent_branch_renders_once(monkeypatch):
+# a constant beta, as one breakpoint or as several of the same value
+@pytest.mark.parametrize("beta_schedule", [((0, 1.0),), ((0, 1.0), (3, 1.0))])
+def test_silent_branch_renders_once(monkeypatch, beta_schedule):
     calls = _count_renders(monkeypatch)
-    opt = OptimizerConfig(steps=5, learning_rate=0.1, restarts=1, seed=0)
+    opt = OptimizerConfig(
+        steps=5, learning_rate=0.1, restarts=1, seed=0, beta_schedule=beta_schedule
+    )
     res = match(sine_target(), OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=SILENT, render_config=CFG)
     # the first step, then the best assignment's final spectra; the loss
     # of a silent output has no tape node, so theta cannot move
@@ -414,7 +433,7 @@ def test_seed_sets_theta0_per_combination_and_restart():
     assert initial_thetas(8) != thetas
 
 
-@pytest.mark.parametrize("beta_schedule", [None, ((0, 1.0), (3, 1.0))])
+@pytest.mark.parametrize("beta_schedule", [((0, 1.0),), ((0, 1.0), (3, 1.0))])
 def test_all_parameters_fixed_returns_the_fixed_assignment(beta_schedule):
     fixed = {**AMP_FIXED, (A00, "amp"): 0.5}
     opt = OptimizerConfig(
@@ -469,8 +488,10 @@ def test_match_returns_parameters_inside_their_ranges(target_index, seed, learni
 
 def test_unsupervised_requires_positive_beta():
     target = sine_target()
-    opt = OptimizerConfig(steps=10, learning_rate=0.1, restarts=1, seed=0)
-    cfg = LossConfig(cells="output", windows=(1024,), beta=0.0)
+    opt = OptimizerConfig(
+        steps=10, learning_rate=0.1, beta_schedule=((0, 0.0),), restarts=1, seed=0
+    )
+    cfg = LossConfig(cells="output", windows=(1024,))
     with pytest.raises(MatcherConfigError):
         match(target, OSC_CHAIN, cfg, opt, fixed_params=AMP_FIXED, render_config=CFG)
 
@@ -506,6 +527,21 @@ def test_match_rejects_length_mismatch():
         )
 
 
+def test_match_rejects_sample_rate_mismatch():
+    # 4000 samples: 0.25 s at 16 kHz, 0.5 s at 8 kHz
+    target = sine_target()
+    opt = OptimizerConfig(steps=10, learning_rate=0.1, restarts=1, seed=0)
+    with pytest.raises(MatcherConfigError, match="target sample rate 16000 != render rate 8000"):
+        match(
+            target,
+            OSC_CHAIN,
+            SPECTRAL_L2,
+            opt,
+            fixed_params=AMP_FIXED,
+            render_config=RenderConfig(sample_rate=8000, duration=0.5),
+        )
+
+
 @pytest.mark.parametrize("algorithm", ["adam", "sgd"])
 def test_an_overflowing_update_marks_the_branch_diverged(algorithm):
     # lr = 1e308 sends theta past the float range on the first update; the
@@ -538,8 +574,10 @@ def test_all_branches_diverging_raises():
     bad_target_params = ParameterAssignment(
         {A00: {"amp": float("nan"), "freq": 440.0, "waveform": "sine", "active": "on"}}
     )
-    opt = OptimizerConfig(steps=10, learning_rate=0.1, restarts=2, seed=0)
-    cfg = LossConfig(cells="output", windows=(1024,), beta=0.0)
+    opt = OptimizerConfig(
+        steps=10, learning_rate=0.1, beta_schedule=((0, 0.0),), restarts=2, seed=0
+    )
+    cfg = LossConfig(cells="output", windows=(1024,))
     with pytest.raises(MatcherConfigError, match="diverged"):
         match(
             target,
