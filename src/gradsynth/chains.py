@@ -255,54 +255,36 @@ def format_chain(chain: ChainSpec) -> str:
 def validate(chain: ChainSpec) -> list:
     """Collect structural violations; an empty list means the chain is valid."""
     violations: list = []
+
+    def flag(code: str, message: str) -> None:
+        violations.append(Violation(code, message))
+
     if not chain.cells:
-        violations.append(Violation("no_cells", "chain declares no cells"))
+        flag("no_cells", "chain declares no cells")
         return violations
-    seen: set = set()
     cmap: dict = {}
     for cell in chain.cells:
         addr = cell.address
         if addr.channel < 0 or addr.layer < 0:
-            violations.append(
-                Violation("bad_address", f"cell {addr} has negative indices")
-            )
-        if addr in seen:
-            violations.append(
-                Violation("cell_occupied", f"cell {addr} hosts more than one module")
-            )
-        seen.add(addr)
+            flag("bad_address", f"cell {addr} has negative indices")
+        if addr in cmap:
+            flag("cell_occupied", f"cell {addr} hosts more than one module")
         if cell.kind not in CELL_KINDS:
-            violations.append(
-                Violation("unknown_kind", f"cell {addr} has unknown kind {cell.kind!r}")
-            )
+            flag("unknown_kind", f"cell {addr} has unknown kind {cell.kind!r}")
         cmap.setdefault(addr, cell.kind)
     seen_conns: set = set()
     for conn in chain.connections:
+        where = f"connection {conn.source}->{conn.dest}"
         dangling = False
         for end, label in ((conn.source, "source"), (conn.dest, "destination")):
             if end not in cmap:
-                violations.append(
-                    Violation(
-                        "dangling_connection",
-                        f"connection {conn.source}->{conn.dest}: {label} {end} not declared",
-                    )
-                )
+                flag("dangling_connection", f"{where}: {label} {end} not declared")
                 dangling = True
         if not dangling and conn.source.layer >= conn.dest.layer:
-            violations.append(
-                Violation(
-                    "backward_connection",
-                    f"connection {conn.source}->{conn.dest} does not advance layers",
-                )
-            )
+            flag("backward_connection", f"{where} does not advance layers")
         key = (conn.source, conn.dest)
         if key in seen_conns:
-            violations.append(
-                Violation(
-                    "duplicate_connection",
-                    f"connection {conn.source}->{conn.dest} declared twice",
-                )
-            )
+            flag("duplicate_connection", f"{where} declared twice")
         seen_conns.add(key)
     for cell in chain.cells:
         if cell.kind == "empty" or cell.kind not in CATALOG:
@@ -319,18 +301,14 @@ def validate(chain: ChainSpec) -> list:
                 detail = f"requires exactly {cat.min_inputs} input(s)"
             else:
                 detail = f"requires {cat.min_inputs}..{cat.max_inputs} input(s)"
-            violations.append(
-                Violation("arity", f"{cell.kind} cell {cell.address} {detail}, got {count}")
-            )
+            flag("arity", f"{cell.kind} cell {cell.address} {detail}, got {count}")
         if cell.kind == "tremolo" and count == 2:
             lfo_inputs = sum(1 for s in sources if cmap.get(s) == "lfo")
             if lfo_inputs != 1:
-                violations.append(
-                    Violation(
-                        "missing_required_input",
-                        f"tremolo cell {cell.address} requires exactly one LFO input "
-                        f"and one audio input, got {lfo_inputs} LFO input(s)",
-                    )
+                flag(
+                    "missing_required_input",
+                    f"tremolo cell {cell.address} requires exactly one LFO input "
+                    f"and one audio input, got {lfo_inputs} LFO input(s)",
                 )
     return violations
 
@@ -352,37 +330,25 @@ def resolve_optional(chain: ChainSpec, rng: np.random.Generator) -> Resolution:
     for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
         if cell.kind == "empty" or cell.kind not in CATALOG:
             continue
-        cat = CATALOG[cell.kind]
         incoming = chain.incoming(cell.address)
-        def on_sources():
-            return [c.source for c in incoming if states[c]]
         for conn in incoming:
-            if len(on_sources()) >= cat.min_inputs:
+            if sum(states[c] for c in incoming) >= CATALOG[cell.kind].min_inputs:
                 break
-            if not states[conn]:
-                states[conn] = True
-    forced: dict = {}
-    for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
-        if cell.kind == "fm_osc":
-            live = [c for c in chain.incoming(cell.address) if states[c]]
-            if not live:
-                forced[(cell.address, "fm_active")] = "off"
+            states[conn] = True
+    forced = {
+        (cell.address, "fm_active"): "off"
+        for cell in chain.cells
+        if cell.kind == "fm_osc" and not any(states[c] for c in chain.incoming(cell.address))
+    }
     return Resolution(states, forced)
 
 
 def _check_assignment(kind: str, address: CellAddress, params: Mapping) -> None:
-    expected = set(CATALOG[kind].param_names())
-    got = set(params)
-    missing = expected - got
-    extra = got - expected
-    if missing:
-        raise AssignmentError(
-            f"cell {address} ({kind}): missing parameter(s) {sorted(missing)}"
-        )
-    if extra:
-        raise AssignmentError(
-            f"cell {address} ({kind}): unknown parameter(s) {sorted(extra)}"
-        )
+    catalog = CATALOG[kind]
+    expected = {p.name for p in catalog.continuous + catalog.categorical}
+    for names, what in ((expected - set(params), "missing"), (set(params) - expected, "unknown")):
+        if names:
+            raise AssignmentError(f"cell {address} ({kind}): {what} parameter(s) {sorted(names)}")
 
 
 def generate_signal(

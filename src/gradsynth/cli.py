@@ -43,12 +43,15 @@ from .datasets import (
     sample_assignment,
 )
 from .experiments import benchmark_table, export_csv, loss_surface_sweep
-from .losses import LossConfig, LossConfigError, chain_features, signal_chain_loss
-from .matching import MatcherConfigError, OptimizerConfig, match
+from .losses import LossConfig, chain_features, signal_chain_loss
+from .matching import OptimizerConfig, match
 from .modules import (
     CATALOG,
+    SHARED_DURATION,
     MissingInputError,
     ParameterRangeError,
+    duration_left,
+    duration_used,
     from_unit,
     resolve_range,
 )
@@ -300,16 +303,17 @@ def cmd_sweep(args) -> int:
         raise ValueError(f"{kind} has no continuous parameter {name!r}")
     target = _load_or_sample_assignment(chain, args, render_config)
     bounds = {"low": args.low, "high": args.high}
-    if spec.high is None:
+    if name in SHARED_DURATION[kind]:
         # an envelope segment shares the duration with the target's other segments
-        others = [p.name for p in CATALOG[kind].continuous if p.high is None and p.name != name]
-        budget = render_config.duration - sum(float(target.values[address][n]) for n in others)
-        if args.high is not None and args.high > budget:
+        others = [n for n in SHARED_DURATION[kind] if n != name]
+        budget = duration_left((target.values[address][n] for n in others), render_config)
+        if bounds["high"] is None:
+            bounds["high"] = budget
+        elif bounds["high"] > budget:
             raise ValueError(
                 f"--high {args.high} exceeds the {budget} s that the target's "
                 f"{'+'.join(others)} leave of the {render_config.duration} s duration"
             )
-        bounds["high"] = budget if args.high is None else args.high
     spec = replace(spec, **{k: v for k, v in bounds.items() if v is not None})
     low, high = resolve_range(spec, render_config)
     if not low < high:
@@ -390,14 +394,15 @@ def _gradcheck_assignment(chain, seed, render_config) -> ParameterAssignment:
             low, high = resolve_range(spec, render_config)
             margin = max((high - low) * GRADCHECK_REL_STEPS[0] * 10, 1e-12)
             margined[spec.name] = min(max(params[spec.name], low + margin), high - margin)
-        budgeted = [p.name for p in cat.continuous if p.high is None]
-        if budgeted:
-            slack = 10 * GRADCHECK_REL_STEPS[0] * render_config.duration * len(budgeted)
-            total = sum(margined[name] for name in budgeted)
+        shared = SHARED_DURATION[cmap[address]]
+        if shared:
+            # keep the finite-difference steps inside apply_adsr's check
+            slack = 10 * GRADCHECK_REL_STEPS[0] * render_config.duration * len(shared)
+            total = duration_used(margined[name] for name in shared)
             limit = render_config.duration - slack
             if total > limit:
                 scale = limit / total
-                for name in budgeted:
+                for name in shared:
                     margined[name] *= scale
         params.update(margined)
         values[address] = params
@@ -528,12 +533,10 @@ USAGE_ERRORS = (
     ChainValidationError,
     ConfigError,
     DatasetFormatError,
-    LossConfigError,
-    MatcherConfigError,
     MissingInputError,
     ParameterRangeError,
     SpectralConfigError,
-    ValueError,
+    ValueError,  # LossConfigError and MatcherConfigError among them
 )
 
 

@@ -36,7 +36,7 @@ from .chains import (
     resolve_optional,
     validate,
 )
-from .modules import CATALOG, check_lowpass_length, from_unit
+from .modules import CATALOG, SHARED_DURATION, check_lowpass_length, duration_left, from_unit
 
 __all__ = [
     "DatasetFormatError",
@@ -89,10 +89,12 @@ def sample_assignment(
 
     Continuous parameters are uniform over their catalog range on its
     scale (:func:`modules.from_unit`), so log-scaled ones give every
-    octave equal mass.  Envelope segment lengths (range bounded by the
-    render duration) are redrawn together until their sum fits it.
-    Categorical labels are uniform.  Optional connections are resolved
-    first; forced activation states override the sampled labels.
+    octave equal mass.  The parameters that share the render duration
+    (``modules.SHARED_DURATION``: the ADSR attack, decay and release)
+    are drawn first, one draw each in catalog order, and redrawn together
+    until ``modules.duration_left`` says they fit it.  Categorical labels
+    are uniform.  Optional connections are resolved first; forced
+    activation states override the sampled labels.
     """
     resolution = resolve_optional(chain, rng)
     values: dict = {}
@@ -101,11 +103,11 @@ def sample_assignment(
             continue
         cat = CATALOG[cell.kind]
         params: dict = {}
-        budgeted = [p for p in cat.continuous if p.high is None]
-        if budgeted:
+        shared = [p for p in cat.continuous if p.name in SHARED_DURATION[cell.kind]]
+        if shared:
             while True:
-                draws = {p.name: float(from_unit(p, rng.random(), render_config)) for p in budgeted}
-                if sum(draws.values()) <= render_config.duration:
+                draws = {p.name: float(from_unit(p, rng.random(), render_config)) for p in shared}
+                if duration_left(draws.values(), render_config) >= 0.0:
                     break
             params.update(draws)
         for spec in cat.continuous:
@@ -196,9 +198,7 @@ def _record_from_json(chain: ChainSpec, line: str, lineno: int) -> DatasetRecord
             parse_assignment(chain, payload),
             str(payload["wav"]),
         )
-    except DatasetFormatError as exc:
-        raise DatasetFormatError(f"metadata line {lineno}: {exc}") from exc
-    except (KeyError, TypeError, ValueError) as exc:
+    except (DatasetFormatError, KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"metadata line {lineno}: {exc}") from exc
 
 

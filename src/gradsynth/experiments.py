@@ -129,7 +129,7 @@ def loss_surface_sweep(
     kind = chain.cell_map().get(address)
     if kind is None or kind == "empty":
         raise ValueError(f"swept cell {address} is not a module cell")
-    if name not in CATALOG[kind].continuous_names():
+    if name not in {p.name for p in CATALOG[kind].continuous}:
         raise ValueError(f"{kind} cell {address}: {name!r} is not continuous")
     grid = tuple(float(g) for g in grid)
     target = chain_features(generate_signal(chain, target_assignment, render_config), loss_cfg)

@@ -36,7 +36,7 @@ from .losses import (
     parameter_loss,
     signal_chain_loss,
 )
-from .modules import CATALOG, unit_scale
+from .modules import CATALOG, SHARED_DURATION, duration_left, unit_scale
 
 __all__ = [
     "BranchResult",
@@ -146,13 +146,13 @@ def _search_space(chain: ChainSpec, fixed: FixedParams):
     return free, [tuple(zip(slots, combo)) for combo in itertools.product(*choices)]
 
 
-# ``sigmoid_gate`` arguments of every continuous parameter outside the
-# ADSR time budget, whose range does not depend on the render
+# ``sigmoid_gate`` arguments of every continuous parameter that does not
+# share the render duration, whose range does not depend on the render
 _GATES = {
     (kind, p.name): unit_scale(p, RenderConfig())
     for kind, catalog in CATALOG.items()
     for p in catalog.continuous
-    if p.high is not None
+    if p.name not in SHARED_DURATION[kind]
 }
 
 
@@ -166,31 +166,32 @@ def _assignment(
     """The assignment at unconstrained ``theta``, one catalog walk per cell.
 
     Fixed values are copied and categorical labels come from ``combo``;
-    every other continuous value is gated strictly inside its range.
-    Parameters whose catalog range ends at the render duration (``high is
-    None``: the ADSR attack, decay and release) share it as a budget:
-    stick-breaking over the remaining time, in catalog order, keeps their
-    sum under the duration minus whatever the caller fixed of them.  Where
-    a gate saturates, rounding can put the sum one ulp past it, inside the
-    slack ``modules.apply_adsr`` allows.
+    every other continuous value is gated strictly inside its range.  The
+    parameters that share the render duration (``modules.SHARED_DURATION``:
+    the ADSR attack, decay and release) break what
+    ``modules.duration_left`` says the fixed ones leave of it, in catalog
+    order: each takes a sigmoid fraction of the time still left.  Where a
+    gate saturates, rounding can put their sum one ulp past the duration,
+    inside the slack ``modules.apply_adsr`` allows.
     """
     cells: dict[CellAddress, dict] = {}
     for cell in chain.cells:
         if cell.kind == "empty":
             continue
         catalog = CATALOG[cell.kind]
-        spent = sum(
-            float(fixed[(cell.address, p.name)])
-            for p in catalog.continuous
-            if p.high is None and (cell.address, p.name) in fixed
-        )
-        remaining = DiffValue(max(render_config.duration - spent, 0.0))
+        shared = SHARED_DURATION[cell.kind]
+        if shared:
+            left = duration_left(
+                (fixed[cell.address, name] for name in shared if (cell.address, name) in fixed),
+                render_config,
+            )
+            remaining = DiffValue(max(left, 0.0))
         params: dict[str, Union[DiffValue, float, str]] = {}
         for p in catalog.continuous:
             key = (cell.address, p.name)
             if key in fixed:
                 params[p.name] = fixed[key]
-            elif p.high is None:
+            elif p.name in shared:
                 params[p.name] = remaining * sigmoid(theta[key])
                 remaining = remaining - params[p.name]
             else:
@@ -201,10 +202,10 @@ def _assignment(
     return ParameterAssignment(cells)
 
 
-def _step_loss(
+def _loss_parts(
     theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
     combo_map: Mapping[tuple[CellAddress, str], str],
-    beta: float,
+    render: bool,
     *,
     chain: ChainSpec,
     fixed: FixedParams,
@@ -212,7 +213,9 @@ def _step_loss(
     target_params: Optional[ParameterAssignment],
     loss_cfg: LossConfig,
     render_config: RenderConfig,
-):
+) -> tuple[DiffValue, DiffValue]:
+    """The parameter and spectral parts of the loss at ``theta``; the
+    spectral part is 0 unless ``render``."""
     assignment = _assignment(chain, theta, combo_map, fixed, render_config)
     param_part = DiffValue(0.0)
     if target_params is not None:
@@ -220,10 +223,10 @@ def _step_loss(
             chain, assignment, target_params, loss_cfg.regression_kind, render_config
         )
     spectral_part = DiffValue(0.0)
-    if beta > 0.0:
+    if render:
         trace = generate_signal(chain, assignment, render_config)
         spectral_part = signal_chain_loss(trace, target_features, loss_cfg)
-    return combined_loss(param_part, spectral_part, beta)
+    return param_part, spectral_part
 
 
 def _run_branch(
@@ -231,7 +234,7 @@ def _run_branch(
     combo: tuple,
     restart: int,
     *,
-    step_loss: Callable[..., DiffValue],
+    loss_parts: Callable[..., tuple[DiffValue, DiffValue]],
     free_keys: list[tuple[CellAddress, str]],
     betas: tuple[float, ...],
     opt_cfg: OptimizerConfig,
@@ -246,24 +249,28 @@ def _run_branch(
     adam_v = np.zeros_like(theta)
     trajectory: list[float] = []
     diverged = False
-    frozen = None  # the loss once theta can no longer move
+    frozen = None  # the loss parts once theta can no longer move
     for step, beta in enumerate(betas):
-        tape = Tape()
-        tracked = {key: tape.parameter(t, key) for key, t in zip(free_keys, theta)}
-        total = step_loss(tracked, combo_map, beta)
+        if frozen is None:
+            tape = Tape()
+            tracked = {key: tape.parameter(t, key) for key, t in zip(free_keys, theta)}
+            parts = loss_parts(tracked, combo_map, beta > 0.0)
+            total = combined_loss(*parts, beta)
+            if total.node is None:
+                # nothing differentiable (a silent combination, or every
+                # parameter fixed): theta cannot move, so every step's loss
+                # is these two parts at its own beta
+                if beta == 0.0 and max(betas) > 0.0:  # the spectral part is still untaken
+                    parts = loss_parts(tracked, combo_map, True)
+                frozen = parts
+        if frozen is not None:
+            total = combined_loss(frozen[0], frozen[1] if beta > 0.0 else DiffValue(0.0), beta)
         value = total.value
         trajectory.append(value)
         if not np.isfinite(value):
             diverged = True
             break
-        if total.node is None:
-            # nothing differentiable this step (a silent combination, or
-            # every parameter fixed); with a constant beta, theta and so
-            # the loss are frozen for good
-            if min(betas) == max(betas):
-                frozen = value
-                trajectory.extend([value] * (opt_cfg.steps - step - 1))
-                break
+        if frozen is not None:
             continue
         grads = tape.backward(total)
         g = np.array([grads[key] for key in free_keys])
@@ -284,11 +291,12 @@ def _run_branch(
     if diverged:
         final_loss = float("nan")
     elif frozen is not None:
-        final_loss = frozen
+        final_loss = trajectory[-1]
     else:
         # loss at the post-update parameters, so branch comparison sees
         # the point the assignment is actually built from
-        final_loss = step_loss(final_theta, combo_map, betas[-1]).value
+        parts = loss_parts(final_theta, combo_map, betas[-1] > 0.0)
+        final_loss = combined_loss(*parts, betas[-1]).value
     return BranchResult(
         combo=combo,
         restart=restart,
@@ -342,8 +350,8 @@ def match(
     fixed = dict(fixed_params or {})
     # the target is constant, so its features are taken once per call
     target_features = chain_features(RenderTrace({}, target), loss_cfg)
-    step_loss = functools.partial(
-        _step_loss,
+    loss_parts = functools.partial(
+        _loss_parts,
         chain=chain,
         fixed=fixed,
         target_features=target_features,
@@ -353,7 +361,7 @@ def match(
     )
     free_keys, combos = _search_space(chain, fixed)
     run_branch = functools.partial(
-        _run_branch, step_loss=step_loss, free_keys=free_keys, betas=betas, opt_cfg=opt_cfg
+        _run_branch, loss_parts=loss_parts, free_keys=free_keys, betas=betas, opt_cfg=opt_cfg
     )
     jobs = [
         (combo_index, combo, restart)

@@ -25,10 +25,13 @@ __all__ = [
     "MissingInputError",
     "ModuleCatalog",
     "ParameterRangeError",
+    "SHARED_DURATION",
     "apply_adsr",
     "apply_lowpass",
     "apply_tremolo",
     "check_lowpass_length",
+    "duration_left",
+    "duration_used",
     "from_unit",
     "mix",
     "render_fm_oscillator",
@@ -54,7 +57,8 @@ class MissingInputError(Exception):
 @dataclass(frozen=True)
 class ContinuousParam:
     """Range of one differentiable parameter; high=None means the render
-    duration T (envelope segment lengths); log=True puts it on a log scale."""
+    duration T, which such parameters share (``SHARED_DURATION``);
+    log=True puts it on a log scale."""
 
     name: str
     low: float
@@ -78,15 +82,6 @@ class ModuleCatalog:
     min_inputs: int
     max_inputs: Optional[int]  # None = unbounded
     activation: tuple  # categorical names acting as on/off switches
-
-    def continuous_names(self) -> tuple:
-        return tuple(p.name for p in self.continuous)
-
-    def categorical_names(self) -> tuple:
-        return tuple(p.name for p in self.categorical)
-
-    def param_names(self) -> tuple:
-        return self.continuous_names() + self.categorical_names()
 
 
 CATALOG: dict = {
@@ -173,6 +168,26 @@ _PARAMS = {
     for kind, catalog in CATALOG.items()
     for p in catalog.continuous + catalog.categorical
 }
+
+
+# kind -> its continuous parameters whose range ends at the render duration
+# (high=None: the ADSR attack, decay and release), in catalog order; their
+# values together must fit in it
+SHARED_DURATION = {
+    kind: tuple(p.name for p in catalog.continuous if p.high is None)
+    for kind, catalog in CATALOG.items()
+}
+
+
+def duration_used(values) -> float:
+    """Sum of some shared-duration values, in the order given."""
+    return sum(float(v) for v in values)
+
+
+def duration_left(values, config: RenderConfig) -> float:
+    """What the render duration leaves after some shared-duration values;
+    below 0 when they overrun it."""
+    return config.duration - duration_used(values)
 
 
 def resolve_range(param: ContinuousParam, config: RenderConfig) -> tuple:
@@ -298,7 +313,7 @@ def apply_adsr(input_signal: Signal, params: Mapping, config: RenderConfig) -> S
     decay = _checked("adsr", "decay", params["decay"], config)
     sustain = _checked("adsr", "sustain", params["sustain"], config)
     release = _checked("adsr", "release", params["release"], config)
-    total = attack.value + decay.value + release.value
+    total = duration_used((attack.value, decay.value, release.value))
     if total > config.duration + 1e-12:
         raise ParameterRangeError(
             f"adsr: attack+decay+release = {total} exceeds duration {config.duration}"

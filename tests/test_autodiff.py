@@ -174,6 +174,31 @@ def test_abs_and_sqrt_subgradients_at_kink():
     assert tape.backward(ad.sqrt(p))["p"] == 0.0
 
 
+@pytest.mark.parametrize("x", [-0.7, 2.5])
+def test_negation_and_abs_operators_on_a_taped_scalar(x):
+    tape = Tape()
+    p = tape.parameter(x, "p")
+    neg = -p
+    assert neg.value == -x
+    assert tape.backward(neg)["p"] == -1.0
+    tape = Tape()
+    p = tape.parameter(x, "p")
+    magnitude = abs(p)
+    assert magnitude.value == abs(x)
+    assert tape.backward(magnitude)["p"] == np.sign(x)
+
+
+def test_diffvalue_repr_names_value_or_shape_and_node():
+    assert repr(DiffValue(0.5)) == "DiffValue(0.5, const)"
+    assert repr(DiffValue(np.zeros((3, 2)))) == "DiffValue(shape=(3, 2), const)"
+    tape = Tape()
+    p = tape.parameter(1.5, "p")
+    assert repr(p) == f"DiffValue(1.5, node {p.node.index})"
+    buffer = p * DiffValue(np.ones(4))
+    assert repr(buffer) == f"DiffValue(shape=(4,), node {buffer.node.index})"
+    assert buffer.node.index != p.node.index
+
+
 def test_sign_surrogate_forward_and_backward():
     tape = Tape()
     p = tape.parameter(-0.3, "p")

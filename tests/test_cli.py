@@ -13,9 +13,10 @@ from scipy.io import wavfile
 from gradsynth.audio import RenderConfig, read_wav
 from gradsynth.autodiff import Tape
 from gradsynth.chains import CellAddress, ParameterAssignment, generate_signal, parse_chain_file
-from gradsynth import losses
+from gradsynth import cli, losses
 from gradsynth.cli import (
     CONFIG_FIELDS,
+    GRADCHECK_REL_STEPS,
     SINGLE_WINDOW_LOSS,
     ConfigError,
     RunConfig,
@@ -568,6 +569,29 @@ def test_gradcheck_makes_one_taped_pass(monkeypatch):
                  "--seed", "0", "--duration", "0.25"]) == 0
     # one taped evaluation gives every parameter's gradient, whatever the steps
     assert len(calls) == 1
+
+
+def test_gradcheck_rescales_envelope_segments_that_fill_the_duration(monkeypatch, capsys):
+    # about 1 sampled envelope in 11,000 sums to within the slack of the
+    # duration; the rescale keeps the finite-difference steps inside
+    # apply_adsr's check
+    render_config = RenderConfig(duration=0.25)
+    segments = {"attack": 0.125, "decay": 0.0625, "release": 0.0625}  # sum to exactly 0.25
+
+    def filling(chain, rng, config):
+        assignment = sample_assignment(chain, rng, config)
+        assignment.values[CellAddress(0, 2)].update(segments)
+        return assignment
+
+    monkeypatch.setattr(cli, "sample_assignment", filling)
+    chain = parse_chain_file(BASIC)
+    margined = _gradcheck_assignment(chain, 0, render_config).values[CellAddress(0, 2)]
+    slack = 10 * GRADCHECK_REL_STEPS[0] * render_config.duration * len(segments)
+    assert sum(margined[name] for name in segments) <= render_config.duration - slack
+    code = main(["-q", "gradcheck", "--chain", str(REPO / "chains" / "basic.chain"),
+                 "--seed", "0", "--duration", "0.25"])
+    assert code != 2, "a finite-difference step left apply_adsr's range"
+    assert "0,2.release" in capsys.readouterr().out
 
 
 # recorded before finite_difference_check took the step search over from cmd_gradcheck

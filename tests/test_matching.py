@@ -15,6 +15,7 @@ from gradsynth.chains import (
     Cell,
     CellAddress,
     ChainSpec,
+    ChainValidationError,
     Connection,
     ParameterAssignment,
     RenderTrace,
@@ -374,17 +375,47 @@ def test_silent_branch_renders_once(monkeypatch, beta_schedule):
     assert branch.final_loss == branch.trajectory[0] > 0.0
 
 
-def test_silent_branch_under_beta_schedule_evaluates_every_step(monkeypatch):
+def test_silent_branch_under_beta_schedule_renders_once(monkeypatch):
     calls = _count_renders(monkeypatch)
     opt = OptimizerConfig(
         steps=5, learning_rate=0.1, restarts=1, seed=0, beta_schedule=((0, 1.0), (4, 2.0))
     )
     res = match(sine_target(), OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=SILENT, render_config=CFG)
-    # every step, the final loss at the last step's beta, and the final spectra
-    assert len(calls) == 5 + 1 + 1
+    # the first step, then the best assignment's final spectra: each step's
+    # loss is the same spectral part at that step's beta
+    assert len(calls) == 1 + 1
     trajectory = res.branches[0].trajectory
-    assert [v / trajectory[0] for v in trajectory] == pytest.approx([1.0, 1.25, 1.5, 1.75, 2.0])
+    betas = [beta_at(opt.beta_schedule, s) for s in range(5)]
+    assert betas == [1.0, 1.25, 1.5, 1.75, 2.0]
+    assert list(trajectory) == [b * trajectory[0] for b in betas]
     assert res.branches[0].final_loss == trajectory[-1]
+
+
+def test_frozen_branch_renders_its_spectral_part_when_a_later_beta_is_positive(monkeypatch):
+    # every parameter fixed, and beta 0 at step 0: the parameter part alone
+    # has no tape node, and the later steps still need the spectral part
+    calls = _count_renders(monkeypatch)
+    params = {"amp": 0.5, "freq": 300.0, "waveform": "sine", "active": "on"}
+    fixed = {(A00, name): value for name, value in params.items()}
+    target_params = ParameterAssignment({A00: params})
+    opt = OptimizerConfig(
+        steps=3, learning_rate=0.1, restarts=1, seed=0, beta_schedule=((0, 0.0), (2, 1.0))
+    )
+    res = match(
+        sine_target(), OSC_CHAIN, SPECTRAL_L2, opt,
+        target_params=target_params, fixed_params=fixed, render_config=CFG,
+    )
+    # step 0 makes no render, so the freeze makes one; then the final spectra
+    assert len(calls) == 1 + 1
+    (branch,) = res.branches
+    spectral = signal_chain_loss(
+        generate_signal(OSC_CHAIN, target_params, CFG),
+        chain_features(RenderTrace({}, sine_target()), SPECTRAL_L2),
+        SPECTRAL_L2,
+    ).value
+    param = branch.trajectory[0]  # the categorical smoothing's floor
+    assert branch.trajectory == (param, param + 0.5 * spectral, param + 1.0 * spectral)
+    assert branch.final_loss == branch.trajectory[-1]
 
 
 @pytest.mark.parametrize("algorithm", ["adam", "sgd"])
@@ -511,6 +542,16 @@ def test_match_requires_output_cells():
     cfg = LossConfig(cells="all", windows=(1024,))
     with pytest.raises(MatcherConfigError):
         match(target, OSC_CHAIN, cfg, opt, fixed_params=AMP_FIXED, render_config=CFG)
+
+
+def test_match_rejects_an_invalid_chain_before_any_render(monkeypatch):
+    calls = _count_renders(monkeypatch)
+    # an envelope needs one input
+    chain = ChainSpec("bad", (Cell(A00, "adsr"),), ())
+    opt = OptimizerConfig(steps=2, learning_rate=0.1, restarts=1, seed=0)
+    with pytest.raises(ChainValidationError, match="adsr"):
+        match(sine_target(), chain, SPECTRAL_L2, opt, render_config=CFG)
+    assert calls == []
 
 
 def test_match_rejects_length_mismatch():

@@ -1,5 +1,7 @@
-"""Smoke test: the two reproduction scripts run and write their CSVs."""
+"""Smoke tests: the reproduction scripts write their CSVs, and the
+fingerprint script prints the same digests run after run."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,11 @@ def test_run_benchmark_writes_every_cell(tmp_path):
     pooled = tmp_path / "b2.csv"
     _run(tmp_path, "run_benchmark.py", "--trials", "2", "--jobs", "2", "--out", str(pooled))
     assert pooled.read_bytes() == out.read_bytes()
+
+
+def test_fingerprint_prints_the_same_digests_with_one_or_two_workers(tmp_path):
+    serial = json.loads(_run(tmp_path, "fingerprint.py", "--quick"))
+    assert list(serial) == ["match", "render", "dataset", "sweep", "gradcheck", "perturb"]
+    assert all(len(digest) == 64 and int(digest, 16) >= 0 for digest in serial.values())
+    # a second run, its match, dataset and perturb areas in process pools
+    assert json.loads(_run(tmp_path, "fingerprint.py", "--quick", "--jobs", "2")) == serial
