@@ -49,7 +49,7 @@ __all__ = [
 CELL_KINDS = tuple(CATALOG) + ("empty",)
 
 
-class ChainParseError(Exception):
+class ChainParseError(ValueError):
     """Chain file text violates the grammar; carries the offending line."""
 
     def __init__(self, line: int, message: str):
@@ -57,7 +57,7 @@ class ChainParseError(Exception):
         self.line = line
 
 
-class ChainValidationError(Exception):
+class ChainValidationError(ValueError):
     """A structurally invalid chain was passed where a valid one is required."""
 
     def __init__(self, violations: Sequence["Violation"]):
@@ -65,8 +65,9 @@ class ChainValidationError(Exception):
         self.violations = tuple(violations)
 
 
-class AssignmentError(Exception):
-    """Parameter assignment does not cover the chain's catalog exactly."""
+class AssignmentError(ValueError):
+    """Parameter assignment does not cover the chain's module cells and
+    their catalog parameters exactly."""
 
 
 class CellAddress(NamedTuple):
@@ -366,6 +367,12 @@ def generate_signal(
     if violations:
         raise ChainValidationError(violations)
     cmap = chain.cell_map()
+    extra = assignment.values.keys() - {a for a, kind in cmap.items() if kind != "empty"}
+    if extra:
+        raise AssignmentError(
+            f"parameters assigned to {', '.join(sorted(map(str, extra)))}, "
+            "where the chain has no module cell"
+        )
     outputs: dict = {}
     active: dict = {}
     for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
@@ -410,9 +417,6 @@ def generate_signal(
     last = chain.max_layer()
     finals = [c.address for c in chain.cells if c.address.layer == last]
     finals.sort(key=lambda a: a.channel)
-    acc = outputs[finals[0]].samples
-    for addr in finals[1:]:
-        acc = acc + outputs[addr].samples
-    final = Signal(acc * (1.0 / len(finals)), config.sample_rate)
+    final = mix([outputs[a] for a in finals])
     non_empty = {c.address: outputs[c.address] for c in chain.cells if c.kind != "empty"}
     return RenderTrace(non_empty, final)

@@ -1,8 +1,11 @@
 """Command-line entry point: render, dataset, match, sweep, bench, gradcheck.
 
-Exit codes: 0 success, 1 runtime failure, 2 input or validation error.
-Logs go to stderr; machine-readable outputs (WAV/CSV/JSON) go only to
-the named output files.
+Exit codes: 0 success; 2 bad input, which is any ValueError (every
+gradsynth error about bad input is one) or a missing file; 1 a runtime
+failure: an I/O error, an unreadable WAV or out of memory.  Any other
+exception is a bug and ends in a traceback.  Logs go to stderr;
+machine-readable outputs (WAV/CSV/JSON) go only to the named output
+files.
 
 Run configuration is a flat ``key = value`` text file; '#' starts a
 comment.  Keys are dotted ``section.field`` names derived from the
@@ -25,7 +28,6 @@ import numpy as np
 from .audio import AudioIOError, RenderConfig, read_wav, write_wav
 from .autodiff import finite_difference_check
 from .chains import (
-    AssignmentError,
     CellAddress,
     ChainParseError,
     ChainSpec,
@@ -36,7 +38,6 @@ from .chains import (
     validate,
 )
 from .datasets import (
-    DatasetFormatError,
     assignment_payload,
     generate_dataset,
     parse_assignment,
@@ -48,14 +49,11 @@ from .matching import OptimizerConfig, match
 from .modules import (
     CATALOG,
     SHARED_DURATION,
-    MissingInputError,
-    ParameterRangeError,
     duration_left,
     duration_used,
     from_unit,
     resolve_range,
 )
-from .spectral import SpectralConfigError
 
 __all__ = ["ConfigError", "PathsConfig", "RunConfig", "load_run_config", "main"]
 
@@ -66,7 +64,7 @@ EXIT_RUNTIME = 1
 EXIT_USAGE = 2
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """Run-configuration file is malformed; message names file and key."""
 
 
@@ -527,19 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-USAGE_ERRORS = (
-    AssignmentError,
-    ChainParseError,
-    ChainValidationError,
-    ConfigError,
-    DatasetFormatError,
-    MissingInputError,
-    ParameterRangeError,
-    SpectralConfigError,
-    ValueError,  # LossConfigError and MatcherConfigError among them
-)
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -547,10 +532,7 @@ def main(argv: Optional[list] = None) -> int:
     logging.basicConfig(stream=sys.stderr, level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        log.error("%s", exc)
-        return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except (ValueError, FileNotFoundError) as exc:
         log.error("%s", exc)
         return EXIT_USAGE
     except (AudioIOError, OSError) as exc:

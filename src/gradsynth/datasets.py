@@ -57,7 +57,7 @@ METADATA_NAME = "metadata.jsonl"
 CHAIN_NAME = "chain.txt"
 
 
-class DatasetFormatError(Exception):
+class DatasetFormatError(ValueError):
     """metadata.jsonl contents do not match the chain or the schema."""
 
 
@@ -175,7 +175,12 @@ def parse_assignment(chain: ChainSpec, payload: Mapping) -> ParameterAssignment:
                     raise DatasetFormatError(
                         f"connection {ends[0]} -> {ends[1]} not declared by the chain"
                     )
-                connections_on[lookup[ends]] = bool(entry["on"])
+                if not isinstance(entry["on"], bool):
+                    raise DatasetFormatError(
+                        f"connection {ends[0]} -> {ends[1]}: 'on' must be true or false, "
+                        f"got {entry['on']!r}"
+                    )
+                connections_on[lookup[ends]] = entry["on"]
         return ParameterAssignment(values, connections_on)
     except DatasetFormatError:
         raise
@@ -198,7 +203,7 @@ def _record_from_json(chain: ChainSpec, line: str, lineno: int) -> DatasetRecord
             parse_assignment(chain, payload),
             str(payload["wav"]),
         )
-    except (DatasetFormatError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:  # DatasetFormatError among them
         raise DatasetFormatError(f"metadata line {lineno}: {exc}") from exc
 
 

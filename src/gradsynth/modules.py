@@ -46,11 +46,11 @@ TWO_PI = 2.0 * math.pi
 LOWPASS_TAPS = 101
 
 
-class ParameterRangeError(Exception):
-    """A continuous parameter lies outside its catalog range."""
+class ParameterRangeError(ValueError):
+    """A parameter value is not a number, or lies outside its catalog range."""
 
 
-class MissingInputError(Exception):
+class MissingInputError(ValueError):
     """A module was invoked without a required input signal."""
 
 
@@ -224,13 +224,18 @@ def from_unit(param: ContinuousParam, u, config: RenderConfig):
 Paramlike = Union[DiffValue, float, int]
 
 
-def _as_scalar(value: Paramlike) -> DiffValue:
-    return value if isinstance(value, DiffValue) else DiffValue(float(value))
+def _as_scalar(kind: str, name: str, value: Paramlike) -> DiffValue:
+    if isinstance(value, DiffValue):
+        return value
+    try:
+        return DiffValue(float(value))
+    except (TypeError, ValueError, OverflowError):
+        raise ParameterRangeError(f"{kind}.{name} = {value!r} is not a number") from None
 
 
 def _checked(kind: str, name: str, value: Paramlike, config: RenderConfig) -> DiffValue:
     low, high = resolve_range(_PARAMS[kind, name], config)
-    scalar = _as_scalar(value)
+    scalar = _as_scalar(kind, name, value)
     # Generator frequencies render at any positive value below the catalog
     # ceiling (the low bound constrains sampling and matching, not the
     # sampling grid itself); every other parameter is held to its range.
@@ -362,12 +367,14 @@ def check_lowpass_length(num_samples: int) -> None:
 
 
 def apply_lowpass(input_signal: Signal, params: Mapping, config: RenderConfig) -> Signal:
-    """Zero-padded 'same' convolution with a 101-tap windowed-sinc kernel."""
+    """Zero-padded 'same' convolution with a 101-tap windowed-sinc kernel.
+
+    A cutoff above Nyquist passes every frequency the render holds, so it
+    renders as the open filter: the kernel at Nyquist, with no gradient.
+    """
     cutoff = _checked("lowpass", "cutoff", params["cutoff"], config)
     if cutoff.value > config.sample_rate / 2:
-        raise ParameterRangeError(
-            f"lowpass.cutoff = {cutoff.value} above Nyquist {config.sample_rate / 2}"
-        )
+        cutoff = DiffValue(config.sample_rate / 2)
     check_lowpass_length(len(input_signal))
     kernel = _lowpass_kernel(cutoff, config.sample_rate)
     return Signal(ad.convolve_same(input_signal.samples, kernel), config.sample_rate)
@@ -391,7 +398,7 @@ def apply_tremolo(input_signal: Signal, lfo: Optional[Signal], params: Mapping) 
     """Amplitude pulse: out = in * ((1-depth) + depth*(lfo+1)/2)."""
     if lfo is None:
         raise MissingInputError("tremolo: requires an LFO input")
-    depth = _as_scalar(params["depth"])
+    depth = _as_scalar("tremolo", "depth", params["depth"])
     if not (0.0 <= depth.value <= 1.0):
         raise ParameterRangeError(f"tremolo.depth = {depth.value} outside [0, 1]")
     gain = (lfo.samples + 1.0) * 0.5 * depth + (1.0 - depth)

@@ -40,7 +40,7 @@ PROCESSINGS = ("identity", "log", "cumsum_time", "cumsum_freq")
 LOG_OFFSET = 1e-5
 
 
-class SpectralConfigError(Exception):
+class SpectralConfigError(ValueError):
     """Window/signal geometry or processing kind is unusable."""
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -418,6 +420,14 @@ def test_generate_rejects_incomplete_assignment():
         )
     with pytest.raises(AssignmentError, match="no parameters"):
         generate_signal(chain, ParameterAssignment({}), CFG)
+
+
+def test_generate_rejects_parameters_for_a_cell_the_chain_lacks():
+    chain = ChainSpec("c", (Cell(addr(0, 0), "osc"), Cell(addr(1, 0), "empty")), ())
+    for extra in (addr(5, 5), addr(1, 0)):
+        values = {addr(0, 0): dict(OSC), extra: dict(OSC)}
+        with pytest.raises(AssignmentError, match=re.escape(f"assigned to {extra},")):
+            generate_signal(chain, ParameterAssignment(values), CFG)
 
 
 def test_fm_chain_with_lfo_modulator():

@@ -1,5 +1,7 @@
+import importlib
 import json
 import logging
+import pkgutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -10,10 +12,11 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from gradsynth.audio import RenderConfig, read_wav
-from gradsynth.autodiff import Tape
+import gradsynth
+from gradsynth.audio import AudioIOError, RenderConfig, read_wav
+from gradsynth.autodiff import AutodiffError, Tape
 from gradsynth.chains import CellAddress, ParameterAssignment, generate_signal, parse_chain_file
-from gradsynth import cli, losses
+from gradsynth import chains, cli, losses
 from gradsynth.cli import (
     CONFIG_FIELDS,
     GRADCHECK_REL_STEPS,
@@ -25,11 +28,11 @@ from gradsynth.cli import (
     load_run_config,
     main,
 )
-from gradsynth.datasets import sample_assignment
+from gradsynth.datasets import assignment_payload, sample_assignment
 from gradsynth.experiments import export_csv, loss_surface_sweep
 from gradsynth.losses import LossConfig
 from gradsynth.matching import match
-from gradsynth.modules import CATALOG, from_unit
+from gradsynth.modules import CATALOG, apply_lowpass, from_unit
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -747,6 +750,123 @@ def test_match_config_with_loss_beta_exits_2(tmp_path, osc_chain, caplog):
                  "--config", str(cfg), "--out-dir", str(out_dir)]) == 2
     assert "line 2: unknown config key 'loss.beta'" in caplog.text
     assert not out_dir.exists()
+
+
+# -- exit codes -----------------------------------------------------------------
+
+
+def _defined_errors() -> list:
+    """Every exception class that a gradsynth module defines."""
+    found = []
+    for info in pkgutil.iter_modules(gradsynth.__path__):
+        module = importlib.import_module(f"gradsynth.{info.name}")
+        found += [
+            obj
+            for obj in vars(module).values()
+            if isinstance(obj, type)
+            and issubclass(obj, BaseException)
+            and obj.__module__ == module.__name__
+        ]
+    return sorted(found, key=lambda cls: cls.__name__)
+
+
+DEFINED_ERRORS = _defined_errors()
+
+
+def test_the_error_walk_finds_the_known_errors():
+    names = {cls.__name__ for cls in DEFINED_ERRORS}
+    assert {
+        "AssignmentError", "AudioIOError", "AutodiffError", "ChainParseError",
+        "ChainValidationError", "ConfigError", "DatasetFormatError", "LossConfigError",
+        "MatcherConfigError", "MissingInputError", "NumericDomainError",
+        "ParameterRangeError", "SpectralConfigError",
+    } <= names
+
+
+@pytest.mark.parametrize("cls", DEFINED_ERRORS, ids=lambda cls: cls.__name__)
+def test_every_input_error_is_a_value_error_and_exits_2(tmp_path, osc_chain, monkeypatch, cls):
+    # An unreadable WAV is a runtime failure (exit 1) and an autodiff error
+    # is a bug (a traceback); every other gradsynth error is about the input.
+    def fail(*args, **kwargs):
+        raise cls.__new__(cls, f"{cls.__name__} raised")  # whatever cls.__init__ takes
+
+    monkeypatch.setattr(cli, "generate_signal", fail)
+    argv = ["-q", "render", str(osc_chain), "--random", "--out", str(tmp_path / "x.wav")]
+    if issubclass(cls, AutodiffError):
+        assert not issubclass(cls, ValueError)
+        with pytest.raises(cls):
+            main(argv)
+    elif cls is AudioIOError:
+        assert not issubclass(cls, ValueError)
+        assert main(argv) == 1
+    else:
+        assert issubclass(cls, ValueError)
+        assert main(argv) == 2
+
+
+def _edited_params(path, edit) -> Path:
+    """A parameter file for basic.chain, changed by ``edit(payload)``."""
+    chain = parse_chain_file(BASIC)
+    assignment = sample_assignment(chain, np.random.default_rng(0), RenderConfig(duration=0.25))
+    payload = assignment_payload(chain, assignment)
+    edit(payload)
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize(
+    "edit, fragment",
+    [
+        (lambda p: p["params"]["0,0"].update(amp=None), "osc.amp = None is not a number"),
+        (lambda p: p["params"]["0,0"].update(amp=[0.5]), "osc.amp = [0.5] is not a number"),
+        (lambda p: p["params"].update({"5,5": {"cutoff": 1000.0}}), "assigned to (5,5)"),
+        (lambda p: p["connections"][0].update(on="false"), "'on' must be true or false"),
+    ],
+    ids=["null", "list", "extra-cell", "string-on"],
+)
+def test_render_rejects_a_malformed_params_file(tmp_path, basic_chain, caplog, edit, fragment):
+    params = _edited_params(tmp_path / "p.json", edit)
+    out = tmp_path / "x.wav"
+    argv = ["render", str(basic_chain), "--params", str(params), "--duration", "0.25"]
+    assert main(argv + ["--out", str(out)]) == 2
+    assert fragment in caplog.text
+    assert not out.exists()
+
+
+@pytest.fixture
+def lowpass_cutoffs(monkeypatch):
+    """The cutoff of every low-pass render, as a float."""
+    seen = []
+
+    def spy(signal, params, config):
+        seen.append(getattr(params["cutoff"], "value", params["cutoff"]))
+        return apply_lowpass(signal, params, config)
+
+    monkeypatch.setattr(chains, "apply_lowpass", spy)
+    return seen
+
+
+def test_commands_at_8khz_render_a_cutoff_above_nyquist(tmp_path, lowpass_cutoffs):
+    # the catalog's cutoff range reaches 8 kHz at every rate, so sampling
+    # and matching at 8 kHz reach past its 4 kHz Nyquist limit
+    basic = str(REPO / "chains" / "basic.chain")
+    at_8k = ["--sample-rate", "8000"]
+    target = str(tmp_path / "t8.wav")
+    assert main(["-q", "render", basic, "--random", "--seed", "3", *at_8k, "--duration", "0.25",
+                 "--out", target]) == 0
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text(
+        "loss.cells = output\noptimizer.steps = 5\noptimizer.restarts = 2\n"
+        "optimizer.learning_rate = 0.2\n"
+    )
+    for argv in [
+        ["render", basic, "--random", "--seed", "17", *at_8k, "--out", str(tmp_path / "o.wav")],
+        ["dataset", basic, "--n", "20", *at_8k, "--out", str(tmp_path / "ds")],
+        ["match", target, basic, "--config", str(cfg), "--out-dir", str(tmp_path / "res")],
+    ]:
+        lowpass_cutoffs.clear()
+        assert main(["-q", *argv]) == 0
+        assert max(lowpass_cutoffs) > 4000.0
 
 
 # -- plumbing -------------------------------------------------------------------

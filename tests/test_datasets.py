@@ -14,6 +14,7 @@ from gradsynth.chains import (
     ChainSpec,
     ChainValidationError,
     Connection,
+    format_chain,
     generate_signal,
     parse_chain_file,
 )
@@ -23,6 +24,7 @@ from gradsynth.datasets import (
     assignment_payload,
     generate_dataset,
     load_records,
+    parse_assignment,
     record_rng,
     render_record,
     sample_assignment,
@@ -277,6 +279,24 @@ def test_load_records_rejects_unknown_connection(tmp_path):
     with pytest.raises(DatasetFormatError, match="not declared"):
         load_records(MIX_CHAIN, path)
     assert records  # original batch unaffected
+
+
+@pytest.mark.parametrize("on", ["false", 0])
+def test_parse_assignment_takes_only_a_json_boolean_for_on(tmp_path, on):
+    chain = parse_chain_file(format_chain(MIX_CHAIN).replace("1,0 -> 0,1", "1,0 -> 0,1 optional"))
+    (optional,) = [c for c in chain.connections if c.optional]
+    record = sample_record(chain, 3, 0, CFG)
+    payload = assignment_payload(chain, record.assignment)
+    (entry,) = [e for e in payload["connections"] if e["optional"]]
+    entry["on"] = False
+    assert parse_assignment(chain, payload).connection_on(optional) is False
+    entry["on"] = on
+    with pytest.raises(DatasetFormatError, match="'on' must be true or false"):
+        parse_assignment(chain, payload)
+    payload.update(index=0, seed=3, wav=record.wav_name)
+    (tmp_path / "metadata.jsonl").write_text(json.dumps(payload) + "\n")
+    with pytest.raises(DatasetFormatError, match="line 1: .*'on' must be true or false"):
+        load_records(chain, tmp_path / "metadata.jsonl")
 
 
 def test_record_connections_on_exposed():

@@ -321,10 +321,17 @@ def test_lowpass_range_and_nyquist():
     src = sine_signal()
     with pytest.raises(ParameterRangeError):
         apply_lowpass(src, {"cutoff": 10.0}, CFG)
+    # above Nyquist the filter is open: the kernel at Nyquist, no gradient
     cfg = RenderConfig(sample_rate=12000, duration=0.1)
-    low_src = Signal.from_values(np.zeros(cfg.num_samples), cfg.sample_rate)
-    with pytest.raises(ParameterRangeError):
-        apply_lowpass(low_src, {"cutoff": 7000.0}, cfg)
+    noise = np.random.default_rng(0).standard_normal(cfg.num_samples)
+    at_nyquist = apply_lowpass(Signal.from_values(noise, cfg.sample_rate), {"cutoff": 6000.0}, cfg)
+    tape = ad.Tape()
+    gain, cutoff = tape.parameter(1.0, "gain"), tape.parameter(7000.0, "cutoff")
+    src = Signal(ad.DiffValue(noise) * gain, cfg.sample_rate)
+    out = apply_lowpass(src, {"cutoff": cutoff}, cfg)
+    np.testing.assert_array_equal(out.values, at_nyquist.values)
+    grads = tape.backward(ad.bsum(out.samples * out.samples))
+    assert grads["cutoff"] == 0.0 and grads["gain"] != 0.0
 
 
 # -- mix and tremolo ---------------------------------------------------------
@@ -366,6 +373,22 @@ def test_tremolo_gain_band():
 def test_tremolo_requires_lfo():
     with pytest.raises(MissingInputError):
         apply_tremolo(sine_signal(), None, {"depth": 0.5})
+
+
+@pytest.mark.parametrize("value", [None, [0.5], "abc", 10**400], ids=["None", "list", "str", "huge"])
+def test_a_parameter_that_is_not_a_number_is_named(value):
+    with pytest.raises(ParameterRangeError, match=r"osc\.amp = .* is not a number"):
+        render_oscillator(osc_params(amp=value), CFG)
+    lfo = sine_signal(3.0)
+    with pytest.raises(ParameterRangeError, match=r"tremolo\.depth = .* is not a number"):
+        apply_tremolo(sine_signal(), lfo, {"depth": value})
+
+
+def test_a_numeric_string_still_reads_as_its_number():
+    np.testing.assert_array_equal(
+        render_oscillator(osc_params(amp="0.5"), CFG).values,
+        render_oscillator(osc_params(amp=0.5), CFG).values,
+    )
 
 
 def test_tremolo_depth_gradient_matches_fd():
