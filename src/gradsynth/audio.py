@@ -1,4 +1,5 @@
-"""Audio buffer type, WAV I/O, and the shared sampling grid.
+"""Audio buffer type, WAV I/O, the shared sampling grid, and the process
+fan-out of batch renders.
 
 Sample index k corresponds to time t = k / sample_rate exactly.  All
 signals inside one render share one sample rate and one length; the
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -18,7 +20,7 @@ from scipy.io import wavfile
 
 from gradsynth.autodiff import DiffValue
 
-__all__ = ["AudioIOError", "RenderConfig", "Signal", "read_wav", "write_wav", "zeros"]
+__all__ = ["AudioIOError", "RenderConfig", "Signal", "fan_out", "read_wav", "write_wav", "zeros"]
 
 log = logging.getLogger(__name__)
 
@@ -77,6 +79,16 @@ class Signal:
 
     def __len__(self) -> int:
         return len(self.samples)
+
+
+def fan_out(fn, items: list, jobs: int) -> list:
+    """``[fn(item) for item in items]``, over ``min(jobs, len(items))``
+    worker processes when that is at least two, else in this process."""
+    workers = min(jobs, len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
 
 
 def zeros(config: RenderConfig) -> Signal:

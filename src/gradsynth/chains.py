@@ -3,8 +3,9 @@ sound generation.
 
 A chain is a 2-D matrix of cells addressed by (channel, layer).  Cells
 host at most one module; connections only run from lower to strictly
-higher layers.  Generation walks layers in ascending order and averages
-the final layer's cell outputs across channels.
+higher layers.  A :class:`ChainSpec` checks this when it is built, so
+every chain that exists is valid.  Generation walks layers in ascending
+order and averages the final layer's cell outputs across channels.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ __all__ = [
     "generate_signal",
     "parse_chain_file",
     "resolve_optional",
-    "validate",
 ]
 
 CELL_KINDS = tuple(CATALOG) + ("empty",)
@@ -58,7 +58,7 @@ class ChainParseError(ValueError):
 
 
 class ChainValidationError(ValueError):
-    """A structurally invalid chain was passed where a valid one is required."""
+    """A :class:`ChainSpec` was built from structurally invalid parts."""
 
     def __init__(self, violations: Sequence["Violation"]):
         super().__init__("; ".join(v.message for v in violations))
@@ -93,9 +93,17 @@ class Cell:
 
 @dataclass(frozen=True)
 class ChainSpec:
+    """A structurally valid chain; building an invalid one raises
+    :class:`ChainValidationError` with every violation found."""
+
     name: str
     cells: tuple
     connections: tuple
+
+    def __post_init__(self) -> None:
+        violations = _validate(self)
+        if violations:
+            raise ChainValidationError(violations)
 
     def cell_map(self) -> dict:
         return {c.address: c.kind for c in self.cells}
@@ -169,6 +177,9 @@ def parse_chain_file(text: str) -> ChainSpec:
 
     Statements: ``chain <name>``, ``cell <ch> <ly> <kind>``,
     ``connect <ch>,<ly> -> <ch>,<ly> [optional]``.  '#' starts a comment.
+    Grammar errors raise :class:`ChainParseError` with their line; a
+    chain that parses but is structurally invalid raises
+    :class:`ChainValidationError` as it is built.
     """
     name = None
     cells: list = []
@@ -253,7 +264,7 @@ def format_chain(chain: ChainSpec) -> str:
     return "\n".join(lines) + "\n"
 
 
-def validate(chain: ChainSpec) -> list:
+def _validate(chain: ChainSpec) -> list:
     """Collect structural violations; an empty list means the chain is valid."""
     violations: list = []
 
@@ -329,7 +340,7 @@ def resolve_optional(chain: ChainSpec, rng: np.random.Generator) -> Resolution:
     for conn in chain.connections:
         states[conn] = True if not conn.optional else bool(rng.random() < 0.5)
     for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
-        if cell.kind == "empty" or cell.kind not in CATALOG:
+        if cell.kind == "empty":
             continue
         incoming = chain.incoming(cell.address)
         for conn in incoming:
@@ -363,9 +374,6 @@ def generate_signal(
     zeros.  Its audio inputs are its live inputs, except a tremolo's LFO,
     which is a control input.
     """
-    violations = validate(chain)
-    if violations:
-        raise ChainValidationError(violations)
     cmap = chain.cell_map()
     extra = assignment.values.keys() - {a for a, kind in cmap.items() if kind != "empty"}
     if extra:

@@ -31,11 +31,9 @@ from .chains import (
     CellAddress,
     ChainParseError,
     ChainSpec,
-    ChainValidationError,
     ParameterAssignment,
     generate_signal,
     parse_chain_file,
-    validate,
 )
 from .datasets import (
     assignment_payload,
@@ -165,11 +163,7 @@ def _load_chain(path) -> ChainSpec:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise ChainParseError(0, f"{path} is not a text file") from None
-    chain = parse_chain_file(text)
-    violations = validate(chain)
-    if violations:
-        raise ChainValidationError(violations)
-    return chain
+    return parse_chain_file(text)
 
 
 def _load_or_sample_assignment(chain, args, render_config) -> ParameterAssignment:

@@ -18,23 +18,20 @@ from __future__ import annotations
 
 import json
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
 import numpy as np
 
-from .audio import RenderConfig, Signal, write_wav
+from .audio import RenderConfig, Signal, fan_out, write_wav
 from .chains import (
     CellAddress,
     ChainSpec,
-    ChainValidationError,
     ParameterAssignment,
     format_chain,
     generate_signal,
     resolve_optional,
-    validate,
 )
 from .modules import CATALOG, SHARED_DURATION, check_lowpass_length, duration_left, from_unit
 
@@ -238,9 +235,6 @@ def generate_dataset(
     index order).  Failures partway through leave the files already
     written; the warning log line says which directory to clean up.
     """
-    violations = validate(chain)
-    if violations:
-        raise ChainValidationError(violations)
     if any(cell.kind == "lowpass" for cell in chain.cells):
         # a record whose sources are all off skips the low-pass, so check
         # before any record is written rather than by the draw
@@ -254,11 +248,7 @@ def generate_dataset(
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / CHAIN_NAME).write_text(format_chain(chain), encoding="utf-8")
-        if jobs > 1 and n > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                records = list(pool.map(_make_record, job_args))
-        else:
-            records = [_make_record(args) for args in job_args]
+        records = fan_out(_make_record, job_args, jobs)
         with open(out / METADATA_NAME, "w", encoding="utf-8") as handle:
             for record in records:
                 handle.write(_record_to_json(chain, record) + "\n")

@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import csv
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
 
-from .audio import RenderConfig
+from .audio import RenderConfig, fan_out
 from .chains import ChainSpec, ParameterAssignment, generate_signal
 from .losses import LossConfig, chain_features, signal_chain_loss
 from .modules import CATALOG, ContinuousParam, from_unit, render_oscillator
@@ -66,7 +65,6 @@ BENCHMARK_DISTANCES = ("epsilon", 300.0, 600.0)
 class SweepResult:
     """Loss along a 1-D grid of one parameter, others at ground truth."""
 
-    param_name: str
     grid: tuple
     losses: tuple
     local_minima: int
@@ -140,12 +138,7 @@ def loss_surface_sweep(
         assignment = ParameterAssignment(values, target_assignment.connections_on)
         trace = generate_signal(chain, assignment, render_config)
         losses.append(float(signal_chain_loss(trace, target, loss_cfg).value))
-    return SweepResult(
-        param_name=f"{address.channel},{address.layer}:{name}",
-        grid=grid,
-        losses=tuple(losses),
-        local_minima=_count_strict_local_minima(losses),
-    )
+    return SweepResult(grid, tuple(losses), _count_strict_local_minima(losses))
 
 
 def _check_variants(variants) -> tuple:
@@ -246,16 +239,12 @@ def perturbation_trials(
         raise ValueError(f"trials must be positive, got {trials}")
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
-    if jobs > 1 and trials > 1:
-        block = math.ceil(trials / jobs)
-        blocks = [
-            (waveform, distance, variants, seed, start, min(start + block, trials))
-            for start in range(0, trials, block)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = [row for part in pool.map(_trial_block, blocks) for row in part]
-    else:
-        rows = _trial_block((waveform, distance, variants, seed, 0, trials))
+    block = math.ceil(trials / jobs)
+    blocks = [
+        (waveform, distance, variants, seed, start, min(start + block, trials))
+        for start in range(0, trials, block)
+    ]
+    rows = [row for part in fan_out(_trial_block, blocks, jobs) for row in part]
     return {variant: [row[variant] for row in rows] for variant in variants}
 
 

@@ -11,22 +11,19 @@ import functools
 import itertools
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Union
 
 import numpy as np
 
-from .audio import RenderConfig, Signal
+from .audio import RenderConfig, Signal, fan_out
 from .autodiff import DiffValue, Tape, sigmoid, sigmoid_gate
 from .chains import (
     CellAddress,
     ChainSpec,
-    ChainValidationError,
     ParameterAssignment,
     RenderTrace,
     generate_signal,
-    validate,
 )
 from .losses import (
     LossConfig,
@@ -230,16 +227,16 @@ def _loss_parts(
 
 
 def _run_branch(
-    combo_index: int,
-    combo: tuple,
-    restart: int,
+    branch: tuple[int, tuple, int],
     *,
     loss_parts: Callable[..., tuple[DiffValue, DiffValue]],
     free_keys: list[tuple[CellAddress, str]],
     betas: tuple[float, ...],
     opt_cfg: OptimizerConfig,
 ) -> BranchResult:
-    """Optimize one branch; ``betas`` holds the spectral weight of each step."""
+    """Optimize one (combo index, combo, restart) branch; ``betas`` holds
+    the spectral weight of each step."""
+    combo_index, combo, restart = branch
     combo_map = dict(combo)
     rng = np.random.default_rng(
         np.random.SeedSequence(opt_cfg.seed, spawn_key=(combo_index, restart))
@@ -326,9 +323,6 @@ def match(
     every step, since the parameter term is then unavailable.
     """
     started = time.perf_counter()
-    violations = validate(chain)
-    if violations:
-        raise ChainValidationError(violations)
     if loss_cfg.cells != "output":
         raise MatcherConfigError(
             "matching a bare target signal requires cells='output'; intermediate "
@@ -348,6 +342,17 @@ def match(
         raise MatcherConfigError("unsupervised matching requires beta > 0 at every step")
 
     fixed = dict(fixed_params or {})
+    chain_params = {
+        (cell.address, p.name)
+        for cell in chain.cells
+        if cell.kind != "empty"
+        for p in CATALOG[cell.kind].continuous + CATALOG[cell.kind].categorical
+    }
+    unknown = [f"{CellAddress(*address)}.{name}" for address, name in fixed.keys() - chain_params]
+    if unknown:
+        raise MatcherConfigError(
+            f"fixed_params name no parameter of chain {chain.name!r}: {', '.join(sorted(unknown))}"
+        )
     # the target is constant, so its features are taken once per call
     target_features = chain_features(RenderTrace({}, target), loss_cfg)
     loss_parts = functools.partial(
@@ -363,16 +368,8 @@ def match(
     run_branch = functools.partial(
         _run_branch, loss_parts=loss_parts, free_keys=free_keys, betas=betas, opt_cfg=opt_cfg
     )
-    jobs = [
-        (combo_index, combo, restart)
-        for combo_index, combo in enumerate(combos)
-        for restart in range(opt_cfg.restarts)
-    ]
-    if opt_cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=opt_cfg.jobs) as pool:
-            branches = list(pool.map(run_branch, *zip(*jobs)))
-    else:
-        branches = [run_branch(*job) for job in jobs]
+    runs = [(i, combo, r) for i, combo in enumerate(combos) for r in range(opt_cfg.restarts)]
+    branches = fan_out(run_branch, runs, opt_cfg.jobs)
 
     finished = [b for b in branches if not b.diverged and np.isfinite(b.final_loss)]
     if not finished:

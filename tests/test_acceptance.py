@@ -29,10 +29,10 @@ from gradsynth.autodiff import finite_difference_check
 from gradsynth.chains import (
     CellAddress,
     ChainParseError,
+    ChainValidationError,
     ParameterAssignment,
     generate_signal,
     parse_chain_file,
-    validate,
 )
 from gradsynth.datasets import generate_dataset, sample_assignment
 from gradsynth.experiments import benchmark_table, export_csv, loss_surface_sweep
@@ -692,8 +692,9 @@ def test_criterion_7_validation_corpus(capsys):
             parse_chain_file(text)
         assert fragment in str(exc.value), f"{label}: {exc.value}"
     for label, text, kind in VALIDATE_CORPUS:
-        chain = parse_chain_file(text)
-        codes = {v.code for v in validate(chain)}
+        with pytest.raises(ChainValidationError) as exc:
+            parse_chain_file(text)
+        codes = {v.code for v in exc.value.violations}
         assert kind in codes, f"{label}: expected {kind}, got {codes}"
     ok = total >= 20
     _report(

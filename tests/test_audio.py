@@ -6,14 +6,21 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
+from gradsynth import audio
 from gradsynth.audio import (
     AudioIOError,
     RenderConfig,
     Signal,
+    fan_out,
     read_wav,
     write_wav,
     zeros,
 )
+from gradsynth.chains import CellAddress, parse_chain_file
+from gradsynth.datasets import generate_dataset
+from gradsynth.experiments import perturbation_trials
+from gradsynth.losses import LossConfig
+from gradsynth.matching import OptimizerConfig, match
 
 
 def test_default_grid():
@@ -116,3 +123,60 @@ def test_read_rejects_garbage(tmp_path):
     path.write_bytes(b"this is not audio")
     with pytest.raises(AudioIOError, match="unreadable"):
         read_wav(path)
+
+
+# -- process fan-out ------------------------------------------------------------
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The ``max_workers`` of every pool fan_out opens; each one maps in this process."""
+    opened = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            opened.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(audio, "ProcessPoolExecutor", SerialPool)
+    return opened
+
+
+def test_fan_out_opens_a_pool_of_min_jobs_items_when_that_is_two_or_more(pools):
+    assert fan_out(abs, [], 8) == []
+    assert fan_out(abs, [-1], 8) == [1]
+    assert fan_out(abs, [-1, -2, -3], 1) == [1, 2, 3]
+    assert pools == []
+    assert fan_out(abs, [-1, -2, -3], 8) == [1, 2, 3]
+    assert fan_out(abs, [-1, -2, -3], 2) == [1, 2, 3]
+    assert pools == [3, 2]
+
+
+def test_every_pool_opens_no_more_workers_than_items(tmp_path, pools):
+    cfg = RenderConfig(duration=0.125)
+    chain = parse_chain_file("chain o\ncell 0 0 osc\n")
+    generate_dataset(chain, 1, seed=0, out_dir=tmp_path / "one", render_config=cfg, jobs=8)
+    generate_dataset(chain, 3, seed=0, out_dir=tmp_path / "three", render_config=cfg, jobs=8)
+    assert pools == [3]
+
+    pools.clear()
+    perturbation_trials("saw", 300.0, (("spectrogram", "identity"),), trials=1, jobs=8)
+    perturbation_trials("saw", 300.0, (("spectrogram", "identity"),), trials=3, jobs=8)
+    assert pools == [3]
+
+    pools.clear()
+    target = zeros(cfg)
+    loss = LossConfig(cells="output", windows=(256,))
+    one_combo = {(CellAddress(0, 0), "waveform"): "sine", (CellAddress(0, 0), "active"): "on"}
+    for restarts in (1, 2):
+        opt = OptimizerConfig(steps=1, restarts=restarts, jobs=8)
+        match(target, chain, loss, opt, fixed_params=one_combo, render_config=cfg)
+    assert pools == [2]

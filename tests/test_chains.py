@@ -25,7 +25,6 @@ from gradsynth.chains import (
     format_chain,
     parse_chain_file,
     resolve_optional,
-    validate,
 )
 from gradsynth.modules import MissingInputError, render_oscillator
 
@@ -76,7 +75,6 @@ def test_parse_basic_chain():
     assert len(chain.connections) == 4
     assert all(not c.optional for c in chain.connections)
     assert chain.cell_map()[addr(0, 1)] == "mix"
-    assert validate(chain) == []
 
 
 def test_parse_optional_connection():
@@ -102,9 +100,22 @@ def test_format_chain_round_trips():
     assert parse_chain_file(format_chain(optional)) == optional
 
 
+def _chain_text(name, cells, connections) -> str:
+    """The line grammar of a chain's parts, which need not make a valid chain."""
+    lines = [f"chain {name}"]
+    lines += [f"cell {c.address.channel} {c.address.layer} {c.kind}" for c in cells]
+    lines += [
+        f"connect {c.source.channel},{c.source.layer} -> {c.dest.channel},{c.dest.layer}"
+        + (" optional" if c.optional else "")
+        for c in connections
+    ]
+    return "\n".join(lines) + "\n"
+
+
 @st.composite
 def chains(draw):
-    """Any parseable chain: unique addresses, connections between declared cells."""
+    """The parts of any parseable chain: unique addresses, connections
+    between declared cells; the chain they make may be invalid."""
     name = draw(st.text("abcxyz019_-.", min_size=1, max_size=8))
     addresses = draw(
         st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), max_size=8, unique=True)
@@ -118,13 +129,27 @@ def chains(draw):
         connections = tuple(
             draw(st.lists(st.builds(Connection, ends, ends, st.booleans()), max_size=6))
         )
-    return ChainSpec(name, cells, connections)
+    return name, cells, connections
 
 
-@given(chain=chains())
+def _build(make):
+    """``(chain, None)`` if ``make()`` builds one, else ``(None, violations)``."""
+    try:
+        return make(), None
+    except ChainValidationError as exc:
+        return None, exc.violations
+
+
+@given(parts=chains())
 @settings(max_examples=60, deadline=None)
-def test_format_chain_round_trips_generated_chains(chain):
-    assert parse_chain_file(format_chain(chain)) == chain
+def test_format_chain_round_trips_generated_chains(parts):
+    built, built_violations = _build(lambda: ChainSpec(*parts))
+    parsed, parsed_violations = _build(lambda: parse_chain_file(_chain_text(*parts)))
+    assert parsed == built
+    assert parsed_violations == built_violations
+    if built is not None:
+        assert format_chain(built) == _chain_text(*parts)
+        assert parse_chain_file(format_chain(built)) == built
 
 
 @pytest.mark.parametrize(
@@ -170,78 +195,74 @@ def _single(kind="osc"):
     return (Cell(addr(0, 0), kind),)
 
 
+def _violations(cells, connections=()) -> list:
+    """The violations that building a chain of these parts raises."""
+    with pytest.raises(ChainValidationError) as err:
+        ChainSpec("c", cells, connections)
+    assert str(err.value) == "; ".join(v.message for v in err.value.violations)
+    return list(err.value.violations)
+
+
 def test_validate_flags_backward_connection():
-    chain = ChainSpec(
-        "c",
+    violations = _violations(
         (Cell(addr(0, 1), "mix"), Cell(addr(0, 2), "osc")),
         (Connection(addr(0, 2), addr(0, 1)),),
     )
-    codes = [v.code for v in validate(chain)]
-    assert "backward_connection" in codes
+    assert "backward_connection" in [v.code for v in violations]
 
 
 def test_validate_flags_same_layer_connection():
-    chain = ChainSpec(
-        "c",
+    violations = _violations(
         (Cell(addr(0, 0), "osc"), Cell(addr(1, 0), "mix")),
         (Connection(addr(0, 0), addr(1, 0)),),
     )
-    codes = [v.code for v in validate(chain)]
-    assert "backward_connection" in codes
+    assert "backward_connection" in [v.code for v in violations]
 
 
 def test_validate_flags_occupied_cell():
-    chain = ChainSpec("c", (Cell(addr(0, 0), "osc"), Cell(addr(0, 0), "lfo")), ())
-    codes = [v.code for v in validate(chain)]
+    codes = [v.code for v in _violations((Cell(addr(0, 0), "osc"), Cell(addr(0, 0), "lfo")))]
     assert "cell_occupied" in codes
 
 
 def test_validate_flags_unknown_kind():
-    chain = ChainSpec("c", (Cell(addr(0, 0), "warp"),), ())
-    codes = [v.code for v in validate(chain)]
+    codes = [v.code for v in _violations((Cell(addr(0, 0), "warp"),))]
     assert "unknown_kind" in codes
 
 
 def test_validate_flags_dangling_connection():
-    chain = ChainSpec("c", _single(), (Connection(addr(0, 0), addr(0, 1)),))
-    codes = [v.code for v in validate(chain)]
+    codes = [v.code for v in _violations(_single(), (Connection(addr(0, 0), addr(0, 1)),))]
     assert "dangling_connection" in codes
 
 
 def test_validate_flags_duplicate_connection():
-    chain = ChainSpec(
-        "c",
+    violations = _violations(
         (Cell(addr(0, 0), "osc"), Cell(addr(0, 1), "mix")),
         (Connection(addr(0, 0), addr(0, 1)), Connection(addr(0, 0), addr(0, 1))),
     )
-    codes = [v.code for v in validate(chain)]
-    assert "duplicate_connection" in codes
+    assert "duplicate_connection" in [v.code for v in violations]
 
 
 def test_validate_flags_no_cells():
-    assert [v.code for v in validate(ChainSpec("c", (), ()))] == ["no_cells"]
+    assert [v.code for v in _violations(())] == ["no_cells"]
 
 
 def test_validate_arity_source_with_input():
-    chain = ChainSpec(
-        "c",
+    violations = _violations(
         (Cell(addr(0, 0), "osc"), Cell(addr(0, 1), "osc")),
         (Connection(addr(0, 0), addr(0, 1)),),
     )
-    messages = [v.message for v in validate(chain) if v.code == "arity"]
+    messages = [v.message for v in violations if v.code == "arity"]
     assert messages and "accepts no inputs" in messages[0]
 
 
 def test_validate_arity_processor_without_input():
     for kind in ("lowpass", "adsr", "mix"):
-        chain = ChainSpec("c", (Cell(addr(0, 1), kind),), ())
-        codes = [v.code for v in validate(chain)]
+        codes = [v.code for v in _violations((Cell(addr(0, 1), kind),))]
         assert "arity" in codes, kind
 
 
 def test_validate_tremolo_requires_lfo_input():
-    chain = ChainSpec(
-        "c",
+    violations = _violations(
         (
             Cell(addr(0, 0), "osc"),
             Cell(addr(1, 0), "osc"),
@@ -249,8 +270,7 @@ def test_validate_tremolo_requires_lfo_input():
         ),
         (Connection(addr(0, 0), addr(0, 1)), Connection(addr(1, 0), addr(0, 1))),
     )
-    codes = [v.code for v in validate(chain)]
-    assert "missing_required_input" in codes
+    assert "missing_required_input" in [v.code for v in violations]
 
 
 def test_validate_tremolo_with_lfo_ok():
@@ -263,16 +283,14 @@ def test_validate_tremolo_with_lfo_ok():
         ),
         (Connection(addr(0, 0), addr(0, 1)), Connection(addr(1, 0), addr(0, 1))),
     )
-    assert validate(chain) == []
+    assert chain.cell_map()[addr(0, 1)] == "tremolo"
 
 
 def test_validate_never_throws_on_garbage():
-    chain = ChainSpec(
-        "c",
+    violations = _violations(
         (Cell(CellAddress(-1, -2), "warp"), Cell(CellAddress(-1, -2), "warp")),
         (Connection(CellAddress(5, 5), CellAddress(4, 4)),),
     )
-    violations = validate(chain)
     assert violations and all(isinstance(v.message, str) for v in violations)
 
 
@@ -400,10 +418,13 @@ def test_duplicated_final_cell_preserves_output():
     np.testing.assert_allclose(out_a.values, out_b.values, atol=1e-15)
 
 
-def test_generate_rejects_invalid_chain():
-    chain = ChainSpec("c", (Cell(addr(0, 1), "mix"),), ())
-    with pytest.raises(ChainValidationError):
-        generate_signal(chain, ParameterAssignment({addr(0, 1): {}}), CFG)
+def test_an_invalid_chain_never_reaches_generate_signal():
+    with pytest.raises(ChainValidationError, match="mix cell"):
+        generate_signal(
+            ChainSpec("c", (Cell(addr(0, 1), "mix"),), ()),
+            ParameterAssignment({addr(0, 1): {}}),
+            CFG,
+        )
 
 
 def test_generate_rejects_incomplete_assignment():
@@ -609,7 +630,6 @@ def test_resolve_turns_both_optional_tremolo_inputs_on():
             Connection(addr(1, 0), addr(0, 1), optional=True),
         ),
     )
-    assert validate(chain) == []
     values = {
         addr(0, 0): {"freq": 5.0, "active": "on"},
         addr(1, 0): {"amp": 1.0, "freq": 440.0, "waveform": "sine", "active": "on"},

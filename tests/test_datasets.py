@@ -243,16 +243,24 @@ def test_parallel_jobs_match_sequential(tmp_path):
         ).read_bytes()
 
 
-def test_invalid_chain_rejected_before_writing(tmp_path):
-    dangling = ChainSpec(
-        "bad",
-        (Cell(CellAddress(0, 0), "lowpass"),),  # processor with no input
-        (),
-    )
+def test_an_invalid_chain_never_reaches_generate_dataset(tmp_path):
     out = tmp_path / "ds"
-    with pytest.raises(ChainValidationError):
-        generate_dataset(dangling, 3, seed=1, out_dir=out, render_config=CFG)
+    with pytest.raises(ChainValidationError, match="lowpass cell"):
+        generate_dataset(
+            ChainSpec("bad", (Cell(CellAddress(0, 0), "lowpass"),), ()),  # no input
+            3, seed=1, out_dir=out, render_config=CFG,
+        )
     assert not out.exists()
+
+
+def test_an_invalid_chain_never_reaches_sample_assignment():
+    rng = np.random.default_rng(0)
+    with pytest.raises(ChainValidationError, match="unknown kind 'warp'"):
+        sample_assignment(ChainSpec("w", (Cell(CellAddress(0, 0), "warp"),), ()), rng, CFG)
+    cells = (Cell(CellAddress(0, 0), "lowpass"), Cell(CellAddress(0, 1), "osc"))
+    backward = (Connection(CellAddress(0, 1), CellAddress(0, 0)),)
+    with pytest.raises(ChainValidationError, match="does not advance layers"):
+        sample_assignment(ChainSpec("b", cells, backward), rng, CFG)
 
 
 def test_negative_count_rejected(tmp_path):

@@ -8,7 +8,15 @@ import pytest
 
 from gradsynth import losses
 from gradsynth.audio import RenderConfig
-from gradsynth.chains import CellAddress, ParameterAssignment, generate_signal, parse_chain_file
+from gradsynth.chains import (
+    Cell,
+    CellAddress,
+    ChainSpec,
+    ChainValidationError,
+    ParameterAssignment,
+    generate_signal,
+    parse_chain_file,
+)
 from gradsynth.experiments import (
     BENCHMARK_RENDER,
     BENCHMARK_VARIANTS,
@@ -57,9 +65,22 @@ ID_L2 = LossConfig(cells="output", windows=(1024,), processings=("identity",), n
 
 def test_sweep_result_rejects_bad_grids():
     with pytest.raises(ValueError, match="strictly increasing"):
-        SweepResult("p", (1.0, 1.0, 2.0), (0.0, 0.0, 0.0), 0)
+        SweepResult((1.0, 1.0, 2.0), (0.0, 0.0, 0.0), 0)
     with pytest.raises(ValueError, match="equal length"):
-        SweepResult("p", (1.0, 2.0), (0.0,), 0)
+        SweepResult((1.0, 2.0), (0.0,), 0)
+
+
+def test_an_invalid_chain_never_reaches_loss_surface_sweep():
+    warp = CellAddress(0, 0)
+    with pytest.raises(ChainValidationError, match="unknown kind 'warp'"):
+        loss_surface_sweep(
+            ChainSpec("w", (Cell(warp, "warp"),), ()),
+            ParameterAssignment({warp: {"amount": 0.5}}),
+            (warp, "amount"),
+            [0.25, 0.5],
+            ID_L2,
+            CFG,
+        )
 
 
 def test_sweep_self_point_is_zero_and_grid_minimum():

@@ -12,6 +12,8 @@ from gradsynth.chains import (
     Cell,
     CellAddress,
     ChainSpec,
+    ChainValidationError,
+    Connection,
     ParameterAssignment,
     generate_signal,
 )
@@ -40,7 +42,10 @@ MIX_CHAIN = ChainSpec(
         Cell(CellAddress(1, 0), "osc"),
         Cell(CellAddress(0, 1), "mix"),
     ),
-    (),
+    (
+        Connection(CellAddress(0, 0), CellAddress(0, 1)),
+        Connection(CellAddress(1, 0), CellAddress(0, 1)),
+    ),
 )
 
 
@@ -51,16 +56,6 @@ def osc_assignment(amp, freq, waveform="sine"):
 
 
 def mix_assignment(freq0, freq1):
-    from gradsynth.chains import Connection
-
-    chain = ChainSpec(
-        "pair",
-        MIX_CHAIN.cells,
-        (
-            Connection(CellAddress(0, 0), CellAddress(0, 1)),
-            Connection(CellAddress(1, 0), CellAddress(0, 1)),
-        ),
-    )
     assignment = ParameterAssignment(
         {
             CellAddress(0, 0): {
@@ -78,7 +73,7 @@ def mix_assignment(freq0, freq1):
             CellAddress(0, 1): {},
         }
     )
-    return chain, assignment
+    return MIX_CHAIN, assignment
 
 
 # -- parameter loss --------------------------------------------------------
@@ -89,6 +84,12 @@ def test_parameter_loss_self_is_smoothing_only():
     loss = parameter_loss(OSC_CHAIN, a, a, "L1", CFG)
     # two categorical params (waveform, active), each -ln(1 - eps)
     assert loss.value == pytest.approx(2 * -math.log(1 - CATEGORICAL_SMOOTHING), abs=1e-12)
+
+
+def test_a_warp_chain_never_reaches_parameter_loss():
+    a = osc_assignment(0.5, 440.0)
+    with pytest.raises(ChainValidationError, match="unknown kind 'warp'"):
+        parameter_loss(ChainSpec("w", (Cell(CellAddress(0, 0), "warp"),), ()), a, a, "L1", CFG)
 
 
 def test_parameter_loss_l1_single_param():

@@ -544,13 +544,26 @@ def test_match_requires_output_cells():
         match(target, OSC_CHAIN, cfg, opt, fixed_params=AMP_FIXED, render_config=CFG)
 
 
-def test_match_rejects_an_invalid_chain_before_any_render(monkeypatch):
+def test_an_invalid_chain_never_reaches_match(monkeypatch):
     calls = _count_renders(monkeypatch)
-    # an envelope needs one input
-    chain = ChainSpec("bad", (Cell(A00, "adsr"),), ())
     opt = OptimizerConfig(steps=2, learning_rate=0.1, restarts=1, seed=0)
     with pytest.raises(ChainValidationError, match="adsr"):
-        match(sine_target(), chain, SPECTRAL_L2, opt, render_config=CFG)
+        # an envelope needs one input
+        match(sine_target(), ChainSpec("bad", (Cell(A00, "adsr"),), ()), SPECTRAL_L2, opt,
+              render_config=CFG)
+    assert calls == []
+
+
+def test_match_names_every_fixed_param_that_names_no_parameter(monkeypatch):
+    # a cell the chain does not have, and a misspelt parameter name
+    calls = _count_renders(monkeypatch)
+    opt = OptimizerConfig(steps=2, learning_rate=0.1, restarts=1, seed=0)
+    fixed = {**AMP_FIXED, (CellAddress(5, 5), "freq"): 100.0, (A00, "frequency"): 100.0}
+    with pytest.raises(MatcherConfigError) as err:
+        match(sine_target(), OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=fixed, render_config=CFG)
+    assert str(err.value) == (
+        "fixed_params name no parameter of chain 'single': (0,0).frequency, (5,5).freq"
+    )
     assert calls == []
 
 
