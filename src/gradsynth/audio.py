@@ -41,6 +41,10 @@ class RenderConfig:
             raise ValueError("sample_rate must be positive")
         if not (math.isfinite(self.duration) and self.duration > 0):
             raise ValueError(f"duration must be finite and positive, got {self.duration}")
+        if self.num_samples == 0:
+            raise ValueError(
+                f"duration {self.duration} s at {self.sample_rate} Hz rounds to 0 samples"
+            )
 
     @property
     def num_samples(self) -> int:

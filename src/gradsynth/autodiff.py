@@ -420,13 +420,17 @@ def frac(x):
     return _record_op(tape, out, [(n, _scaled_vjp((out != 0.0) * 1.0, _shape_of(v)))])
 
 
-def sign_surrogate(x, steepness: float = 100.0):
-    """Forward sign(x); backward the tanh(steepness*x) slope.
+# slope of the tanh surrogate behind sign_surrogate's backward pass
+SIGN_STEEPNESS = 100.0
+
+
+def sign_surrogate(x):
+    """Forward sign(x); backward the tanh(SIGN_STEEPNESS*x) slope.
 
     Used for square waveforms: the true derivative is zero almost
     everywhere, which would freeze every parameter feeding the sign.
     """
-    s = float(steepness)
+    s = SIGN_STEEPNESS
     return _unary(x, np.sign, lambda v: s * (1.0 - np.tanh(s * v) ** 2))
 
 

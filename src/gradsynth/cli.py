@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -365,8 +366,8 @@ def _gradcheck_assignment(chain, seed, render_config) -> ParameterAssignment:
 
     Square and saw render through jump discontinuities, so central
     differences there measure the jumps, not the surrogate gradients the
-    optimizer actually uses; sine exercises every smooth path.  All
-    activations are pinned on and all connections kept, otherwise
+    optimizer actually uses; sine exercises every smooth path.  All on/off
+    switches are pinned on and all connections kept, otherwise
     switched-off cells would leave their parameters without gradients to
     check.
     """
@@ -379,8 +380,9 @@ def _gradcheck_assignment(chain, seed, render_config) -> ParameterAssignment:
         if "waveform" in params:
             params["waveform"] = "sine"
         cat = CATALOG[cmap[address]]
-        for name in cat.activation:
-            params[name] = "on"
+        for spec in cat.categorical:
+            if spec.choices == ("on", "off"):
+                params[spec.name] = "on"
         margined = {}
         for spec in cat.continuous:
             low, high = resolve_range(spec, render_config)
@@ -402,6 +404,8 @@ def _gradcheck_assignment(chain, seed, render_config) -> ParameterAssignment:
 
 
 def cmd_gradcheck(args) -> int:
+    if not (math.isfinite(args.tolerance) and args.tolerance >= 0):
+        raise ValueError(f"--tolerance must be finite and >= 0, got {args.tolerance}")
     chain = _load_chain(args.chain)
     render_config = RenderConfig(sample_rate=args.sample_rate, duration=args.duration)
     target = _gradcheck_assignment(chain, args.seed, render_config)

@@ -2,15 +2,16 @@
 from parameters (plus optional input signals) to one signal.
 
 Continuous parameters accept floats or tracked scalar :class:`DiffValue`
-values; categorical and activation parameters are plain string labels
-and are never differentiated.
+values; categorical parameters (the on/off switches among them) are plain
+string labels and are never differentiated.  Each module reads and checks
+every parameter its catalog entry lists, in one pass.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -81,7 +82,6 @@ class ModuleCatalog:
     categorical: tuple
     min_inputs: int
     max_inputs: Optional[int]  # None = unbounded
-    activation: tuple  # categorical names acting as on/off switches
 
 
 CATALOG: dict = {
@@ -97,7 +97,6 @@ CATALOG: dict = {
         ),
         min_inputs=0,
         max_inputs=0,
-        activation=("active",),
     ),
     "lfo": ModuleCatalog(
         kind="lfo",
@@ -105,7 +104,6 @@ CATALOG: dict = {
         categorical=(CategoricalParam("active", ("on", "off")),),
         min_inputs=0,
         max_inputs=0,
-        activation=("active",),
     ),
     "fm_osc": ModuleCatalog(
         kind="fm_osc",
@@ -120,7 +118,6 @@ CATALOG: dict = {
         ),
         min_inputs=0,
         max_inputs=1,
-        activation=("fm_active",),
     ),
     "lowpass": ModuleCatalog(
         kind="lowpass",
@@ -128,7 +125,6 @@ CATALOG: dict = {
         categorical=(),
         min_inputs=1,
         max_inputs=1,
-        activation=(),
     ),
     "adsr": ModuleCatalog(
         kind="adsr",
@@ -141,7 +137,6 @@ CATALOG: dict = {
         categorical=(),
         min_inputs=1,
         max_inputs=1,
-        activation=(),
     ),
     "mix": ModuleCatalog(
         kind="mix",
@@ -149,7 +144,6 @@ CATALOG: dict = {
         categorical=(),
         min_inputs=1,
         max_inputs=None,
-        activation=(),
     ),
     "tremolo": ModuleCatalog(
         kind="tremolo",
@@ -157,16 +151,7 @@ CATALOG: dict = {
         categorical=(),
         min_inputs=2,
         max_inputs=2,
-        activation=(),
     ),
-}
-
-
-# (kind, name) -> the catalog entry of every parameter
-_PARAMS = {
-    (kind, p.name): p
-    for kind, catalog in CATALOG.items()
-    for p in catalog.continuous + catalog.categorical
 }
 
 
@@ -221,73 +206,69 @@ def from_unit(param: ContinuousParam, u, config: RenderConfig):
     return min(max(value, low), high)  # several times cheaper than np.clip on one draw
 
 
-Paramlike = Union[DiffValue, float, int]
-
-
-def _as_scalar(kind: str, name: str, value: Paramlike) -> DiffValue:
-    if isinstance(value, DiffValue):
-        return value
-    try:
-        return DiffValue(float(value))
-    except (TypeError, ValueError, OverflowError):
-        raise ParameterRangeError(f"{kind}.{name} = {value!r} is not a number") from None
-
-
-def _checked(kind: str, name: str, value: Paramlike, config: RenderConfig) -> DiffValue:
-    low, high = resolve_range(_PARAMS[kind, name], config)
-    scalar = _as_scalar(kind, name, value)
-    # Generator frequencies render at any positive value below the catalog
-    # ceiling (the low bound constrains sampling and matching, not the
-    # sampling grid itself); every other parameter is held to its range.
-    if name in ("freq", "freq_c"):
-        if not (0.0 < scalar.value <= high):
+def _read(kind: str, params: Mapping, config: Optional[RenderConfig]) -> dict:
+    """Every catalog parameter of ``kind`` from ``params``, checked:
+    continuous ones as scalar DiffValues inside their range, categorical
+    ones as labels among their choices.  ``config`` may be None for a kind
+    with no shared-duration parameter."""
+    catalog = CATALOG[kind]
+    read = {}
+    for param in catalog.continuous:
+        scalar = params[param.name]
+        if not isinstance(scalar, DiffValue):
+            try:
+                scalar = DiffValue(float(scalar))
+            except (TypeError, ValueError, OverflowError):
+                raise ParameterRangeError(
+                    f"{kind}.{param.name} = {scalar!r} is not a number"
+                ) from None
+        low, high = resolve_range(param, config)
+        # Generator frequencies render at any positive value below the catalog
+        # ceiling (the low bound constrains sampling and matching, not the
+        # sampling grid itself); every other parameter is held to its range.
+        if param.name in ("freq", "freq_c"):
+            if not (0.0 < scalar.value <= high):
+                raise ParameterRangeError(
+                    f"{kind}.{param.name} = {scalar.value} outside (0, {high}]"
+                )
+        elif not (low <= scalar.value <= high):
             raise ParameterRangeError(
-                f"{kind}.{name} = {scalar.value} outside (0, {high}]"
+                f"{kind}.{param.name} = {scalar.value} outside [{low}, {high}]"
             )
-    elif not (low <= scalar.value <= high):
-        raise ParameterRangeError(
-            f"{kind}.{name} = {scalar.value} outside [{low}, {high}]"
-        )
-    return scalar
-
-
-def _label(params: Mapping, name: str, kind: str) -> str:
-    value = params[name]
-    choices = _PARAMS[kind, name].choices
-    if value not in choices:
-        raise ParameterRangeError(f"{kind}.{name} = {value!r} not in {choices}")
-    return value
+        read[param.name] = scalar
+    for param in catalog.categorical:
+        label = params[param.name]
+        if label not in param.choices:
+            raise ParameterRangeError(f"{kind}.{param.name} = {label!r} not in {param.choices}")
+        read[param.name] = label
+    return read
 
 
 def _wave_from_cycles(waveform: str, cycles, amp) -> DiffValue:
-    """Waveform value at a running cycle count (phase / 2π)."""
+    """Waveform value at a running cycle count (phase / 2π); ``waveform``
+    is one of the catalog's choices, as :func:`_read` checks."""
     if waveform == "sine":
         return ad.sin(cycles * TWO_PI) * amp
     if waveform == "saw":
         return (ad.frac(cycles) * 2.0 - 1.0) * amp
-    if waveform == "square":
-        return ad.sign_surrogate(ad.sin(cycles * TWO_PI)) * amp
-    raise ParameterRangeError(f"unknown waveform {waveform!r}")
+    return ad.sign_surrogate(ad.sin(cycles * TWO_PI)) * amp  # square
 
 
 def render_oscillator(params: Mapping, config: RenderConfig) -> Signal:
     """sine: amp*sin(2*pi*f*t); saw: amp*(2*frac(f*t)-1); square:
     amp*sgn(sin(2*pi*f*t)) with a tanh surrogate on the backward pass."""
-    if _label(params, "active", "osc") == "off":
+    if params["active"] == "off":
         return zeros(config)
-    amp = _checked("osc", "amp", params["amp"], config)
-    freq = _checked("osc", "freq", params["freq"], config)
-    waveform = _label(params, "waveform", "osc")
-    cycles = DiffValue(config.times()) * freq
-    return Signal(_wave_from_cycles(waveform, cycles, amp), config.sample_rate)
+    p = _read("osc", params, config)
+    cycles = DiffValue(config.times()) * p["freq"]
+    return Signal(_wave_from_cycles(p["waveform"], cycles, p["amp"]), config.sample_rate)
 
 
 def render_lfo(params: Mapping, config: RenderConfig) -> Signal:
     """Sub-audible sine control signal in [-1, 1]."""
-    if _label(params, "active", "lfo") == "off":
+    if params["active"] == "off":
         return zeros(config)
-    freq = _checked("lfo", "freq", params["freq"], config)
-    phase = DiffValue(config.times()) * freq * TWO_PI
+    phase = DiffValue(config.times()) * _read("lfo", params, config)["freq"] * TWO_PI
     return Signal(ad.sin(phase), config.sample_rate)
 
 
@@ -296,28 +277,23 @@ def render_fm_oscillator(
 ) -> Signal:
     """Phase modulation: cycles_k = f_c*t_k + (mod_index/sr)*cumsum(m)_k.
 
-    fm_active=off bypasses modulation and renders the plain carrier.
+    fm_active=off bypasses modulation and renders the plain carrier; its
+    mod_index is still checked.
     """
-    amp = _checked("fm_osc", "amp_c", params["amp_c"], config)
-    freq = _checked("fm_osc", "freq_c", params["freq_c"], config)
-    waveform = _label(params, "waveform", "fm_osc")
-    fm_on = _label(params, "fm_active", "fm_osc") == "on"
-    cycles = DiffValue(config.times()) * freq
-    if fm_on:
+    p = _read("fm_osc", params, config)
+    cycles = DiffValue(config.times()) * p["freq_c"]
+    if p["fm_active"] == "on":
         if modulator is None:
             raise MissingInputError("fm_osc: fm_active=on requires a modulator input")
-        index = _checked("fm_osc", "mod_index", params["mod_index"], config)
         integral = ad.cumsum(modulator.samples) * (1.0 / config.sample_rate)
-        cycles = cycles + integral * index
-    return Signal(_wave_from_cycles(waveform, cycles, amp), config.sample_rate)
+        cycles = cycles + integral * p["mod_index"]
+    return Signal(_wave_from_cycles(p["waveform"], cycles, p["amp_c"]), config.sample_rate)
 
 
 def apply_adsr(input_signal: Signal, params: Mapping, config: RenderConfig) -> Signal:
     """Multiply by the piecewise-linear attack/decay/sustain/release envelope."""
-    attack = _checked("adsr", "attack", params["attack"], config)
-    decay = _checked("adsr", "decay", params["decay"], config)
-    sustain = _checked("adsr", "sustain", params["sustain"], config)
-    release = _checked("adsr", "release", params["release"], config)
+    p = _read("adsr", params, config)
+    attack, decay, sustain, release = p["attack"], p["decay"], p["sustain"], p["release"]
     total = duration_used((attack.value, decay.value, release.value))
     if total > config.duration + 1e-12:
         raise ParameterRangeError(
@@ -372,7 +348,7 @@ def apply_lowpass(input_signal: Signal, params: Mapping, config: RenderConfig) -
     A cutoff above Nyquist passes every frequency the render holds, so it
     renders as the open filter: the kernel at Nyquist, with no gradient.
     """
-    cutoff = _checked("lowpass", "cutoff", params["cutoff"], config)
+    cutoff = _read("lowpass", params, config)["cutoff"]
     if cutoff.value > config.sample_rate / 2:
         cutoff = DiffValue(config.sample_rate / 2)
     check_lowpass_length(len(input_signal))
@@ -398,8 +374,6 @@ def apply_tremolo(input_signal: Signal, lfo: Optional[Signal], params: Mapping) 
     """Amplitude pulse: out = in * ((1-depth) + depth*(lfo+1)/2)."""
     if lfo is None:
         raise MissingInputError("tremolo: requires an LFO input")
-    depth = _as_scalar("tremolo", "depth", params["depth"])
-    if not (0.0 <= depth.value <= 1.0):
-        raise ParameterRangeError(f"tremolo.depth = {depth.value} outside [0, 1]")
+    depth = _read("tremolo", params, None)["depth"]
     gain = (lfo.samples + 1.0) * 0.5 * depth + (1.0 - depth)
     return Signal(input_signal.samples * gain, input_signal.sample_rate)

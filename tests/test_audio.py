@@ -51,7 +51,7 @@ def test_zeros_signal():
     assert not s.values.any()
 
 
-@pytest.mark.parametrize("bad", [dict(sample_rate=0), dict(duration=-1.0)])
+@pytest.mark.parametrize("bad", [dict(sample_rate=0), dict(duration=-1.0), dict(duration=1e-5)])
 def test_config_rejects_nonpositive(bad):
     with pytest.raises(ValueError):
         RenderConfig(**bad)

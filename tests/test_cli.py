@@ -559,6 +559,15 @@ def test_gradcheck_tiny_tolerance_fails(tmp_path, basic_chain):
                  "--duration", "0.25", "--tolerance", "1e-14"]) == 1
 
 
+@pytest.mark.parametrize("tolerance", ["nan", "inf", "-1"])
+def test_gradcheck_rejects_a_tolerance_that_cannot_fail(basic_chain, tolerance, caplog, capsys):
+    # no gradient error exceeds nan or inf, and none is below -1
+    assert main(["-q", "gradcheck", "--chain", str(basic_chain), "--seed", "0",
+                 "--duration", "0.25", "--tolerance", tolerance]) == 2
+    assert "--tolerance" in caplog.text
+    assert "worst:" not in capsys.readouterr().out
+
+
 def test_gradcheck_makes_one_taped_pass(monkeypatch):
     original = Tape.backward
     calls = []

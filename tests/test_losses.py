@@ -1,4 +1,7 @@
+import gc
 import math
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +19,9 @@ from gradsynth.chains import (
     Connection,
     ParameterAssignment,
     generate_signal,
+    parse_chain_file,
 )
+from gradsynth.datasets import sample_assignment
 from gradsynth.losses import (
     CATEGORICAL_SMOOTHING,
     LossConfig,
@@ -403,6 +408,39 @@ def test_combined_affine_in_beta():
 def test_combined_rejects_negative_beta():
     with pytest.raises(LossConfigError):
         combined_loss(1.0, 1.0, -0.1)
+
+
+def _one_taped_step(chain, target, cfg, prediction):
+    """Loss and backward of one match step; returns a weak reference to its tape."""
+    tape = Tape()
+    values = {}
+    for address, params in prediction.values.items():
+        tracked = {
+            name: tape.parameter(v, (address, name)) if isinstance(v, float) else v
+            for name, v in params.items()
+        }
+        if "active" in tracked:
+            tracked["active"] = "on"
+        values[address] = tracked
+    trace = generate_signal(chain, ParameterAssignment(values), CFG)
+    grads = tape.backward(signal_chain_loss(trace, target, cfg))
+    assert any(g != 0.0 for g in grads.values())
+    return weakref.ref(tape)
+
+
+def test_taped_chain_loss_is_freed_by_reference_counting_alone():
+    # a match runs hundreds of taped steps; with no reference cycle, each
+    # step's tape and buffers go as soon as the step's names do
+    chain = parse_chain_file((Path(__file__).parents[1] / "chains" / "basic.chain").read_text())
+    cfg = LossConfig(cells="output", windows=(512, 1024), processings=("identity",))
+    rng = np.random.default_rng(0)
+    target = chain_features(generate_signal(chain, sample_assignment(chain, rng, CFG), CFG), cfg)
+    prediction = sample_assignment(chain, rng, CFG)
+    gc.disable()
+    try:
+        assert _one_taped_step(chain, target, cfg, prediction)() is None
+    finally:
+        gc.enable()
 
 
 # -- log-spectral distance -------------------------------------------------

@@ -375,6 +375,35 @@ def test_tremolo_requires_lfo():
         apply_tremolo(sine_signal(), None, {"depth": 0.5})
 
 
+@pytest.mark.parametrize("depth", [-0.1, 1.5, float("nan")])
+def test_tremolo_depth_range_enforced(depth):
+    with pytest.raises(ParameterRangeError, match=r"tremolo\.depth = .* outside \[0\.0, 1\.0\]"):
+        apply_tremolo(sine_signal(), sine_signal(3.0), {"depth": depth})
+
+
+# -- the parameter rule: a module that renders checks every catalog parameter --
+
+
+def test_bypassed_fm_oscillator_still_checks_its_mod_index():
+    with pytest.raises(ParameterRangeError, match=r"fm_osc\.mod_index = 150\.0 outside"):
+        render_fm_oscillator(fm_params(fm_active="off", mod_index=150.0), None, CFG)
+
+
+def test_switched_off_generators_render_silence_unread():
+    # an off switch returns before any other parameter is read or checked
+    out = render_oscillator(osc_params(active="off", freq=-5.0, amp="loud"), CFG)
+    assert len(out) == CFG.num_samples and not out.values.any()
+    out = render_lfo({"freq": 400.0, "active": "off"}, CFG)
+    assert len(out) == CFG.num_samples and not out.values.any()
+
+
+def test_an_unknown_switch_label_is_rejected():
+    with pytest.raises(ParameterRangeError, match=r"osc\.active = 'maybe' not in"):
+        render_oscillator(osc_params(active="maybe"), CFG)
+    with pytest.raises(ParameterRangeError, match=r"fm_osc\.fm_active = 'maybe' not in"):
+        render_fm_oscillator(fm_params(fm_active="maybe"), None, CFG)
+
+
 @pytest.mark.parametrize("value", [None, [0.5], "abc", 10**400], ids=["None", "list", "str", "huge"])
 def test_a_parameter_that_is_not_a_number_is_named(value):
     with pytest.raises(ParameterRangeError, match=r"osc\.amp = .* is not a number"):
