@@ -14,6 +14,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 from scipy.io import wavfile
@@ -85,7 +86,7 @@ class Signal:
         return len(self.samples)
 
 
-def fan_out(fn, items: list, jobs: int) -> list:
+def fan_out(fn, items: Sequence, jobs: int) -> list:
     """``[fn(item) for item in items]``, over ``min(jobs, len(items))``
     worker processes when that is at least two, else in this process."""
     workers = min(jobs, len(items))

@@ -4,12 +4,15 @@ sound generation.
 A chain is a 2-D matrix of cells addressed by (channel, layer).  Cells
 host at most one module; connections only run from lower to strictly
 higher layers.  A :class:`ChainSpec` checks this when it is built, so
-every chain that exists is valid.  Generation walks layers in ascending
-order and averages the final layer's cell outputs across channels.
+every chain that exists is valid, and lists its parameters once, in
+:attr:`ChainSpec.params`; an assignment covers exactly that table.
+Generation walks layers in ascending order and averages the final
+layer's cell outputs across channels.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Optional, Sequence
 
@@ -107,6 +110,44 @@ class ChainSpec:
 
     def cell_map(self) -> dict:
         return {c.address: c.kind for c in self.cells}
+
+    @functools.cached_property
+    def params(self) -> dict:
+        """``(CellAddress, name)`` -> catalog entry of every parameter of
+        the chain: cells in address order, each cell's continuous then its
+        categorical parameters, in catalog order.  Read-only; a plain dict,
+        so it travels with the chain to worker processes."""
+        return {
+            (cell.address, param.name): param
+            for cell in sorted(self.cells, key=lambda c: c.address)
+            if cell.kind != "empty"
+            for param in CATALOG[cell.kind].continuous + CATALOG[cell.kind].categorical
+        }
+
+    def check_assignment(self, assignment: ParameterAssignment) -> None:
+        """Raise :class:`AssignmentError` unless ``assignment`` names every
+        module cell, no other cell, and exactly the parameters of ``params``."""
+        values = assignment.values
+        modules = {c.address: c.kind for c in self.cells if c.kind != "empty"}
+        named = {(address, name) for address, cell in values.items() for name in cell}
+        if named == self.params.keys() and values.keys() == modules.keys():
+            return
+        extra = values.keys() - modules.keys()
+        if extra:
+            raise AssignmentError(
+                f"parameters assigned to {', '.join(sorted(map(str, extra)))}, "
+                "where the chain has no module cell"
+            )
+        for address in sorted(modules):
+            where = f"cell {address} ({modules[address]})"
+            if address not in values:
+                raise AssignmentError(f"{where}: no parameters assigned")
+            expected = {name for a, name in self.params if a == address}
+            given = set(values[address])
+            for names, what in ((expected - given, "missing"), (given - expected, "unknown")):
+                if names:
+                    raise AssignmentError(f"{where}: {what} parameter(s) {sorted(names)}")
+        raise AssertionError("unreachable: the assignment matched the table")
 
     def max_layer(self) -> int:
         return max(c.address.layer for c in self.cells)
@@ -355,14 +396,6 @@ def resolve_optional(chain: ChainSpec, rng: np.random.Generator) -> Resolution:
     return Resolution(states, forced)
 
 
-def _check_assignment(kind: str, address: CellAddress, params: Mapping) -> None:
-    catalog = CATALOG[kind]
-    expected = {p.name for p in catalog.continuous + catalog.categorical}
-    for names, what in ((expected - set(params), "missing"), (set(params) - expected, "unknown")):
-        if names:
-            raise AssignmentError(f"cell {address} ({kind}): {what} parameter(s) {sorted(names)}")
-
-
 def generate_signal(
     chain: ChainSpec, assignment: ParameterAssignment, config: RenderConfig
 ) -> RenderTrace:
@@ -372,15 +405,11 @@ def generate_signal(
     signal.  A processor (a kind that takes at least one input) whose
     audio inputs are all inactive is not rendered and likewise emits
     zeros.  Its audio inputs are its live inputs, except a tremolo's LFO,
-    which is a control input.
+    which is a control input.  ``assignment`` must cover the chain's
+    parameter table (:meth:`ChainSpec.check_assignment`).
     """
+    chain.check_assignment(assignment)
     cmap = chain.cell_map()
-    extra = assignment.values.keys() - {a for a, kind in cmap.items() if kind != "empty"}
-    if extra:
-        raise AssignmentError(
-            f"parameters assigned to {', '.join(sorted(map(str, extra)))}, "
-            "where the chain has no module cell"
-        )
     outputs: dict = {}
     active: dict = {}
     for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
@@ -388,10 +417,7 @@ def generate_signal(
         if kind == "empty":
             outputs[addr], active[addr] = zeros(config), False
             continue
-        params = assignment.values.get(addr)
-        if params is None:
-            raise AssignmentError(f"cell {addr} ({kind}): no parameters assigned")
-        _check_assignment(kind, addr, params)
+        params = assignment.values[addr]
         live = [c.source for c in chain.incoming(addr) if assignment.connection_on(c)]
         audio = live
         if kind == "tremolo":

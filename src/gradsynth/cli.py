@@ -42,12 +42,12 @@ from .datasets import (
     parse_assignment,
     sample_assignment,
 )
-from .experiments import benchmark_table, export_csv, loss_surface_sweep
+from .experiments import benchmark_table, export_csv, loss_surface_sweep, swept_spec
 from .losses import LossConfig, chain_features, signal_chain_loss
 from .matching import OptimizerConfig, match
 from .modules import (
-    CATALOG,
     SHARED_DURATION,
+    ContinuousParam,
     duration_left,
     duration_used,
     from_unit,
@@ -170,7 +170,9 @@ def _load_chain(path) -> ChainSpec:
 def _load_or_sample_assignment(chain, args, render_config) -> ParameterAssignment:
     if args.params is not None:
         payload = json.loads(Path(args.params).read_text(encoding="utf-8"))
-        return parse_assignment(chain, payload)
+        assignment = parse_assignment(chain, payload)
+        chain.check_assignment(assignment)  # before any command reads it
+        return assignment
     rng = np.random.default_rng(args.seed)
     return sample_assignment(chain, rng, render_config)
 
@@ -288,17 +290,13 @@ def cmd_sweep(args) -> int:
     chain = _load_chain(args.chain)
     render_config = RenderConfig(sample_rate=args.sample_rate, duration=args.duration)
     address, name = _parse_param_key(args.param)
-    kind = chain.cell_map().get(address)
-    if kind is None or kind == "empty":
-        raise ValueError(f"no module cell at {address}")
-    spec = next((p for p in CATALOG[kind].continuous if p.name == name), None)
-    if spec is None:
-        raise ValueError(f"{kind} has no continuous parameter {name!r}")
+    spec = swept_spec(chain, (address, name))
     target = _load_or_sample_assignment(chain, args, render_config)
     bounds = {"low": args.low, "high": args.high}
-    if name in SHARED_DURATION[kind]:
+    shared = SHARED_DURATION[chain.cell_map()[address]]
+    if name in shared:
         # an envelope segment shares the duration with the target's other segments
-        others = [n for n in SHARED_DURATION[kind] if n != name]
+        others = [n for n in shared if n != name]
         budget = duration_left((target.values[address][n] for n in others), render_config)
         if bounds["high"] is None:
             bounds["high"] = budget
@@ -372,34 +370,29 @@ def _gradcheck_assignment(chain, seed, render_config) -> ParameterAssignment:
     check.
     """
     rng = np.random.default_rng(seed)
-    assignment = sample_assignment(chain, rng, render_config)
-    cmap = chain.cell_map()
-    values = {}
-    for address, params in assignment.values.items():
-        params = dict(params)
-        if "waveform" in params:
-            params["waveform"] = "sine"
-        cat = CATALOG[cmap[address]]
-        for spec in cat.categorical:
-            if spec.choices == ("on", "off"):
-                params[spec.name] = "on"
-        margined = {}
-        for spec in cat.continuous:
+    values = {a: dict(p) for a, p in sample_assignment(chain, rng, render_config).values.items()}
+    for (address, name), spec in chain.params.items():
+        params = values[address]
+        if isinstance(spec, ContinuousParam):
             low, high = resolve_range(spec, render_config)
             margin = max((high - low) * GRADCHECK_REL_STEPS[0] * 10, 1e-12)
-            margined[spec.name] = min(max(params[spec.name], low + margin), high - margin)
+            params[name] = min(max(params[name], low + margin), high - margin)
+        elif name == "waveform":
+            params[name] = "sine"
+        elif spec.choices == ("on", "off"):
+            params[name] = "on"
+    cmap = chain.cell_map()
+    for address, params in values.items():
         shared = SHARED_DURATION[cmap[address]]
         if shared:
             # keep the finite-difference steps inside apply_adsr's check
             slack = 10 * GRADCHECK_REL_STEPS[0] * render_config.duration * len(shared)
-            total = duration_used(margined[name] for name in shared)
+            total = duration_used(params[name] for name in shared)
             limit = render_config.duration - slack
             if total > limit:
                 scale = limit / total
                 for name in shared:
-                    margined[name] *= scale
-        params.update(margined)
-        values[address] = params
+                    params[name] *= scale
     return ParameterAssignment(values, None)
 
 
@@ -412,20 +405,20 @@ def cmd_gradcheck(args) -> int:
     prediction = _gradcheck_assignment(chain, args.seed + 1, render_config)
     target_trace = generate_signal(chain, target, render_config)
     target_features = chain_features(target_trace, SINGLE_WINDOW_LOSS)
-    cmap = chain.cell_map()
 
     fields, bases, steps = {}, {}, {}
-    for address in sorted(prediction.values):
-        for spec in CATALOG[cmap[address]].continuous:
-            key = f"{address.channel},{address.layer}.{spec.name}"
-            fields[key] = (address, spec.name)
-            bases[key] = prediction.values[address][spec.name]
-            low, high = resolve_range(spec, render_config)
-            # Log-scaled parameters get a step relative to the value: the
-            # loss wiggles on a cents scale, so a span-relative step is
-            # far too coarse at high frequencies.
-            scale = bases[key] if spec.log else high - low
-            steps[key] = tuple(max(scale * rel, 1e-12) for rel in GRADCHECK_REL_STEPS)
+    for (address, name), spec in chain.params.items():
+        if not isinstance(spec, ContinuousParam):
+            continue
+        key = f"{address.channel},{address.layer}.{name}"
+        fields[key] = (address, name)
+        bases[key] = prediction.values[address][name]
+        low, high = resolve_range(spec, render_config)
+        # Log-scaled parameters get a step relative to the value: the
+        # loss wiggles on a cents scale, so a span-relative step is
+        # far too coarse at high frequencies.
+        scale = bases[key] if spec.log else high - low
+        steps[key] = tuple(max(scale * rel, 1e-12) for rel in GRADCHECK_REL_STEPS)
 
     def loss(tracked):
         values = {a: dict(p) for a, p in prediction.values.items()}

@@ -16,6 +16,7 @@ parallel without changing the result.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 from dataclasses import dataclass
@@ -214,8 +215,9 @@ def load_records(chain: ChainSpec, path) -> list:
     return records
 
 
-def _make_record(args: tuple) -> DatasetRecord:
-    chain, seed, index, render_config, out_dir = args
+def _make_record(
+    index: int, *, chain: ChainSpec, seed: int, render_config: RenderConfig, out_dir: str
+) -> DatasetRecord:
     record = sample_record(chain, seed, index, render_config)
     write_wav(render_record(chain, record, render_config), Path(out_dir) / record.wav_name)
     return record
@@ -244,11 +246,13 @@ def generate_dataset(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     out = Path(out_dir)
-    job_args = [(chain, seed, index, render_config, str(out)) for index in range(n)]
+    make_record = functools.partial(
+        _make_record, chain=chain, seed=seed, render_config=render_config, out_dir=str(out)
+    )
     try:
         out.mkdir(parents=True, exist_ok=True)
         (out / CHAIN_NAME).write_text(format_chain(chain), encoding="utf-8")
-        records = fan_out(_make_record, job_args, jobs)
+        records = fan_out(make_record, range(n), jobs)
         with open(out / METADATA_NAME, "w", encoding="utf-8") as handle:
             for record in records:
                 handle.write(_record_to_json(chain, record) + "\n")

@@ -17,6 +17,7 @@ Two study harnesses over the spectral losses, both exporting CSV:
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -26,7 +27,7 @@ import numpy as np
 from .audio import RenderConfig, fan_out
 from .chains import ChainSpec, ParameterAssignment, generate_signal
 from .losses import LossConfig, chain_features, signal_chain_loss
-from .modules import CATALOG, ContinuousParam, from_unit, render_oscillator
+from .modules import ContinuousParam, from_unit, render_oscillator
 from .spectral import mel_spectrogram, process, stft_magnitude
 
 __all__ = [
@@ -39,6 +40,7 @@ __all__ = [
     "export_csv",
     "loss_surface_sweep",
     "perturbation_trials",
+    "swept_spec",
 ]
 
 # Benchmark protocol constants. Duration 0.25 s keeps the render cheap
@@ -108,6 +110,19 @@ def _count_strict_local_minima(losses: Sequence[float]) -> int:
     return count
 
 
+def swept_spec(chain: ChainSpec, swept_param: tuple) -> ContinuousParam:
+    """The catalog entry of the parameter a sweep walks: ``swept_param``,
+    ``(cell address, parameter name)``, must name a continuous parameter
+    in the chain's parameter table."""
+    spec = chain.params.get(tuple(swept_param))
+    if not isinstance(spec, ContinuousParam):
+        address, name = swept_param
+        raise ValueError(
+            f"{address}.{name} is not a continuous parameter of chain {chain.name!r}"
+        )
+    return spec
+
+
 def loss_surface_sweep(
     chain: ChainSpec,
     target_assignment: ParameterAssignment,
@@ -119,16 +134,12 @@ def loss_surface_sweep(
     """Loss against the ground-truth render while one parameter walks a grid.
 
     ``swept_param`` is ``(cell address, parameter name)``; it must name a
-    continuous parameter of the chain.  All other parameters are pinned
-    to ``target_assignment``.  Local minima are counted on interior grid
-    triples (strict on both sides).
+    continuous parameter of the chain (:func:`swept_spec`).  All other
+    parameters are pinned to ``target_assignment``.  Local minima are
+    counted on interior grid triples (strict on both sides).
     """
+    swept_spec(chain, swept_param)
     address, name = swept_param
-    kind = chain.cell_map().get(address)
-    if kind is None or kind == "empty":
-        raise ValueError(f"swept cell {address} is not a module cell")
-    if name not in {p.name for p in CATALOG[kind].continuous}:
-        raise ValueError(f"{kind} cell {address}: {name!r} is not continuous")
     grid = tuple(float(g) for g in grid)
     target = chain_features(generate_signal(chain, target_assignment, render_config), loss_cfg)
     losses = []
@@ -162,12 +173,13 @@ def _distance_cents(distance: Union[str, float]) -> float:
     return cents
 
 
-def _trial_block(args: tuple) -> list:
-    """Trials [start, stop) for every requested variant, renders and STFTs shared."""
-    waveform, distance, variants, seed, start, stop = args
+def _trial_block(
+    trials: range, *, waveform: str, distance: Union[str, float], variants: tuple, seed: int
+) -> list:
+    """One block of trials for every requested variant, renders and STFTs shared."""
     cents = _distance_cents(distance)
     out = []
-    for trial in range(start, stop):
+    for trial in trials:
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(trial,)))
         f = float(from_unit(BENCHMARK_FREQ, rng.random(), BENCHMARK_RENDER))
         s_pert = 1 if rng.integers(2) else -1
@@ -240,11 +252,11 @@ def perturbation_trials(
     if jobs < 1:
         raise ValueError(f"jobs must be positive, got {jobs}")
     block = math.ceil(trials / jobs)
-    blocks = [
-        (waveform, distance, variants, seed, start, min(start + block, trials))
-        for start in range(0, trials, block)
-    ]
-    rows = [row for part in fan_out(_trial_block, blocks, jobs) for row in part]
+    blocks = [range(start, min(start + block, trials)) for start in range(0, trials, block)]
+    run_block = functools.partial(
+        _trial_block, waveform=waveform, distance=distance, variants=variants, seed=seed
+    )
+    rows = [row for part in fan_out(run_block, blocks, jobs) for row in part]
     return {variant: [row[variant] for row in rows] for variant in variants}
 
 

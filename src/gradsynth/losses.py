@@ -14,13 +14,8 @@ import numpy as np
 
 from .audio import RenderConfig, Signal
 from .autodiff import DiffValue, absolute, bsum, sqrt
-from .chains import (
-    AssignmentError,
-    ChainSpec,
-    ParameterAssignment,
-    RenderTrace,
-)
-from .modules import CATALOG, resolve_range
+from .chains import ChainSpec, ParameterAssignment, RenderTrace
+from .modules import CategoricalParam, resolve_range
 from .spectral import PROCESSINGS, WINDOW_SIZES, mel_spectrogram, process, stft_magnitude
 
 __all__ = [
@@ -100,38 +95,29 @@ def parameter_loss(
     Continuous parameters are mapped to [0, 1] by their catalog range
     before differencing so Hz-scaled and unit-scaled parameters weigh
     comparably. Categorical predictions are hard labels; the matching
-    indicator is smoothed by ``CATEGORICAL_SMOOTHING``.
+    indicator is smoothed by ``CATEGORICAL_SMOOTHING``.  Both assignments
+    must cover the chain's parameter table; its order is the order of the sum.
     """
     if regression_kind not in ("L1", "L2"):
         raise LossConfigError(f"regression_kind must be 'L1' or 'L2', got {regression_kind!r}")
-    if set(predicted.values) != set(target.values):
-        raise AssignmentError("predicted and target assignments cover different cells")
+    chain.check_assignment(predicted)
+    chain.check_assignment(target)
 
-    cell_map = chain.cell_map()
     total = DiffValue(0.0)
-    for address in sorted(predicted.values):
-        kind = cell_map.get(address)
-        if kind is None:
-            raise AssignmentError(f"assignment names cell {address} absent from chain")
-        catalog = CATALOG[kind]
-        pred_params = predicted.values[address]
-        targ_params = target.values[address]
-        if set(pred_params) != set(targ_params):
-            raise AssignmentError(f"parameter keys differ at cell {address}")
-        for param in catalog.continuous:
-            low, high = resolve_range(param, render_config)
-            span = high - low
-            diff = (pred_params[param.name] - low) / span - (
-                float(targ_params[param.name]) - low
-            ) / span
-            if regression_kind == "L1":
-                total = total + absolute(diff)
-            else:
-                total = total + diff * diff
-        for param in catalog.categorical:
-            match = pred_params[param.name] == targ_params[param.name]
-            q = 1.0 - CATEGORICAL_SMOOTHING if match else CATEGORICAL_SMOOTHING
+    for (address, name), param in chain.params.items():
+        pred = predicted.values[address][name]
+        targ = target.values[address][name]
+        if isinstance(param, CategoricalParam):
+            q = 1.0 - CATEGORICAL_SMOOTHING if pred == targ else CATEGORICAL_SMOOTHING
             total = total + (-math.log(q))
+            continue
+        low, high = resolve_range(param, render_config)
+        span = high - low
+        diff = (pred - low) / span - (float(targ) - low) / span
+        if regression_kind == "L1":
+            total = total + absolute(diff)
+        else:
+            total = total + diff * diff
     return total
 
 

@@ -33,7 +33,7 @@ from .losses import (
     parameter_loss,
     signal_chain_loss,
 )
-from .modules import CATALOG, SHARED_DURATION, duration_left, unit_scale
+from .modules import CATALOG, SHARED_DURATION, ContinuousParam, duration_left, unit_scale
 
 __all__ = [
     "BranchResult",
@@ -123,23 +123,14 @@ class MatchResult:
 
 
 def _search_space(chain: ChainSpec, fixed: FixedParams):
-    """The free continuous keys and every categorical combination.
-
-    Cells in address order, parameters in catalog order; a fixed
-    categorical has its fixed label as its only choice.
+    """The free continuous keys and every categorical combination, in
+    the order of the chain's parameter table; a fixed categorical has its
+    fixed label as its only choice.
     """
-    free, slots, choices = [], [], []
-    for cell in sorted(chain.cells, key=lambda c: c.address):
-        if cell.kind == "empty":
-            continue
-        catalog = CATALOG[cell.kind]
-        for param in catalog.continuous:
-            if (cell.address, param.name) not in fixed:
-                free.append((cell.address, param.name))
-        for param in catalog.categorical:
-            key = (cell.address, param.name)
-            slots.append(key)
-            choices.append((str(fixed[key]),) if key in fixed else tuple(param.choices))
+    params = chain.params
+    free = [k for k, p in params.items() if isinstance(p, ContinuousParam) and k not in fixed]
+    slots = [k for k, p in params.items() if not isinstance(p, ContinuousParam)]
+    choices = [(str(fixed[k]),) if k in fixed else params[k].choices for k in slots]
     return free, [tuple(zip(slots, combo)) for combo in itertools.product(*choices)]
 
 
@@ -342,13 +333,7 @@ def match(
         raise MatcherConfigError("unsupervised matching requires beta > 0 at every step")
 
     fixed = dict(fixed_params or {})
-    chain_params = {
-        (cell.address, p.name)
-        for cell in chain.cells
-        if cell.kind != "empty"
-        for p in CATALOG[cell.kind].continuous + CATALOG[cell.kind].categorical
-    }
-    unknown = [f"{CellAddress(*address)}.{name}" for address, name in fixed.keys() - chain_params]
+    unknown = [f"{CellAddress(*a)}.{name}" for a, name in fixed.keys() - chain.params.keys()]
     if unknown:
         raise MatcherConfigError(
             f"fixed_params name no parameter of chain {chain.name!r}: {', '.join(sorted(unknown))}"

@@ -75,9 +75,8 @@ class CategoricalParam:
 
 @dataclass(frozen=True)
 class ModuleCatalog:
-    """Declared interface of one module kind."""
+    """Declared interface of one module kind (its ``CATALOG`` key)."""
 
-    kind: str
     continuous: tuple
     categorical: tuple
     min_inputs: int
@@ -86,7 +85,6 @@ class ModuleCatalog:
 
 CATALOG: dict = {
     "osc": ModuleCatalog(
-        kind="osc",
         continuous=(
             ContinuousParam("amp", 0.0, 1.0),
             ContinuousParam("freq", 20.0, 20000.0, log=True),
@@ -99,14 +97,12 @@ CATALOG: dict = {
         max_inputs=0,
     ),
     "lfo": ModuleCatalog(
-        kind="lfo",
         continuous=(ContinuousParam("freq", 0.5, 20.0, log=True),),
         categorical=(CategoricalParam("active", ("on", "off")),),
         min_inputs=0,
         max_inputs=0,
     ),
     "fm_osc": ModuleCatalog(
-        kind="fm_osc",
         continuous=(
             ContinuousParam("amp_c", 0.0, 1.0),
             ContinuousParam("freq_c", 20.0, 20000.0, log=True),
@@ -120,14 +116,12 @@ CATALOG: dict = {
         max_inputs=1,
     ),
     "lowpass": ModuleCatalog(
-        kind="lowpass",
         continuous=(ContinuousParam("cutoff", 20.0, 8000.0, log=True),),
         categorical=(),
         min_inputs=1,
         max_inputs=1,
     ),
     "adsr": ModuleCatalog(
-        kind="adsr",
         continuous=(
             ContinuousParam("attack", 0.0, None),
             ContinuousParam("decay", 0.0, None),
@@ -139,14 +133,12 @@ CATALOG: dict = {
         max_inputs=1,
     ),
     "mix": ModuleCatalog(
-        kind="mix",
         continuous=(),
         categorical=(),
         min_inputs=1,
         max_inputs=None,
     ),
     "tremolo": ModuleCatalog(
-        kind="tremolo",
         continuous=(ContinuousParam("depth", 0.0, 1.0),),
         categorical=(),
         min_inputs=2,

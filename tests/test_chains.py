@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import re
 
 import numpy as np
@@ -26,7 +27,7 @@ from gradsynth.chains import (
     parse_chain_file,
     resolve_optional,
 )
-from gradsynth.modules import MissingInputError, render_oscillator
+from gradsynth.modules import CATALOG, MissingInputError, render_oscillator
 
 CFG = RenderConfig()
 
@@ -449,6 +450,59 @@ def test_generate_rejects_parameters_for_a_cell_the_chain_lacks():
         values = {addr(0, 0): dict(OSC), extra: dict(OSC)}
         with pytest.raises(AssignmentError, match=re.escape(f"assigned to {extra},")):
             generate_signal(chain, ParameterAssignment(values), CFG)
+
+
+def test_generate_rejects_an_assignment_without_the_mix_cell():
+    values = dict(basic_assignment().values)
+    del values[addr(0, 1)]
+    with pytest.raises(AssignmentError, match=re.escape("cell (0,1) (mix): no parameters")):
+        generate_signal(parse_chain_file(BASIC_CHAIN), ParameterAssignment(values), CFG)
+
+
+# cells declared out of address order, with an empty cell and a mix cell
+TABLE_CHAIN = ChainSpec(
+    "table",
+    (
+        Cell(addr(1, 0), "lfo"),
+        Cell(addr(2, 0), "empty"),
+        Cell(addr(0, 2), "mix"),
+        Cell(addr(0, 1), "tremolo"),
+        Cell(addr(0, 0), "osc"),
+    ),
+    (
+        Connection(addr(0, 0), addr(0, 1)),
+        Connection(addr(1, 0), addr(0, 1)),
+        Connection(addr(0, 1), addr(0, 2)),
+    ),
+)
+
+
+def test_params_table_lists_each_parameter_once_in_address_order():
+    # neither the empty nor the mix cell adds a key; within a cell the
+    # continuous parameters come first, each group in catalog order
+    assert list(TABLE_CHAIN.params) == [
+        (addr(0, 0), "amp"),
+        (addr(0, 0), "freq"),
+        (addr(0, 0), "waveform"),
+        (addr(0, 0), "active"),
+        (addr(0, 1), "depth"),
+        (addr(1, 0), "freq"),
+        (addr(1, 0), "active"),
+    ]
+    kinds = TABLE_CHAIN.cell_map()
+    for (address, name), param in TABLE_CHAIN.params.items():
+        catalog = CATALOG[kinds[address]]
+        assert param in catalog.continuous + catalog.categorical
+        assert param.name == name
+    assert TABLE_CHAIN.params is TABLE_CHAIN.params  # built once per chain
+
+
+def test_params_table_travels_with_a_pickled_chain():
+    chain = parse_chain_file(BASIC_CHAIN)
+    table = chain.params
+    copy = pickle.loads(pickle.dumps(chain))
+    assert copy == chain
+    assert vars(copy)["params"] == table
 
 
 def test_fm_chain_with_lfo_modulator():

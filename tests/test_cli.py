@@ -464,7 +464,7 @@ def test_sweep_rejects_an_empty_cell(tmp_path, caplog):
         ["-q", "sweep", str(chain), "--param", "1,0.freq", "--points", "3",
          "--random", "--out", str(tmp_path / "s.csv")]
     ) == 2
-    assert "no module cell at (1,0)" in caplog.text
+    assert "(1,0).freq is not a continuous parameter" in caplog.text
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -839,6 +839,16 @@ def test_render_rejects_a_malformed_params_file(tmp_path, basic_chain, caplog, e
     argv = ["render", str(basic_chain), "--params", str(params), "--duration", "0.25"]
     assert main(argv + ["--out", str(out)]) == 2
     assert fragment in caplog.text
+    assert not out.exists()
+
+
+def test_sweep_rejects_a_params_file_without_the_swept_cell(tmp_path, basic_chain, caplog):
+    params = _edited_params(tmp_path / "p.json", lambda p: p["params"].pop("0,2"))
+    out = tmp_path / "s.csv"
+    argv = ["sweep", str(basic_chain), "--param", "0,2.attack", "--points", "3",
+            "--params", str(params), "--duration", "0.25", "--out", str(out)]
+    assert main(argv) == 2
+    assert "cell (0,2) (adsr): no parameters assigned" in caplog.text
     assert not out.exists()
 
 

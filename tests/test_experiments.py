@@ -144,11 +144,11 @@ def test_sweep_takes_the_target_spectra_once(monkeypatch):
 
 
 def test_sweep_rejects_bad_swept_param():
-    with pytest.raises(ValueError, match="not continuous"):
+    with pytest.raises(ValueError, match=r"\(0,0\).waveform is not a continuous parameter"):
         loss_surface_sweep(
             OSC_CHAIN, OSC_TARGET, (CellAddress(0, 0), "waveform"), (0.1, 0.2), ID_L1, CFG
         )
-    with pytest.raises(ValueError, match="not a module cell"):
+    with pytest.raises(ValueError, match=r"\(3,3\).amp is not a continuous parameter"):
         loss_surface_sweep(
             OSC_CHAIN, OSC_TARGET, (CellAddress(3, 3), "amp"), (0.1, 0.2), ID_L1, CFG
         )

@@ -139,6 +139,19 @@ def test_parameter_loss_unknown_cell():
         parameter_loss(OSC_CHAIN, bad, bad, "L1", CFG)
 
 
+def test_parameter_loss_rejects_a_cell_both_assignments_leave_out():
+    chain = parse_chain_file((Path(__file__).parents[1] / "chains" / "basic.chain").read_text())
+
+    def without_first_oscillator(seed):
+        values = dict(sample_assignment(chain, np.random.default_rng(seed)).values)
+        del values[CellAddress(0, 0)]
+        return ParameterAssignment(values)
+
+    pred, targ = without_first_oscillator(0), without_first_oscillator(1)
+    with pytest.raises(AssignmentError, match=r"cell \(0,0\) \(osc\): no parameters"):
+        parameter_loss(chain, pred, targ, "L1", CFG)
+
+
 def test_parameter_loss_rejects_bad_kind():
     a = osc_assignment(0.5, 440.0)
     with pytest.raises(LossConfigError):

@@ -30,7 +30,7 @@ from gradsynth.matching import (
     beta_at,
     match,
 )
-from gradsynth.modules import CATALOG, resolve_range, unit_scale
+from gradsynth.modules import CATALOG, ContinuousParam, resolve_range, unit_scale
 
 CFG = RenderConfig(duration=0.25)
 
@@ -73,6 +73,29 @@ FULL_CATEGORICALS = {
     (CellAddress(1, 0), "waveform"): "square",
     (CellAddress(1, 0), "active"): "on",
 }
+
+
+def test_search_space_frees_the_tables_unfixed_continuous_keys():
+    fixed = {(A00, "freq"): 440.0, (A00, "waveform"): "sine"}
+    free, combos = matching._search_space(FULL_CHAIN, fixed)
+    assert free == [
+        key
+        for key, param in FULL_CHAIN.params.items()
+        if isinstance(param, ContinuousParam) and key not in fixed
+    ]
+    assert free == [
+        (A00, "amp"),
+        (CellAddress(0, 2), "attack"),
+        (CellAddress(0, 2), "decay"),
+        (CellAddress(0, 2), "sustain"),
+        (CellAddress(0, 2), "release"),
+        (CellAddress(0, 3), "cutoff"),
+        (A10, "amp"),
+        (A10, "freq"),
+    ]
+    # the fixed waveform has one choice: 2 x 3 x 2 combinations remain
+    assert len(combos) == 12
+    assert all(dict(combo)[A00, "waveform"] == "sine" for combo in combos)
 
 
 def sine_target(amp=0.63, freq=440.0):
