@@ -80,6 +80,22 @@ class CellAddress(NamedTuple):
     def __str__(self):
         return f"({self.channel},{self.layer})"
 
+    @classmethod
+    def parse(cls, text: str) -> "CellAddress":
+        """``'<ch>,<ly>'`` -> the address; a ValueError says what is malformed."""
+        parts = text.split(",")
+        if len(parts) != 2:
+            raise ValueError(f"malformed address {text!r}; expected <ch>,<ly>")
+        try:
+            channel, layer = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise ValueError(
+                f"malformed address {text!r}; channel and layer must be integers"
+            ) from None
+        if channel < 0 or layer < 0:
+            raise ValueError(f"malformed address {text!r}; indices must be >= 0")
+        return cls(channel, layer)
+
 
 @dataclass(frozen=True)
 class Connection:
@@ -112,23 +128,28 @@ class ChainSpec:
         return {c.address: c.kind for c in self.cells}
 
     @functools.cached_property
+    def module_cells(self) -> dict:
+        """``CellAddress`` -> kind of every module (not ``empty``) cell, in
+        ``cells`` order.  Read-only, like ``params``."""
+        return {c.address: c.kind for c in self.cells if c.kind != "empty"}
+
+    @functools.cached_property
     def params(self) -> dict:
         """``(CellAddress, name)`` -> catalog entry of every parameter of
         the chain: cells in address order, each cell's continuous then its
         categorical parameters, in catalog order.  Read-only; a plain dict,
         so it travels with the chain to worker processes."""
         return {
-            (cell.address, param.name): param
-            for cell in sorted(self.cells, key=lambda c: c.address)
-            if cell.kind != "empty"
-            for param in CATALOG[cell.kind].continuous + CATALOG[cell.kind].categorical
+            (address, param.name): param
+            for address, kind in sorted(self.module_cells.items())
+            for param in CATALOG[kind].continuous + CATALOG[kind].categorical
         }
 
     def check_assignment(self, assignment: ParameterAssignment) -> None:
         """Raise :class:`AssignmentError` unless ``assignment`` names every
         module cell, no other cell, and exactly the parameters of ``params``."""
         values = assignment.values
-        modules = {c.address: c.kind for c in self.cells if c.kind != "empty"}
+        modules = self.module_cells
         named = {(address, name) for address, cell in values.items() for name in cell}
         if named == self.params.keys() and values.keys() == modules.keys():
             return
@@ -199,18 +220,10 @@ class RenderTrace:
 
 
 def _parse_address(token: str, line: int) -> CellAddress:
-    parts = token.split(",")
-    if len(parts) != 2:
-        raise ChainParseError(line, f"malformed address {token!r}; expected <ch>,<ly>")
     try:
-        channel, layer = int(parts[0]), int(parts[1])
-    except ValueError:
-        raise ChainParseError(
-            line, f"malformed address {token!r}; channel and layer must be integers"
-        ) from None
-    if channel < 0 or layer < 0:
-        raise ChainParseError(line, f"malformed address {token!r}; indices must be >= 0")
-    return CellAddress(channel, layer)
+        return CellAddress.parse(token)
+    except ValueError as exc:
+        raise ChainParseError(line, str(exc)) from None
 
 
 def parse_chain_file(text: str) -> ChainSpec:

@@ -180,10 +180,9 @@ def _load_or_sample_assignment(chain, args, render_config) -> ParameterAssignmen
 def _parse_param_key(raw: str) -> tuple:
     """'ch,ly.name' -> (CellAddress, name)."""
     address_text, dot, name = raw.partition(".")
-    channel_text, comma, layer_text = address_text.partition(",")
-    if not dot or not comma or not name:
+    if not dot or not name:
         raise ValueError(f"expected 'channel,layer.param', got {raw!r}")
-    return CellAddress(int(channel_text), int(layer_text)), name
+    return CellAddress.parse(address_text), name
 
 
 def _render_flags(parser) -> None:

@@ -161,8 +161,7 @@ def parse_assignment(chain: ChainSpec, payload: Mapping) -> ParameterAssignment:
     try:
         values = {}
         for key, cell_params in payload["params"].items():
-            channel, layer = key.split(",")
-            values[CellAddress(int(channel), int(layer))] = dict(cell_params)
+            values[CellAddress.parse(key)] = dict(cell_params)
         connections_on = None
         if "connections" in payload:
             lookup = {(c.source, c.dest): c for c in chain.connections}

@@ -33,7 +33,7 @@ from .losses import (
     parameter_loss,
     signal_chain_loss,
 )
-from .modules import CATALOG, SHARED_DURATION, ContinuousParam, duration_left, unit_scale
+from .modules import SHARED_DURATION, ContinuousParam, duration_left, unit_scale
 
 __all__ = [
     "BranchResult",
@@ -134,16 +134,6 @@ def _search_space(chain: ChainSpec, fixed: FixedParams):
     return free, [tuple(zip(slots, combo)) for combo in itertools.product(*choices)]
 
 
-# ``sigmoid_gate`` arguments of every continuous parameter that does not
-# share the render duration, whose range does not depend on the render
-_GATES = {
-    (kind, p.name): unit_scale(p, RenderConfig())
-    for kind, catalog in CATALOG.items()
-    for p in catalog.continuous
-    if p.name not in SHARED_DURATION[kind]
-}
-
-
 def _assignment(
     chain: ChainSpec,
     theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
@@ -151,43 +141,39 @@ def _assignment(
     fixed: FixedParams,
     render_config: RenderConfig,
 ) -> ParameterAssignment:
-    """The assignment at unconstrained ``theta``, one catalog walk per cell.
+    """The assignment at unconstrained ``theta``: one walk of the chain's
+    parameter table, with every gate at ``render_config``.
 
-    Fixed values are copied and categorical labels come from ``combo``;
+    Categorical labels come from ``combo`` and fixed values are copied;
     every other continuous value is gated strictly inside its range.  The
     parameters that share the render duration (``modules.SHARED_DURATION``:
     the ADSR attack, decay and release) break what
-    ``modules.duration_left`` says the fixed ones leave of it, in catalog
-    order: each takes a sigmoid fraction of the time still left.  Where a
-    gate saturates, rounding can put their sum one ulp past the duration,
-    inside the slack ``modules.apply_adsr`` allows.
+    ``modules.duration_left`` says their cell's fixed ones leave of it, in
+    catalog order: each takes a sigmoid fraction of the time still left.
+    Where a gate saturates, rounding can put their sum one ulp past the
+    duration, inside the slack ``modules.apply_adsr`` allows.
     """
-    cells: dict[CellAddress, dict] = {}
-    for cell in chain.cells:
-        if cell.kind == "empty":
-            continue
-        catalog = CATALOG[cell.kind]
-        shared = SHARED_DURATION[cell.kind]
-        if shared:
-            left = duration_left(
-                (fixed[cell.address, name] for name in shared if (cell.address, name) in fixed),
-                render_config,
-            )
-            remaining = DiffValue(max(left, 0.0))
-        params: dict[str, Union[DiffValue, float, str]] = {}
-        for p in catalog.continuous:
-            key = (cell.address, p.name)
-            if key in fixed:
-                params[p.name] = fixed[key]
-            elif p.name in shared:
-                params[p.name] = remaining * sigmoid(theta[key])
-                remaining = remaining - params[p.name]
-            else:
-                params[p.name] = sigmoid_gate(theta[key], *_GATES[cell.kind, p.name])
-        for p in catalog.categorical:
-            params[p.name] = combo[(cell.address, p.name)]
-        cells[cell.address] = params
-    return ParameterAssignment(cells)
+    kinds = chain.module_cells
+    values: dict[CellAddress, dict] = {address: {} for address in kinds}
+    remaining = {}  # per ADSR cell, the time still left
+    for address, kind in kinds.items():
+        if SHARED_DURATION[kind]:
+            segments = [(address, n) for n in SHARED_DURATION[kind]]
+            left = duration_left((fixed[k] for k in segments if k in fixed), render_config)
+            remaining[address] = DiffValue(max(left, 0.0))
+    for key, p in chain.params.items():
+        address, name = key
+        if not isinstance(p, ContinuousParam):
+            value = combo[key]
+        elif key in fixed:
+            value = fixed[key]
+        elif name in SHARED_DURATION[kinds[address]]:
+            value = remaining[address] * sigmoid(theta[key])
+            remaining[address] = remaining[address] - value
+        else:
+            value = sigmoid_gate(theta[key], *unit_scale(p, render_config))
+        values[address][name] = value
+    return ParameterAssignment(values)
 
 
 def _loss_parts(

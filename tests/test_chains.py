@@ -181,6 +181,28 @@ def test_parse_errors(text, fragment):
     assert fragment in str(err.value)
 
 
+MALFORMED_ADDRESSES = [
+    ("0,0,1", "malformed address '0,0,1'; expected <ch>,<ly>"),
+    ("0;0", "malformed address '0;0'; expected <ch>,<ly>"),
+    ("a,0", "malformed address 'a,0'; channel and layer must be integers"),
+    ("0,-1", "malformed address '0,-1'; indices must be >= 0"),
+]
+
+
+def test_cell_address_parse_reads_channel_then_layer():
+    assert CellAddress.parse("2,3") == CellAddress(2, 3)
+
+
+@pytest.mark.parametrize("text, message", MALFORMED_ADDRESSES)
+def test_chain_file_reports_the_address_readers_message_on_its_line(text, message):
+    with pytest.raises(ValueError) as err:
+        CellAddress.parse(text)
+    assert str(err.value) == message
+    with pytest.raises(ChainParseError) as err:
+        parse_chain_file(f"chain c\ncell 0 0 osc\nconnect 0,0 -> {text}\n")
+    assert str(err.value) == f"line 3: {message}"
+
+
 def test_parse_error_carries_line_number():
     text = "chain c\ncell 0 0 osc\ncell 0 1 warp\n"
     with pytest.raises(ChainParseError) as err:

@@ -457,6 +457,37 @@ def test_sweep_rejects_bad_param(tmp_path, osc_chain, param):
     ) == 2
 
 
+@pytest.mark.parametrize(
+    "param, message",
+    [
+        ("a,0.freq", "malformed address 'a,0'; channel and layer must be integers"),
+        ("0,0,1.freq", "malformed address '0,0,1'; expected <ch>,<ly>"),
+        ("0.freq", "malformed address '0'; expected <ch>,<ly>"),
+        ("0,-1.freq", "malformed address '0,-1'; indices must be >= 0"),
+    ],
+)
+def test_sweep_reports_a_malformed_param_address_as_the_chain_grammar_does(
+    tmp_path, osc_chain, caplog, param, message
+):
+    assert main(
+        ["-q", "sweep", str(osc_chain), "--param", param, "--points", "3",
+         "--random", "--out", str(tmp_path / "s.csv")]
+    ) == 2
+    assert message in caplog.text
+
+
+def test_sweep_reports_a_malformed_params_key_as_the_chain_grammar_does(
+    tmp_path, osc_chain, caplog
+):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"params": {"0;0": {}}}))
+    assert main(
+        ["-q", "sweep", str(osc_chain), "--param", "0,0.freq", "--points", "3",
+         "--params", str(params), "--out", str(tmp_path / "s.csv")]
+    ) == 2
+    assert "malformed address '0;0'; expected <ch>,<ly>" in caplog.text
+
+
 def test_sweep_rejects_an_empty_cell(tmp_path, caplog):
     chain = tmp_path / "gap.chain"
     chain.write_text(OSC + "cell 1 0 empty\n")

@@ -289,6 +289,17 @@ def test_load_records_rejects_unknown_connection(tmp_path):
     assert records  # original batch unaffected
 
 
+@pytest.mark.parametrize(
+    "key, detail",
+    [("0;0", "expected <ch>,<ly>"), ("a,0", "channel and layer must be integers"),
+     ("0,-1", "indices must be >= 0")],
+)
+def test_parse_assignment_reports_a_malformed_cell_key_as_the_chain_grammar_does(key, detail):
+    with pytest.raises(DatasetFormatError) as err:
+        parse_assignment(MIX_CHAIN, {"params": {key: {}}})
+    assert str(err.value) == f"malformed assignment payload: malformed address {key!r}; {detail}"
+
+
 @pytest.mark.parametrize("on", ["false", 0])
 def test_parse_assignment_takes_only_a_json_boolean_for_on(tmp_path, on):
     chain = parse_chain_file(format_chain(MIX_CHAIN).replace("1,0 -> 0,1", "1,0 -> 0,1 optional"))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gradsynth import losses, matching
 from gradsynth.audio import RenderConfig
-from gradsynth.autodiff import DiffValue, Tape
+from gradsynth.autodiff import DiffValue, Tape, sigmoid_gate
 from gradsynth.chains import (
     Cell,
     CellAddress,
@@ -30,7 +30,13 @@ from gradsynth.matching import (
     beta_at,
     match,
 )
-from gradsynth.modules import CATALOG, ContinuousParam, resolve_range, unit_scale
+from gradsynth.modules import (
+    CATALOG,
+    SHARED_DURATION,
+    ContinuousParam,
+    resolve_range,
+    unit_scale,
+)
 
 CFG = RenderConfig(duration=0.25)
 
@@ -165,20 +171,20 @@ def test_optimizer_config_rejects(kwargs):
 def _theta(chain, fill):
     """Every continuous parameter of ``chain`` at ``fill``."""
     return {
-        (cell.address, p.name): DiffValue(fill)
-        for cell in chain.cells
-        for p in CATALOG[cell.kind].continuous
+        key: DiffValue(fill) for key, p in chain.params.items() if isinstance(p, ContinuousParam)
     }
 
 
-def _mapped(chain, theta, fixed=None):
+def _first_choices(chain):
+    """Every categorical parameter of ``chain`` at its first choice."""
+    return {
+        key: p.choices[0] for key, p in chain.params.items() if not isinstance(p, ContinuousParam)
+    }
+
+
+def _mapped(chain, theta, fixed=None, cfg=CFG):
     """``matching._assignment``'s values, each categorical at its first choice."""
-    combo = {
-        (cell.address, p.name): p.choices[0]
-        for cell in chain.cells
-        for p in CATALOG[cell.kind].categorical
-    }
-    return matching._assignment(chain, theta, combo, fixed or {}, CFG).values
+    return matching._assignment(chain, theta, _first_choices(chain), fixed or {}, cfg).values
 
 
 def test_reparam_stays_inside_ranges():
@@ -201,13 +207,52 @@ def test_reparam_stays_inside_ranges():
         assert total <= CFG.duration + 1e-12
 
 
-def test_gate_arguments_are_the_catalog_unit_scale():
-    # the ADSR times share the render duration as a budget instead
-    gated = [(kind, p) for kind, c in CATALOG.items() for p in c.continuous if p.high is not None]
-    assert set(matching._GATES) == {(kind, p.name) for kind, p in gated}
-    for kind, p in gated:
-        for cfg in (CFG, RenderConfig()):
-            assert matching._GATES[kind, p.name] == unit_scale(p, cfg), f"{kind}.{p.name}"
+FM_CHAIN = parse_chain_file((Path(__file__).parents[1] / "chains" / "fm.chain").read_text())
+
+TREMOLO_CHAIN = parse_chain_file(
+    "chain tremolo\ncell 0 0 osc\ncell 1 0 lfo\ncell 0 1 tremolo\n"
+    "connect 0,0 -> 0,1\nconnect 1,0 -> 0,1\n"
+)
+
+
+@pytest.mark.parametrize("cfg", [RenderConfig(8000, 0.25), RenderConfig(44100, 1.0)])
+def test_assignment_gates_every_parameter_at_the_render_in_use(cfg):
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for chain in (FULL_CHAIN, FM_CHAIN, TREMOLO_CHAIN):
+        kinds.update(chain.cell_map().values())
+        for _ in range(20):
+            theta = {key: DiffValue(rng.uniform(-30.0, 30.0)) for key in _theta(chain, 0.0)}
+            values = _mapped(chain, theta, cfg=cfg)
+            for (address, name), p in chain.params.items():
+                if isinstance(p, ContinuousParam) and p.high is not None:
+                    expected = sigmoid_gate(theta[address, name], *unit_scale(p, cfg)).value
+                    assert values[address][name].value == expected, f"{address}.{name}"
+            for address, kind in chain.cell_map().items():
+                if SHARED_DURATION[kind]:
+                    segments = [values[address][n].value for n in SHARED_DURATION[kind]]
+                    assert all(s >= 0.0 for s in segments)
+                    # a saturated gate may round one ulp past the duration
+                    assert sum(segments) <= cfg.duration + 1e-12, segments
+    assert kinds == set(CATALOG)
+
+
+def test_assignment_values_pass_the_chains_assignment_check():
+    chain = parse_chain_file(
+        "chain holes\ncell 0 0 osc\ncell 1 0 osc\ncell 2 0 empty\ncell 0 1 mix\n"
+        "cell 0 2 adsr\nconnect 0,0 -> 0,1\nconnect 1,0 -> 0,1\nconnect 0,1 -> 0,2\n"
+    )
+    adsr = CellAddress(0, 2)
+    fixed = {(adsr, "decay"): 0.125}
+    theta = {key: DiffValue(1.5) for key in _theta(chain, 0.0) if key not in fixed}
+    values = _mapped(chain, theta, fixed)
+    chain.check_assignment(ParameterAssignment(values))
+    # one dict per module cell, in declaration order; the mix cell's is empty
+    assert list(values) == [A00, A10, CellAddress(0, 1), adsr]
+    assert values[CellAddress(0, 1)] == {}
+    assert values[adsr]["decay"] == 0.125
+    left = sum(values[adsr][n].value for n in ("attack", "release"))
+    assert left <= CFG.duration - 0.125
 
 
 def test_reparam_respects_fixed_time_budget():
