@@ -127,8 +127,8 @@ def sweep_area(digest, size: int, jobs: int) -> None:
         for seed in range(size)
         for segment in SEGMENTS
     ]
-    # seed 0's decay and release leave 0.137 s of the 0.25 s for the attack
-    runs.append(["--param", "0,2.attack", "--random", "--seed", "0", "--high", "0.125"])
+    # seed 0's decay and release leave 0.026 s of the 0.25 s for the attack
+    runs.append(["--param", "0,2.attack", "--random", "--seed", "0", "--high", "0.02"])
     with tempfile.TemporaryDirectory() as out:
         csv = Path(out) / "sweep.csv"
         for run in runs:

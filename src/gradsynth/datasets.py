@@ -34,7 +34,7 @@ from .chains import (
     generate_signal,
     resolve_optional,
 )
-from .modules import CATALOG, SHARED_DURATION, check_lowpass_length, duration_left, from_unit
+from .modules import SHARED_DURATION, ContinuousParam, check_lowpass_length, from_unit
 
 __all__ = [
     "DatasetFormatError",
@@ -83,37 +83,33 @@ def sample_assignment(
     rng: np.random.Generator,
     render_config: RenderConfig = RenderConfig(),
 ) -> ParameterAssignment:
-    """Draw one full random assignment for ``chain``.
+    """Draw one full random assignment for ``chain``: optional connections
+    first, then one walk of its parameter table, in table order.
 
-    Continuous parameters are uniform over their catalog range on its
-    scale (:func:`modules.from_unit`), so log-scaled ones give every
-    octave equal mass.  The parameters that share the render duration
-    (``modules.SHARED_DURATION``: the ADSR attack, decay and release)
-    are drawn first, one draw each in catalog order, and redrawn together
-    until ``modules.duration_left`` says they fit it.  Categorical labels
-    are uniform.  Optional connections are resolved first; forced
-    activation states override the sampled labels.
+    Categorical labels are uniform.  Continuous parameters are uniform over
+    their catalog range on its scale (:func:`modules.from_unit`), so
+    log-scaled ones give every octave equal mass.  The parameters that
+    share the render duration (``modules.SHARED_DURATION``: the ADSR attack,
+    decay and release) are drawn together when the walk reaches their
+    cell's first, as the spacings of that many sorted uniform draws over
+    the duration: one draw, uniform over every set of times that fits it.
+    Forced activation states override the sampled labels.
     """
     resolution = resolve_optional(chain, rng)
-    values: dict = {}
-    for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
-        if cell.kind == "empty":
+    kinds = chain.module_cells
+    values: dict = {address: {} for address in kinds}
+    for (address, name), spec in chain.params.items():
+        cell = values[address]
+        shared = SHARED_DURATION[kinds[address]]
+        if name in cell:  # a segment drawn with its cell's first
             continue
-        cat = CATALOG[cell.kind]
-        params: dict = {}
-        shared = [p for p in cat.continuous if p.name in SHARED_DURATION[cell.kind]]
-        if shared:
-            while True:
-                draws = {p.name: float(from_unit(p, rng.random(), render_config)) for p in shared}
-                if duration_left(draws.values(), render_config) >= 0.0:
-                    break
-            params.update(draws)
-        for spec in cat.continuous:
-            if spec.name not in params:
-                params[spec.name] = float(from_unit(spec, rng.random(), render_config))
-        for spec in cat.categorical:
-            params[spec.name] = spec.choices[int(rng.integers(len(spec.choices)))]
-        values[cell.address] = params
+        if not isinstance(spec, ContinuousParam):
+            cell[name] = spec.choices[int(rng.integers(len(spec.choices)))]
+        elif name in shared:
+            cuts = np.sort(rng.random(len(shared))) * render_config.duration
+            cell.update(zip(shared, np.diff(cuts, prepend=0.0).tolist()))
+        else:
+            cell[name] = float(from_unit(spec, rng.random(), render_config))
     for (address, name), label in resolution.forced_activations.items():
         values[address][name] = label
     return ParameterAssignment(values, resolution.connections_on)
@@ -157,7 +153,8 @@ def assignment_payload(chain: ChainSpec, assignment: ParameterAssignment) -> dic
 
 
 def parse_assignment(chain: ChainSpec, payload: Mapping) -> ParameterAssignment:
-    """Inverse of :func:`assignment_payload`; ``connections`` may be absent."""
+    """Inverse of :func:`assignment_payload`; ``connections`` may be absent,
+    and only an optional one may be off."""
     try:
         values = {}
         for key, cell_params in payload["params"].items():
@@ -176,6 +173,11 @@ def parse_assignment(chain: ChainSpec, payload: Mapping) -> ParameterAssignment:
                     raise DatasetFormatError(
                         f"connection {ends[0]} -> {ends[1]}: 'on' must be true or false, "
                         f"got {entry['on']!r}"
+                    )
+                if not entry["on"] and not lookup[ends].optional:
+                    raise DatasetFormatError(
+                        f"connection {ends[0]} -> {ends[1]} is not optional; "
+                        "it cannot be switched off"
                     )
                 connections_on[lookup[ends]] = entry["on"]
         return ParameterAssignment(values, connections_on)

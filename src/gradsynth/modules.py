@@ -249,18 +249,19 @@ def _wave_from_cycles(waveform: str, cycles, amp) -> DiffValue:
 def render_oscillator(params: Mapping, config: RenderConfig) -> Signal:
     """sine: amp*sin(2*pi*f*t); saw: amp*(2*frac(f*t)-1); square:
     amp*sgn(sin(2*pi*f*t)) with a tanh surrogate on the backward pass."""
-    if params["active"] == "off":
-        return zeros(config)
     p = _read("osc", params, config)
+    if p["active"] == "off":
+        return zeros(config)
     cycles = DiffValue(config.times()) * p["freq"]
     return Signal(_wave_from_cycles(p["waveform"], cycles, p["amp"]), config.sample_rate)
 
 
 def render_lfo(params: Mapping, config: RenderConfig) -> Signal:
     """Sub-audible sine control signal in [-1, 1]."""
-    if params["active"] == "off":
+    p = _read("lfo", params, config)
+    if p["active"] == "off":
         return zeros(config)
-    phase = DiffValue(config.times()) * _read("lfo", params, config)["freq"] * TWO_PI
+    phase = DiffValue(config.times()) * p["freq"] * TWO_PI
     return Signal(ad.sin(phase), config.sample_rate)
 
 

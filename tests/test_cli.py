@@ -418,9 +418,17 @@ def test_sweep_of_an_envelope_segment_ends_at_the_remaining_budget(tmp_path):
 
 
 def test_sweep_rejects_a_high_past_the_remaining_budget(tmp_path, caplog):
+    target = sample_assignment(
+        parse_chain_file((REPO / "chains" / "basic.chain").read_text()),
+        np.random.default_rng(3),
+        RenderConfig(duration=0.25),
+    )
+    adsr = target.values[CellAddress(0, 2)]
+    budget = 0.25 - (adsr["decay"] + adsr["release"])
+    assert budget < 0.25
     out = tmp_path / "sweep.csv"
     assert main(SWEEP_ATTACK + ["--high", "0.25", "--out", str(out)]) == 2
-    assert "--high 0.25 exceeds the 0.17" in caplog.text
+    assert f"--high 0.25 exceeds the {budget} s" in caplog.text
     assert "decay+release leave of the 0.25 s duration" in caplog.text
     assert not out.exists()
 
@@ -637,7 +645,8 @@ def test_gradcheck_rescales_envelope_segments_that_fill_the_duration(monkeypatch
     assert "0,2.release" in capsys.readouterr().out
 
 
-# recorded before finite_difference_check took the step search over from cmd_gradcheck
+# fm.chain's table recorded before finite_difference_check took the step search
+# over from cmd_gradcheck; basic.chain's since the sampler draws the envelope once
 GRADCHECK_GOLDEN = json.loads((REPO / "tests" / "data" / "gradcheck_golden.json").read_text())
 
 
@@ -861,8 +870,12 @@ def _edited_params(path, edit) -> Path:
         (lambda p: p["params"]["0,0"].update(amp=[0.5]), "osc.amp = [0.5] is not a number"),
         (lambda p: p["params"].update({"5,5": {"cutoff": 1000.0}}), "assigned to (5,5)"),
         (lambda p: p["connections"][0].update(on="false"), "'on' must be true or false"),
+        (lambda p: p["params"]["0,0"].update(amp="loud", active="off"),
+         "osc.amp = 'loud' is not a number"),
+        (lambda p: p["connections"][0].update(on=False),
+         "connection (0,0) -> (0,1) is not optional; it cannot be switched off"),
     ],
-    ids=["null", "list", "extra-cell", "string-on"],
+    ids=["null", "list", "extra-cell", "string-on", "switched-off-osc", "required-off"],
 )
 def test_render_rejects_a_malformed_params_file(tmp_path, basic_chain, caplog, edit, fragment):
     params = _edited_params(tmp_path / "p.json", edit)
@@ -901,6 +914,13 @@ def test_commands_at_8khz_render_a_cutoff_above_nyquist(tmp_path, lowpass_cutoff
     # and matching at 8 kHz reach past its 4 kHz Nyquist limit
     basic = str(REPO / "chains" / "basic.chain")
     at_8k = ["--sample-rate", "8000"]
+    # render --random draws the first seed whose sampled cutoff is above 4 kHz
+    chain = parse_chain_file(Path(basic).read_text())
+    seed = next(
+        s for s in range(100)
+        if sample_assignment(chain, np.random.default_rng(s), RenderConfig(sample_rate=8000))
+        .values[CellAddress(0, 3)]["cutoff"] > 4000.0
+    )
     target = str(tmp_path / "t8.wav")
     assert main(["-q", "render", basic, "--random", "--seed", "3", *at_8k, "--duration", "0.25",
                  "--out", target]) == 0
@@ -910,7 +930,8 @@ def test_commands_at_8khz_render_a_cutoff_above_nyquist(tmp_path, lowpass_cutoff
         "optimizer.learning_rate = 0.2\n"
     )
     for argv in [
-        ["render", basic, "--random", "--seed", "17", *at_8k, "--out", str(tmp_path / "o.wav")],
+        ["render", basic, "--random", "--seed", str(seed), *at_8k,
+         "--out", str(tmp_path / "o.wav")],
         ["dataset", basic, "--n", "20", *at_8k, "--out", str(tmp_path / "ds")],
         ["match", target, basic, "--config", str(cfg), "--out-dir", str(tmp_path / "res")],
     ]:

@@ -151,6 +151,58 @@ def test_adsr_triple_fits_duration(index):
     assert params["attack"] + params["decay"] + params["release"] <= CFG.duration
 
 
+BASIC_CHAIN = parse_chain_file((CHAINS / "basic.chain").read_text())
+ONE_SECOND = RenderConfig(duration=1.0)
+SEGMENTS = ("attack", "decay", "release")
+
+
+@pytest.fixture(scope="module")
+def envelope_draws():
+    """(attack, decay, release) of basic.chain's first 20,000 records at T = 1 s."""
+    records = (sample_record(BASIC_CHAIN, 0, i, ONE_SECOND) for i in range(20_000))
+    cells = [record.assignment.values[CellAddress(0, 2)] for record in records]
+    return np.array([[cell[name] for name in SEGMENTS] for cell in cells])
+
+
+def test_envelope_segments_fit_the_duration_on_every_draw(envelope_draws):
+    assert np.all(envelope_draws >= 0.0)
+    assert np.all(envelope_draws.sum(axis=1) <= ONE_SECOND.duration)
+
+
+def test_envelope_draw_is_uniform_over_the_segments_that_fit(envelope_draws):
+    # uniform on {a, d, r >= 0, a + d + r <= T}: each mean T/4,
+    # P(sum > 0.9 T) = 1 - 0.9**3 and corr(a, d) = -1/3
+    np.testing.assert_allclose(envelope_draws.mean(axis=0), 0.25, atol=0.01)
+    assert abs(np.mean(envelope_draws.sum(axis=1) > 0.9) - (1 - 0.9**3)) <= 0.015
+    assert abs(np.corrcoef(envelope_draws[:, 0], envelope_draws[:, 1])[0, 1] + 1 / 3) <= 0.03
+
+
+class CountingRng:
+    """Forwards ``random`` and ``integers`` to a generator, recording each call."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def random(self, size=None):
+        self.calls.append(("random", size))
+        return self.rng.random(size)
+
+    def integers(self, *args):
+        self.calls.append(("integers", args))
+        return self.rng.integers(*args)
+
+
+def test_every_record_makes_the_same_draws():
+    # no retry: one rng.random(3) for the envelope, whatever it draws
+    calls = set()
+    for index in range(500):
+        rng = CountingRng(record_rng(0, index))
+        sample_assignment(BASIC_CHAIN, rng, ONE_SECOND)
+        calls.add(tuple(rng.calls))
+    (only,) = calls
+    assert only.count(("random", 3)) == 1
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_sampled_assignment_renders(index):
@@ -316,6 +368,28 @@ def test_parse_assignment_takes_only_a_json_boolean_for_on(tmp_path, on):
     (tmp_path / "metadata.jsonl").write_text(json.dumps(payload) + "\n")
     with pytest.raises(DatasetFormatError, match="line 1: .*'on' must be true or false"):
         load_records(chain, tmp_path / "metadata.jsonl")
+
+
+def test_parse_assignment_rejects_switching_off_a_required_connection():
+    # the tremolo's LFO input: off, it would end in MissingInputError at render
+    payload = assignment_payload(KITCHEN_CHAIN, sample_record(KITCHEN_CHAIN, 3, 0, CFG).assignment)
+    (entry,) = [e for e in payload["connections"] if e["dest"] == [0, 2] and e["source"] == [0, 0]]
+    entry["on"] = False
+    with pytest.raises(DatasetFormatError) as err:
+        parse_assignment(KITCHEN_CHAIN, payload)
+    assert str(err.value) == "connection (0,0) -> (0,2) is not optional; it cannot be switched off"
+
+
+def test_optional_connections_switched_off_load_and_render():
+    payload = assignment_payload(KITCHEN_CHAIN, sample_record(KITCHEN_CHAIN, 3, 0, CFG).assignment)
+    for entry in payload["connections"]:
+        entry["on"] = not entry["optional"]
+    assignment = parse_assignment(KITCHEN_CHAIN, payload)
+    assert [assignment.connection_on(c) for c in KITCHEN_CHAIN.connections] == [
+        not c.optional for c in KITCHEN_CHAIN.connections
+    ]
+    assignment.values[CellAddress(0, 1)]["fm_active"] = "off"  # its modulator is off
+    assert np.all(np.isfinite(generate_signal(KITCHEN_CHAIN, assignment, CFG).output.values))
 
 
 def test_record_connections_on_exposed():

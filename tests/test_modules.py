@@ -389,12 +389,28 @@ def test_bypassed_fm_oscillator_still_checks_its_mod_index():
         render_fm_oscillator(fm_params(fm_active="off", mod_index=150.0), None, CFG)
 
 
-def test_switched_off_generators_render_silence_unread():
-    # an off switch returns before any other parameter is read or checked
-    out = render_oscillator(osc_params(active="off", freq=-5.0, amp="loud"), CFG)
-    assert len(out) == CFG.num_samples and not out.values.any()
-    out = render_lfo({"freq": 400.0, "active": "off"}, CFG)
-    assert len(out) == CFG.num_samples and not out.values.any()
+@pytest.mark.parametrize(
+    "render, params, message",
+    [
+        (render_oscillator, osc_params(freq=-5.0, amp="loud"), "osc.amp = 'loud' is not a number"),
+        (render_oscillator, osc_params(freq=-5.0), "osc.freq = -5.0 outside (0, 20000.0]"),
+        (render_lfo, {"freq": 400.0}, "lfo.freq = 400.0 outside (0, 20.0]"),
+    ],
+    ids=["osc-amp", "osc-freq", "lfo-freq"],
+)
+def test_switched_off_generators_check_their_parameters_as_on_ones_do(render, params, message):
+    for active in ("on", "off"):
+        with pytest.raises(ParameterRangeError) as err:
+            render({**params, "active": active}, CFG)
+        assert str(err.value) == message
+
+
+def test_valid_switched_off_generators_render_silence():
+    for out in (
+        render_oscillator(osc_params(active="off"), CFG),
+        render_lfo({"freq": 4.0, "active": "off"}, CFG),
+    ):
+        assert len(out) == CFG.num_samples and not out.values.any()
 
 
 def test_an_unknown_switch_label_is_rejected():
