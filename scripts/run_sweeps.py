@@ -28,34 +28,37 @@ CHAIN_DIR = Path(__file__).resolve().parent.parent / "chains"
 
 def fm_sweep(out: Path) -> None:
     chain = parse_chain_file((CHAIN_DIR / "fm.chain").read_text())
+    osc, fm = CellAddress(0, 0), CellAddress(0, 1)
     target = ParameterAssignment(
         {
-            CellAddress(0, 0): {"amp": 0.5, "freq": 220.0, "waveform": "sine", "active": "on"},
-            CellAddress(0, 1): {
-                "amp_c": 0.9,
-                "freq_c": 700.0,
-                "mod_index": 40.0,
-                "waveform": "sine",
-                "fm_active": "on",
-            },
+            (osc, "amp"): 0.5,
+            (osc, "freq"): 220.0,
+            (osc, "waveform"): "sine",
+            (osc, "active"): "on",
+            (fm, "amp_c"): 0.9,
+            (fm, "freq_c"): 700.0,
+            (fm, "mod_index"): 40.0,
+            (fm, "waveform"): "sine",
+            (fm, "fm_active"): "on",
         }
     )
     loss = LossConfig(cells="output", windows=(1024,), processings=("identity",), norm_p=1)
     ratio = 2.0 ** (1.0 / 250.0)
     grid = [700.0 * ratio ** (k - 249) for k in range(500)]
-    sweep = loss_surface_sweep(chain, target, (CellAddress(0, 1), "freq_c"), grid, loss, CFG)
+    sweep = loss_surface_sweep(chain, target, (fm, "freq_c"), grid, loss, CFG)
     export_csv(sweep, out)
     print(f"FM carrier sweep: {sweep.local_minima} local minima -> {out}")
 
 
 def amp_sweep(out: Path) -> None:
     chain = parse_chain_file("chain osc\ncell 0 0 osc\n")
+    osc = CellAddress(0, 0)
     target = ParameterAssignment(
-        {CellAddress(0, 0): {"amp": 0.55, "freq": 440.0, "waveform": "sine", "active": "on"}}
+        {(osc, "amp"): 0.55, (osc, "freq"): 440.0, (osc, "waveform"): "sine", (osc, "active"): "on"}
     )
     loss = LossConfig(cells="output", windows=(1024,), processings=("identity",), norm_p=2)
     grid = [k / 100.0 for k in range(101)]
-    sweep = loss_surface_sweep(chain, target, (CellAddress(0, 0), "amp"), grid, loss, CFG)
+    sweep = loss_surface_sweep(chain, target, (osc, "amp"), grid, loss, CFG)
     export_csv(sweep, out)
     print(f"amplitude sweep: {sweep.local_minima} local minimum -> {out}")
 

@@ -69,8 +69,7 @@ class ChainValidationError(ValueError):
 
 
 class AssignmentError(ValueError):
-    """Parameter assignment does not cover the chain's module cells and
-    their catalog parameters exactly."""
+    """An assignment's keys are not exactly the chain's parameter table."""
 
 
 class CellAddress(NamedTuple):
@@ -124,9 +123,6 @@ class ChainSpec:
         if violations:
             raise ChainValidationError(violations)
 
-    def cell_map(self) -> dict:
-        return {c.address: c.kind for c in self.cells}
-
     @functools.cached_property
     def module_cells(self) -> dict:
         """``CellAddress`` -> kind of every module (not ``empty``) cell, in
@@ -146,29 +142,17 @@ class ChainSpec:
         }
 
     def check_assignment(self, assignment: ParameterAssignment) -> None:
-        """Raise :class:`AssignmentError` unless ``assignment`` names every
-        module cell, no other cell, and exactly the parameters of ``params``."""
-        values = assignment.values
-        modules = self.module_cells
-        named = {(address, name) for address, cell in values.items() for name in cell}
-        if named == self.params.keys() and values.keys() == modules.keys():
+        """Raise :class:`AssignmentError` unless the keys of
+        ``assignment.params`` are exactly those of ``params``."""
+        table, given = self.params.keys(), assignment.params.keys()
+        if given == table:
             return
-        extra = values.keys() - modules.keys()
-        if extra:
-            raise AssignmentError(
-                f"parameters assigned to {', '.join(sorted(map(str, extra)))}, "
-                "where the chain has no module cell"
-            )
-        for address in sorted(modules):
-            where = f"cell {address} ({modules[address]})"
-            if address not in values:
-                raise AssignmentError(f"{where}: no parameters assigned")
-            expected = {name for a, name in self.params if a == address}
-            given = set(values[address])
-            for names, what in ((expected - given, "missing"), (given - expected, "unknown")):
-                if names:
-                    raise AssignmentError(f"{where}: {what} parameter(s) {sorted(names)}")
-        raise AssertionError("unreachable: the assignment matched the table")
+        wrong = [
+            f"{what} parameter(s) {', '.join(sorted(f'{a}.{n}' for a, n in keys))}"
+            for keys, what in ((table - given, "missing"), (given - table, "unknown"))
+            if keys
+        ]
+        raise AssignmentError(f"chain {self.name!r}: {'; '.join(wrong)}")
 
     def max_layer(self) -> int:
         return max(c.address.layer for c in self.cells)
@@ -188,19 +172,29 @@ class Violation:
 
 @dataclass(frozen=True)
 class ParameterAssignment:
-    """Values per cell plus resolved optional-connection states.
+    """One row of a chain's parameter table plus resolved optional-connection
+    states.
 
-    ``connections_on`` maps Connection -> bool; None keeps every declared
-    connection on (the all-fixed interpretation).
+    ``params`` maps ``(CellAddress, name)`` -> value, with exactly the keys
+    of :attr:`ChainSpec.params`.  ``connections_on`` maps every declared
+    Connection -> bool; None keeps every connection on (the all-fixed
+    interpretation).
     """
 
-    values: Mapping
+    params: Mapping
     connections_on: Optional[Mapping] = None
 
+    @functools.cached_property
+    def values(self) -> dict:
+        """``CellAddress`` -> ``{name: value}`` of every cell that has
+        parameters: the per-cell dicts module renderers read.  Read-only."""
+        cells: dict = {}
+        for (address, name), value in self.params.items():
+            cells.setdefault(address, {})[name] = value
+        return cells
+
     def connection_on(self, conn: Connection) -> bool:
-        if self.connections_on is None:
-            return True
-        return self.connections_on.get(conn, not conn.optional)
+        return self.connections_on is None or self.connections_on[conn]
 
 
 @dataclass(frozen=True)
@@ -422,7 +416,7 @@ def generate_signal(
     parameter table (:meth:`ChainSpec.check_assignment`).
     """
     chain.check_assignment(assignment)
-    cmap = chain.cell_map()
+    kinds = chain.module_cells
     outputs: dict = {}
     active: dict = {}
     for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
@@ -430,11 +424,11 @@ def generate_signal(
         if kind == "empty":
             outputs[addr], active[addr] = zeros(config), False
             continue
-        params = assignment.values[addr]
+        params = assignment.values.get(addr, {})
         live = [c.source for c in chain.incoming(addr) if assignment.connection_on(c)]
         audio = live
         if kind == "tremolo":
-            audio = [s for s in live if cmap[s] != "lfo"]
+            audio = [s for s in live if kinds.get(s) != "lfo"]
             if len(live) != 2 or len(audio) != 1:
                 raise MissingInputError(
                     f"tremolo cell {addr}: needs one live LFO and one audio input"
@@ -452,7 +446,7 @@ def generate_signal(
         elif kind == "mix":
             out = mix(in_sigs)
         elif kind == "tremolo":
-            lfo = next(s for s in live if cmap[s] == "lfo")
+            lfo = next(s for s in live if kinds.get(s) == "lfo")
             out = apply_tremolo(in_sigs[0], outputs[lfo], params)
         elif kind == "lowpass":
             out = apply_lowpass(in_sigs[0], params, config)

@@ -170,9 +170,7 @@ def _load_chain(path) -> ChainSpec:
 def _load_or_sample_assignment(chain, args, render_config) -> ParameterAssignment:
     if args.params is not None:
         payload = json.loads(Path(args.params).read_text(encoding="utf-8"))
-        assignment = parse_assignment(chain, payload)
-        chain.check_assignment(assignment)  # before any command reads it
-        return assignment
+        return parse_assignment(chain, payload)
     rng = np.random.default_rng(args.seed)
     return sample_assignment(chain, rng, render_config)
 
@@ -292,11 +290,11 @@ def cmd_sweep(args) -> int:
     spec = swept_spec(chain, (address, name))
     target = _load_or_sample_assignment(chain, args, render_config)
     bounds = {"low": args.low, "high": args.high}
-    shared = SHARED_DURATION[chain.cell_map()[address]]
+    shared = SHARED_DURATION[chain.module_cells[address]]
     if name in shared:
         # an envelope segment shares the duration with the target's other segments
         others = [n for n in shared if n != name]
-        budget = duration_left((target.values[address][n] for n in others), render_config)
+        budget = duration_left((target.params[(address, n)] for n in others), render_config)
         if bounds["high"] is None:
             bounds["high"] = budget
         elif bounds["high"] > budget:
@@ -369,30 +367,28 @@ def _gradcheck_assignment(chain, seed, render_config) -> ParameterAssignment:
     check.
     """
     rng = np.random.default_rng(seed)
-    values = {a: dict(p) for a, p in sample_assignment(chain, rng, render_config).values.items()}
-    for (address, name), spec in chain.params.items():
-        params = values[address]
+    params = dict(sample_assignment(chain, rng, render_config).params)
+    for key, spec in chain.params.items():
         if isinstance(spec, ContinuousParam):
             low, high = resolve_range(spec, render_config)
             margin = max((high - low) * GRADCHECK_REL_STEPS[0] * 10, 1e-12)
-            params[name] = min(max(params[name], low + margin), high - margin)
-        elif name == "waveform":
-            params[name] = "sine"
+            params[key] = min(max(params[key], low + margin), high - margin)
+        elif spec.name == "waveform":
+            params[key] = "sine"
         elif spec.choices == ("on", "off"):
-            params[name] = "on"
-    cmap = chain.cell_map()
-    for address, params in values.items():
-        shared = SHARED_DURATION[cmap[address]]
-        if shared:
+            params[key] = "on"
+    for address, kind in chain.module_cells.items():
+        segments = [(address, name) for name in SHARED_DURATION[kind]]
+        if segments:
             # keep the finite-difference steps inside apply_adsr's check
-            slack = 10 * GRADCHECK_REL_STEPS[0] * render_config.duration * len(shared)
-            total = duration_used(params[name] for name in shared)
+            slack = 10 * GRADCHECK_REL_STEPS[0] * render_config.duration * len(segments)
+            total = duration_used(params[k] for k in segments)
             limit = render_config.duration - slack
             if total > limit:
                 scale = limit / total
-                for name in shared:
-                    params[name] *= scale
-    return ParameterAssignment(values, None)
+                for k in segments:
+                    params[k] *= scale
+    return ParameterAssignment(params)
 
 
 def cmd_gradcheck(args) -> int:
@@ -411,7 +407,7 @@ def cmd_gradcheck(args) -> int:
             continue
         key = f"{address.channel},{address.layer}.{name}"
         fields[key] = (address, name)
-        bases[key] = prediction.values[address][name]
+        bases[key] = prediction.params[(address, name)]
         low, high = resolve_range(spec, render_config)
         # Log-scaled parameters get a step relative to the value: the
         # loss wiggles on a cents scale, so a span-relative step is
@@ -420,10 +416,8 @@ def cmd_gradcheck(args) -> int:
         steps[key] = tuple(max(scale * rel, 1e-12) for rel in GRADCHECK_REL_STEPS)
 
     def loss(tracked):
-        values = {a: dict(p) for a, p in prediction.values.items()}
-        for key, (address, name) in fields.items():
-            values[address][name] = tracked[key]
-        assignment = ParameterAssignment(values, prediction.connections_on)
+        changes = {fields[key]: value for key, value in tracked.items()}
+        assignment = replace(prediction, params={**prediction.params, **changes})
         trace = generate_signal(chain, assignment, render_config)
         return signal_chain_loss(trace, target_features, SINGLE_WINDOW_LOSS)
 

@@ -97,22 +97,22 @@ def sample_assignment(
     """
     resolution = resolve_optional(chain, rng)
     kinds = chain.module_cells
-    values: dict = {address: {} for address in kinds}
-    for (address, name), spec in chain.params.items():
-        cell = values[address]
+    params: dict = {}
+    for key, spec in chain.params.items():
+        address, name = key
         shared = SHARED_DURATION[kinds[address]]
-        if name in cell:  # a segment drawn with its cell's first
+        if key in params:  # a segment drawn with its cell's first
             continue
         if not isinstance(spec, ContinuousParam):
-            cell[name] = spec.choices[int(rng.integers(len(spec.choices)))]
+            params[key] = spec.choices[int(rng.integers(len(spec.choices)))]
         elif name in shared:
             cuts = np.sort(rng.random(len(shared))) * render_config.duration
-            cell.update(zip(shared, np.diff(cuts, prepend=0.0).tolist()))
+            segments = np.diff(cuts, prepend=0.0).tolist()
+            params.update(((address, n), t) for n, t in zip(shared, segments))
         else:
-            cell[name] = float(from_unit(spec, rng.random(), render_config))
-    for (address, name), label in resolution.forced_activations.items():
-        values[address][name] = label
-    return ParameterAssignment(values, resolution.connections_on)
+            params[key] = float(from_unit(spec, rng.random(), render_config))
+    params.update(resolution.forced_activations)
+    return ParameterAssignment(params, resolution.connections_on)
 
 
 def sample_record(
@@ -145,46 +145,62 @@ def assignment_payload(chain: ChainSpec, assignment: ParameterAssignment) -> dic
         }
         for c in chain.connections
     ]
-    params = {
-        f"{address.channel},{address.layer}": dict(sorted(cell_params.items()))
-        for address, cell_params in sorted(assignment.values.items())
-    }
+    params = {f"{a.channel},{a.layer}": {} for a in sorted(chain.module_cells)}
+    for (address, name), value in sorted(assignment.params.items()):
+        params[f"{address.channel},{address.layer}"][name] = value
     return {"connections": connections, "params": params}
 
 
 def parse_assignment(chain: ChainSpec, payload: Mapping) -> ParameterAssignment:
-    """Inverse of :func:`assignment_payload`; ``connections`` may be absent,
-    and only an optional one may be off."""
+    """Inverse of :func:`assignment_payload`.
+
+    ``params`` names every module cell of the chain and no other cell, and
+    its values must cover the chain's parameter table
+    (:meth:`ChainSpec.check_assignment`).  ``connections`` may be absent,
+    which keeps every connection on; a list names every declared
+    connection exactly once, and only an optional one may be off.
+    """
     try:
-        values = {}
-        for key, cell_params in payload["params"].items():
-            values[CellAddress.parse(key)] = dict(cell_params)
+        cells = {CellAddress.parse(key): dict(p) for key, p in payload["params"].items()}
+        kinds = chain.module_cells
+        extra = cells.keys() - kinds.keys()
+        if extra:
+            raise DatasetFormatError(
+                f"parameters assigned to {', '.join(sorted(map(str, extra)))}, "
+                "where the chain has no module cell"
+            )
+        missing = sorted(kinds.keys() - cells.keys())
+        if missing:
+            where = ", ".join(f"cell {a} ({kinds[a]})" for a in missing)
+            raise DatasetFormatError(f"{where}: no parameters assigned")
+        params = {(a, name): value for a, p in cells.items() for name, value in p.items()}
         connections_on = None
         if "connections" in payload:
             lookup = {(c.source, c.dest): c for c in chain.connections}
             connections_on = {}
             for entry in payload["connections"]:
                 ends = (CellAddress(*entry["source"]), CellAddress(*entry["dest"]))
-                if ends not in lookup:
-                    raise DatasetFormatError(
-                        f"connection {ends[0]} -> {ends[1]} not declared by the chain"
-                    )
-                if not isinstance(entry["on"], bool):
-                    raise DatasetFormatError(
-                        f"connection {ends[0]} -> {ends[1]}: 'on' must be true or false, "
-                        f"got {entry['on']!r}"
-                    )
-                if not entry["on"] and not lookup[ends].optional:
-                    raise DatasetFormatError(
-                        f"connection {ends[0]} -> {ends[1]} is not optional; "
-                        "it cannot be switched off"
-                    )
-                connections_on[lookup[ends]] = entry["on"]
-        return ParameterAssignment(values, connections_on)
+                where, conn = f"connection {ends[0]} -> {ends[1]}", lookup.get(ends)
+                if conn is None:
+                    raise DatasetFormatError(f"{where} not declared by the chain")
+                if conn in connections_on:
+                    raise DatasetFormatError(f"{where} listed twice")
+                on = entry["on"]
+                if not isinstance(on, bool):
+                    raise DatasetFormatError(f"{where}: 'on' must be true or false, got {on!r}")
+                if not (on or conn.optional):
+                    raise DatasetFormatError(f"{where} is not optional; it cannot be switched off")
+                connections_on[conn] = on
+            for c in chain.connections:
+                if c not in connections_on:
+                    raise DatasetFormatError(f"connection {c.source} -> {c.dest} not listed")
     except DatasetFormatError:
         raise
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise DatasetFormatError(f"malformed assignment payload: {exc}") from exc
+    assignment = ParameterAssignment(params, connections_on)
+    chain.check_assignment(assignment)
+    return assignment
 
 
 def _record_to_json(chain: ChainSpec, record: DatasetRecord) -> str:

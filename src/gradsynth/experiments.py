@@ -19,7 +19,7 @@ from __future__ import annotations
 import csv
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 import numpy as np
@@ -139,14 +139,12 @@ def loss_surface_sweep(
     counted on interior grid triples (strict on both sides).
     """
     swept_spec(chain, swept_param)
-    address, name = swept_param
     grid = tuple(float(g) for g in grid)
     target = chain_features(generate_signal(chain, target_assignment, render_config), loss_cfg)
     losses = []
     for value in grid:
-        values = {a: dict(p) for a, p in target_assignment.values.items()}
-        values[address][name] = value
-        assignment = ParameterAssignment(values, target_assignment.connections_on)
+        params = {**target_assignment.params, tuple(swept_param): value}
+        assignment = replace(target_assignment, params=params)
         trace = generate_signal(chain, assignment, render_config)
         losses.append(float(signal_chain_loss(trace, target, loss_cfg).value))
     return SweepResult(grid, tuple(losses), _count_strict_local_minima(losses))

@@ -104,9 +104,9 @@ def parameter_loss(
     chain.check_assignment(target)
 
     total = DiffValue(0.0)
-    for (address, name), param in chain.params.items():
-        pred = predicted.values[address][name]
-        targ = target.values[address][name]
+    for key, param in chain.params.items():
+        pred = predicted.params[key]
+        targ = target.params[key]
         if isinstance(param, CategoricalParam):
             q = 1.0 - CATEGORICAL_SMOOTHING if pred == targ else CATEGORICAL_SMOOTHING
             total = total + (-math.log(q))

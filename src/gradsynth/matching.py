@@ -154,7 +154,7 @@ def _assignment(
     duration, inside the slack ``modules.apply_adsr`` allows.
     """
     kinds = chain.module_cells
-    values: dict[CellAddress, dict] = {address: {} for address in kinds}
+    params: dict = {}
     remaining = {}  # per ADSR cell, the time still left
     for address, kind in kinds.items():
         if SHARED_DURATION[kind]:
@@ -172,8 +172,8 @@ def _assignment(
             remaining[address] = remaining[address] - value
         else:
             value = sigmoid_gate(theta[key], *unit_scale(p, render_config))
-        values[address][name] = value
-    return ParameterAssignment(values)
+        params[key] = value
+    return ParameterAssignment(params)
 
 
 def _loss_parts(
@@ -351,10 +351,7 @@ def match(
         chain, dict(best_branch.theta), dict(best_branch.combo), fixed, render_config
     )
     best = ParameterAssignment(
-        {
-            address: {n: v.value if isinstance(v, DiffValue) else v for n, v in params.items()}
-            for address, params in at_best.values.items()
-        }
+        {k: v.value if isinstance(v, DiffValue) else v for k, v in at_best.params.items()}
     )
 
     trace = generate_signal(chain, best, render_config)

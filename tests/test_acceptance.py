@@ -19,6 +19,7 @@ score the same or higher in that cell.
 
 import math
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +31,6 @@ from gradsynth.chains import (
     CellAddress,
     ChainParseError,
     ChainValidationError,
-    ParameterAssignment,
     generate_signal,
     parse_chain_file,
 )
@@ -44,8 +44,9 @@ from gradsynth.losses import (
     signal_chain_loss,
 )
 from gradsynth.matching import OptimizerConfig, match
-from gradsynth.modules import CATALOG, resolve_range
+from gradsynth.modules import CATALOG, ContinuousParam, resolve_range
 from gradsynth.spectral import stft_magnitude
+from assignments import from_cells
 
 ROOT = Path(__file__).resolve().parent.parent
 CFG = RenderConfig(duration=0.25)
@@ -107,7 +108,7 @@ GRAD_LOSS = LossConfig(cells="output", windows=(1024,), processings=("identity",
 def _interior_sample(chain, rng):
     """Random assignment with margins from range edges; sine waveforms."""
     values = {}
-    for addr, kind in sorted(chain.cell_map().items()):
+    for addr, kind in sorted(chain.module_cells.items()):
         cat = CATALOG[kind]
         budgeted = [p for p in cat.continuous if p.high is None]
         while True:
@@ -127,7 +128,7 @@ def _interior_sample(chain, rng):
         for p in cat.categorical:
             params[p.name] = "sine" if p.name == "waveform" else "on"
         values[addr] = params
-    return ParameterAssignment(values)
+    return from_cells(values)
 
 
 def _displaced(rng, kind, spec, base, cell_values):
@@ -177,19 +178,17 @@ def test_criterion_1_gradients(capsys):
                     np.random.SeedSequence(2024, spawn_key=(kind_idx, param_idx, point))
                 )
                 pred = _interior_sample(chain, rng)
-                base = pred.values[addr][spec.name]
-                target_values = {a: dict(p) for a, p in pred.values.items()}
-                target_values[addr][spec.name] = _displaced(
-                    rng, kind, spec, base, pred.values[addr]
-                )
-                target_trace = generate_signal(chain, ParameterAssignment(target_values), CFG)
+                swept = (addr, spec.name)
+                base = pred.params[swept]
+                displaced = _displaced(rng, kind, spec, base, pred.values[addr])
+                target_params = replace(pred, params={**pred.params, swept: displaced})
+                target_trace = generate_signal(chain, target_params, CFG)
                 target = chain_features(target_trace, GRAD_LOSS)
                 key = f"{kind}.{spec.name}"
 
-                def build(tracked, _pred=pred, _addr=addr, _name=spec.name, _key=key):
-                    values = {a: dict(p) for a, p in _pred.values.items()}
-                    values[_addr][_name] = tracked[_key]
-                    trace = generate_signal(chain, ParameterAssignment(values), CFG)
+                def build(tracked, _pred=pred, _swept=swept, _key=key):
+                    moved = replace(_pred, params={**_pred.params, _swept: tracked[_key]})
+                    trace = generate_signal(chain, moved, CFG)
                     return signal_chain_loss(trace, target, GRAD_LOSS)
 
                 # Steps small enough that truncation error clears 1e-3 even on
@@ -304,7 +303,7 @@ def test_criterion_2_benchmark_trends(capsys, bench):
 def test_criterion_3_loss_surfaces(capsys):
     t0 = time.time()
     fm_chain = parse_chain_file(FM_TEXT)
-    fm_target = ParameterAssignment(
+    fm_target = from_cells(
         {
             CellAddress(0, 0): {"amp": 0.5, "freq": 220.0, "waveform": "sine", "active": "on"},
             CellAddress(0, 1): {
@@ -326,7 +325,7 @@ def test_criterion_3_loss_surfaces(capsys):
     argmin = int(np.argmin(sweep.losses))
 
     amp_chain = parse_chain_file(OSC_TEXT)
-    amp_target = ParameterAssignment(
+    amp_target = from_cells(
         {CellAddress(0, 0): {"amp": 0.55, "freq": 440.0, "waveform": "sine", "active": "on"}}
     )
     l2 = LossConfig(cells="output", windows=(1024,), processings=("identity",), norm_p=2)
@@ -371,7 +370,7 @@ def test_criterion_4_loss_identities(capsys):
             rng = np.random.default_rng(np.random.SeedSequence(404, spawn_key=(n,)))
             assignment = sample_assignment(chain, rng, half)
             n_categorical = sum(
-                len(CATALOG[kind].categorical) for kind in chain.cell_map().values()
+                len(CATALOG[kind].categorical) for kind in chain.module_cells.values()
             )
             p_self = float(parameter_loss(chain, assignment, assignment, "L1", half).value)
             assert p_self <= n_categorical * 1e-5 + 1e-12, p_self
@@ -389,12 +388,12 @@ def test_criterion_4_loss_identities(capsys):
     a00 = CellAddress(0, 0)
     x = generate_signal(
         chain,
-        ParameterAssignment({a00: {"amp": 0.8, "freq": 331.0, "waveform": "saw", "active": "on"}}),
+        from_cells({a00: {"amp": 0.8, "freq": 331.0, "waveform": "saw", "active": "on"}}),
         CFG,
     )
     y = generate_signal(
         chain,
-        ParameterAssignment({a00: {"amp": 0.6, "freq": 550.0, "waveform": "square", "active": "on"}}),
+        from_cells({a00: {"amp": 0.6, "freq": 550.0, "waveform": "square", "active": "on"}}),
         CFG,
     )
     cfg = LossConfig(cells="output", windows=(1024,), processings=("identity",), norm_p=1)
@@ -434,21 +433,21 @@ def test_criterion_5_matching(capsys):
         rng = np.random.default_rng(np.random.SeedSequence(551, spawn_key=(seed,)))
         amp = float(rng.uniform(0.1, 0.95))
         freq = float(np.exp(rng.uniform(np.log(100), np.log(1500))))
-        truth = ParameterAssignment(
+        truth = from_cells(
             {a00: {"amp": amp, "freq": freq, "waveform": "sine", "active": "on"}}
         )
         target = generate_signal(chain, truth, CFG).output
         fixed = {(a00, "freq"): freq, (a00, "waveform"): "sine", (a00, "active"): "on"}
         opt = OptimizerConfig(steps=300, learning_rate=0.05, restarts=1, seed=seed)
         result = match(target, chain, spectral, opt, fixed_params=fixed, render_config=CFG)
-        err = abs(result.best.values[a00]["amp"] - amp)
+        err = abs(result.best.params[(a00, "amp")] - amp)
         worst = max(worst, err)
         hits += err <= 0.01
 
     # 5b: parameter-loss-only matching on the shipped basic chain recovers
     # every continuous parameter to within 1% of its range.
     basic = parse_chain_file(BASIC_TEXT)
-    target_params = ParameterAssignment(
+    target_params = from_cells(
         {
             CellAddress(0, 0): {"amp": 0.74, "freq": 330.0, "waveform": "saw", "active": "on"},
             CellAddress(1, 0): {"amp": 0.41, "freq": 552.0, "waveform": "square", "active": "on"},
@@ -479,18 +478,17 @@ def test_criterion_5_matching(capsys):
     )
     recovered = True
     worst_frac = 0.0
-    for address, params in target_params.values.items():
-        kind = basic.cell_map()[address]
-        for p in CATALOG[kind].continuous:
+    for key, p in basic.params.items():
+        if isinstance(p, ContinuousParam):
             low, high = resolve_range(p, CFG)
-            frac = abs(res.best.values[address][p.name] - params[p.name]) / (high - low)
+            frac = abs(res.best.params[key] - target_params.params[key]) / (high - low)
             worst_frac = max(worst_frac, frac)
             recovered = recovered and frac < 0.01
 
     # 5c: FM spectral-only matching is recorded but not gated - the carrier
     # surface is riddled with local minima and restarts may all miss.
     fm_chain = parse_chain_file(FM_TEXT)
-    fm_truth = ParameterAssignment(
+    fm_truth = from_cells(
         {
             CellAddress(0, 0): {"amp": 0.5, "freq": 220.0, "waveform": "sine", "active": "on"},
             CellAddress(0, 1): {
@@ -511,7 +509,7 @@ def test_criterion_5_matching(capsys):
     fm_target = generate_signal(fm_chain, fm_truth, CFG).output
     fm_opt = OptimizerConfig(steps=250, learning_rate=0.05, restarts=6, seed=0)
     fm_res = match(fm_target, fm_chain, spectral, fm_opt, fixed_params=fm_fixed, render_config=CFG)
-    fm_err = abs(fm_res.best.values[CellAddress(0, 1)]["freq_c"] - 700.0) / 700.0
+    fm_err = abs(fm_res.best.params[(CellAddress(0, 1), "freq_c")] - 700.0) / 700.0
     fm_note = (
         f"carrier recovered to {fm_err * 100:.1f}% ({'converged' if fm_err < 0.02 else 'missed'}, "
         f"final spectral {fm_res.final_spectral:.3f}; recorded, not gated)"
@@ -561,7 +559,7 @@ def test_criterion_6_determinism(capsys, tmp_path):
 
     # Sweeps.
     amp_chain = parse_chain_file(OSC_TEXT)
-    amp_target = ParameterAssignment(
+    amp_target = from_cells(
         {CellAddress(0, 0): {"amp": 0.55, "freq": 440.0, "waveform": "sine", "active": "on"}}
     )
     l2 = LossConfig(cells="output", windows=(1024,), processings=("identity",), norm_p=2)

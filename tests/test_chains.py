@@ -28,6 +28,7 @@ from gradsynth.chains import (
     resolve_optional,
 )
 from gradsynth.modules import CATALOG, MissingInputError, render_oscillator
+from assignments import from_cells
 
 CFG = RenderConfig()
 
@@ -63,7 +64,7 @@ def basic_assignment(**over):
         addr(0, 3): {"cutoff": 7999.0},
     }
     values.update(over)
-    return ParameterAssignment(values)
+    return from_cells(values)
 
 
 # -- parsing ------------------------------------------------------------------
@@ -75,7 +76,7 @@ def test_parse_basic_chain():
     assert len(chain.cells) == 5
     assert len(chain.connections) == 4
     assert all(not c.optional for c in chain.connections)
-    assert chain.cell_map()[addr(0, 1)] == "mix"
+    assert chain.module_cells[addr(0, 1)] == "mix"
 
 
 def test_parse_optional_connection():
@@ -306,7 +307,7 @@ def test_validate_tremolo_with_lfo_ok():
         ),
         (Connection(addr(0, 0), addr(0, 1)), Connection(addr(1, 0), addr(0, 1))),
     )
-    assert chain.cell_map()[addr(0, 1)] == "tremolo"
+    assert chain.module_cells[addr(0, 1)] == "tremolo"
 
 
 def test_validate_never_throws_on_garbage():
@@ -322,7 +323,7 @@ def test_validate_never_throws_on_garbage():
 
 def test_single_cell_output_is_module_output():
     chain = ChainSpec("c", _single(), ())
-    trace = generate_signal(chain, ParameterAssignment({addr(0, 0): dict(OSC)}), CFG)
+    trace = generate_signal(chain, from_cells({addr(0, 0): dict(OSC)}), CFG)
     direct = render_oscillator(OSC, CFG)
     np.testing.assert_array_equal(trace.output.values, direct.values)
     assert set(trace.cell_outputs) == {addr(0, 0)}
@@ -333,7 +334,7 @@ def test_final_layer_average_includes_silent_channel():
     silent = dict(OSC, active="off")
     trace = generate_signal(
         chain,
-        ParameterAssignment({addr(0, 0): dict(OSC), addr(1, 0): silent}),
+        from_cells({addr(0, 0): dict(OSC), addr(1, 0): silent}),
         CFG,
     )
     direct = render_oscillator(OSC, CFG)
@@ -347,7 +348,7 @@ def test_mix_averages_inactive_input_as_zeros():
         (Connection(addr(0, 0), addr(0, 1)), Connection(addr(1, 0), addr(0, 1))),
     )
     silent = dict(OSC2, active="off")
-    assignment = ParameterAssignment(
+    assignment = from_cells(
         {addr(0, 0): dict(OSC), addr(1, 0): silent, addr(0, 1): {}}
     )
     trace = generate_signal(chain, assignment, CFG)
@@ -385,7 +386,7 @@ def test_empty_cells_render_as_zeros_and_stay_out_of_trace():
         (Cell(addr(0, 0), "osc"), Cell(addr(1, 0), "empty")),
         (),
     )
-    trace = generate_signal(chain, ParameterAssignment({addr(0, 0): dict(OSC)}), CFG)
+    trace = generate_signal(chain, from_cells({addr(0, 0): dict(OSC)}), CFG)
     assert set(trace.cell_outputs) == {addr(0, 0)}
     direct = render_oscillator(OSC, CFG)
     np.testing.assert_allclose(trace.output.values, direct.values / 2, atol=1e-15)
@@ -416,7 +417,7 @@ def test_processor_with_all_inactive_inputs_outputs_zeros(kind):
     values[addr(0, 1)] = {
         name: tape.parameter(value, name) for name, value in SILENT_PROCESSORS[kind].items()
     }
-    trace = generate_signal(chain, ParameterAssignment(values), CFG)
+    trace = generate_signal(chain, from_cells(values), CFG)
     for signal in (trace.cell_outputs[addr(0, 1)], trace.output):
         assert not signal.values.any()
         assert signal.samples.node is None
@@ -434,10 +435,10 @@ def test_duplicated_final_cell_preserves_output():
         base.connections + (Connection(addr(0, 0), addr(1, 1)),),
     )
     values = {addr(0, 0): dict(OSC), addr(0, 1): {"cutoff": 2000.0}}
-    out_a = generate_signal(base, ParameterAssignment(values), CFG).output
+    out_a = generate_signal(base, from_cells(values), CFG).output
     values2 = dict(values)
     values2[addr(1, 1)] = {"cutoff": 2000.0}
-    out_b = generate_signal(doubled, ParameterAssignment(values2), CFG).output
+    out_b = generate_signal(doubled, from_cells(values2), CFG).output
     np.testing.assert_allclose(out_a.values, out_b.values, atol=1e-15)
 
 
@@ -445,40 +446,42 @@ def test_an_invalid_chain_never_reaches_generate_signal():
     with pytest.raises(ChainValidationError, match="mix cell"):
         generate_signal(
             ChainSpec("c", (Cell(addr(0, 1), "mix"),), ()),
-            ParameterAssignment({addr(0, 1): {}}),
+            from_cells({addr(0, 1): {}}),
             CFG,
         )
 
 
 def test_generate_rejects_incomplete_assignment():
     chain = ChainSpec("c", _single(), ())
-    with pytest.raises(AssignmentError, match="missing parameter"):
-        generate_signal(
-            chain, ParameterAssignment({addr(0, 0): {"amp": 1.0}}), CFG
-        )
-    with pytest.raises(AssignmentError, match="unknown parameter"):
-        generate_signal(
-            chain,
-            ParameterAssignment({addr(0, 0): dict(OSC, phase=0.0)}),
-            CFG,
-        )
-    with pytest.raises(AssignmentError, match="no parameters"):
-        generate_signal(chain, ParameterAssignment({}), CFG)
+    cases = [
+        ({(addr(0, 0), "amp"): 1.0},
+         "missing parameter(s) (0,0).active, (0,0).freq, (0,0).waveform"),
+        ({**from_cells({addr(0, 0): OSC}).params, (addr(0, 0), "phase"): 0.0},
+         "unknown parameter(s) (0,0).phase"),
+        ({}, "missing parameter(s) (0,0).active, (0,0).amp, (0,0).freq, (0,0).waveform"),
+    ]
+    for params, message in cases:
+        with pytest.raises(AssignmentError, match=re.escape(f"chain 'c': {message}")):
+            generate_signal(chain, ParameterAssignment(params), CFG)
 
 
 def test_generate_rejects_parameters_for_a_cell_the_chain_lacks():
     chain = ChainSpec("c", (Cell(addr(0, 0), "osc"), Cell(addr(1, 0), "empty")), ())
     for extra in (addr(5, 5), addr(1, 0)):
         values = {addr(0, 0): dict(OSC), extra: dict(OSC)}
-        with pytest.raises(AssignmentError, match=re.escape(f"assigned to {extra},")):
-            generate_signal(chain, ParameterAssignment(values), CFG)
+        names = ", ".join(f"{extra}.{n}" for n in ("active", "amp", "freq", "waveform"))
+        with pytest.raises(AssignmentError, match=re.escape(f"unknown parameter(s) {names}")):
+            generate_signal(chain, from_cells(values), CFG)
 
 
-def test_generate_rejects_an_assignment_without_the_mix_cell():
-    values = dict(basic_assignment().values)
-    del values[addr(0, 1)]
-    with pytest.raises(AssignmentError, match=re.escape("cell (0,1) (mix): no parameters")):
-        generate_signal(parse_chain_file(BASIC_CHAIN), ParameterAssignment(values), CFG)
+def test_generate_names_missing_and_unknown_parameters_together():
+    params = dict(basic_assignment().params)
+    params[addr(0, 1), "level"] = 1.0  # the mix cell has no parameters
+    del params[addr(0, 2), "attack"]
+    with pytest.raises(AssignmentError, match=re.escape(
+        "chain 'basic': missing parameter(s) (0,2).attack; unknown parameter(s) (0,1).level"
+    )):
+        generate_signal(parse_chain_file(BASIC_CHAIN), ParameterAssignment(params), CFG)
 
 
 # cells declared out of address order, with an empty cell and a mix cell
@@ -511,7 +514,7 @@ def test_params_table_lists_each_parameter_once_in_address_order():
         (addr(1, 0), "freq"),
         (addr(1, 0), "active"),
     ]
-    kinds = TABLE_CHAIN.cell_map()
+    kinds = TABLE_CHAIN.module_cells
     for (address, name), param in TABLE_CHAIN.params.items():
         catalog = CATALOG[kinds[address]]
         assert param in catalog.continuous + catalog.categorical
@@ -533,7 +536,7 @@ def test_fm_chain_with_lfo_modulator():
         (Cell(addr(0, 0), "lfo"), Cell(addr(0, 1), "fm_osc")),
         (Connection(addr(0, 0), addr(0, 1)),),
     )
-    assignment = ParameterAssignment(
+    assignment = from_cells(
         {
             addr(0, 0): {"freq": 5.0, "active": "on"},
             addr(0, 1): {
@@ -563,7 +566,7 @@ def test_tremolo_chain_routes_lfo_and_audio():
         ),
         (Connection(addr(0, 0), addr(0, 1)), Connection(addr(1, 0), addr(0, 1))),
     )
-    assignment = ParameterAssignment(
+    assignment = from_cells(
         {
             addr(0, 0): dict(OSC),
             addr(1, 0): {"freq": 4.0, "active": "on"},
@@ -611,7 +614,7 @@ def test_chain_end_to_end_gradients_match_fd():
             },
             addr(0, 3): {"cutoff": p["cutoff"]},
         }
-        trace = generate_signal(chain, ParameterAssignment(values), cfg)
+        trace = generate_signal(chain, from_cells(values), cfg)
         return ad.bsum(trace.output.samples * trace.output.samples)
 
     errors = ad.finite_difference_check(
@@ -715,7 +718,7 @@ def test_resolve_turns_both_optional_tremolo_inputs_on():
         res = resolve_optional(chain, np.random.default_rng(i))
         assert all(res.connections_on[c] for c in chain.connections)
         assert res.forced_activations == {}
-    trace = generate_signal(chain, ParameterAssignment(values, res.connections_on), CFG)
+    trace = generate_signal(chain, from_cells(values, res.connections_on), CFG)
     assert np.abs(trace.output.values).max() > 0.1
 
 
@@ -732,7 +735,7 @@ def test_resolved_off_connection_drops_input():
             "fm_active": "off",
         },
     }
-    off = ParameterAssignment(values, {conn: False})
+    off = from_cells(values, {conn: False})
     trace = generate_signal(chain, off, CFG)
     plain = np.sin(2 * np.pi * 440.0 * CFG.times())
     np.testing.assert_allclose(trace.output.values, plain, atol=1e-12)

@@ -15,7 +15,7 @@ from scipy.io import wavfile
 import gradsynth
 from gradsynth.audio import AudioIOError, RenderConfig, read_wav
 from gradsynth.autodiff import AutodiffError, Tape
-from gradsynth.chains import CellAddress, ParameterAssignment, generate_signal, parse_chain_file
+from gradsynth.chains import CellAddress, generate_signal, parse_chain_file
 from gradsynth import chains, cli, losses
 from gradsynth.cli import (
     CONFIG_FIELDS,
@@ -33,6 +33,7 @@ from gradsynth.experiments import export_csv, loss_surface_sweep
 from gradsynth.losses import LossConfig
 from gradsynth.matching import match
 from gradsynth.modules import CATALOG, apply_lowpass, from_unit
+from assignments import from_cells
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -226,7 +227,7 @@ def test_render_from_params_file(tmp_path, osc_chain):
     ) == 0
     expected = generate_signal(
         parse_chain_file(OSC),
-        ParameterAssignment({CellAddress(0, 0): params["params"]["0,0"]}),
+        from_cells({CellAddress(0, 0): params["params"]["0,0"]}),
         RenderConfig(duration=0.25),
     ).output
     written = read_wav(out)
@@ -355,7 +356,7 @@ def test_sweep_takes_its_loss_from_config(tmp_path):
 
     chain = parse_chain_file(FILTERED)
     render_config = RenderConfig(duration=0.25)
-    target = ParameterAssignment(
+    target = from_cells(
         {CellAddress(0, 0): params["0,0"], CellAddress(0, 1): params["0,1"]}
     )
     spec = next(p for p in CATALOG["osc"].continuous if p.name == "freq")
@@ -407,8 +408,8 @@ def test_sweep_of_an_envelope_segment_ends_at_the_remaining_budget(tmp_path):
         np.random.default_rng(3),
         RenderConfig(duration=0.25),
     )
-    adsr = target.values[CellAddress(0, 2)]
-    budget = 0.25 - (adsr["decay"] + adsr["release"])
+    adsr = CellAddress(0, 2)
+    budget = 0.25 - (target.params[adsr, "decay"] + target.params[adsr, "release"])
     assert 0.0 < budget < 0.25
     out = tmp_path / "sweep.csv"
     assert main(SWEEP_ATTACK + ["--out", str(out)]) == 0
@@ -423,8 +424,8 @@ def test_sweep_rejects_a_high_past_the_remaining_budget(tmp_path, caplog):
         np.random.default_rng(3),
         RenderConfig(duration=0.25),
     )
-    adsr = target.values[CellAddress(0, 2)]
-    budget = 0.25 - (adsr["decay"] + adsr["release"])
+    adsr = CellAddress(0, 2)
+    budget = 0.25 - (target.params[adsr, "decay"] + target.params[adsr, "release"])
     assert budget < 0.25
     out = tmp_path / "sweep.csv"
     assert main(SWEEP_ATTACK + ["--high", "0.25", "--out", str(out)]) == 2
@@ -627,18 +628,18 @@ def test_gradcheck_rescales_envelope_segments_that_fill_the_duration(monkeypatch
     # duration; the rescale keeps the finite-difference steps inside
     # apply_adsr's check
     render_config = RenderConfig(duration=0.25)
-    segments = {"attack": 0.125, "decay": 0.0625, "release": 0.0625}  # sum to exactly 0.25
+    adsr = CellAddress(0, 2)
+    segments = {(adsr, "attack"): 0.125, (adsr, "decay"): 0.0625, (adsr, "release"): 0.0625}
 
-    def filling(chain, rng, config):
+    def filling(chain, rng, config):  # segments that sum to exactly 0.25
         assignment = sample_assignment(chain, rng, config)
-        assignment.values[CellAddress(0, 2)].update(segments)
-        return assignment
+        return replace(assignment, params={**assignment.params, **segments})
 
     monkeypatch.setattr(cli, "sample_assignment", filling)
     chain = parse_chain_file(BASIC)
-    margined = _gradcheck_assignment(chain, 0, render_config).values[CellAddress(0, 2)]
+    margined = _gradcheck_assignment(chain, 0, render_config).params
     slack = 10 * GRADCHECK_REL_STEPS[0] * render_config.duration * len(segments)
-    assert sum(margined[name] for name in segments) <= render_config.duration - slack
+    assert 0.25 - 2 * slack < sum(margined[key] for key in segments) <= 0.25 - slack
     code = main(["-q", "gradcheck", "--chain", str(REPO / "chains" / "basic.chain"),
                  "--seed", "0", "--duration", "0.25"])
     assert code != 2, "a finite-difference step left apply_adsr's range"
@@ -768,7 +769,7 @@ def test_beta_schedule_scales_the_first_loss(tmp_path):
     chain = parse_chain_file(OSC)
     target = generate_signal(
         chain,
-        ParameterAssignment(
+        from_cells(
             {CellAddress(0, 0): {"amp": 0.7, "freq": 440.0, "waveform": "sine", "active": "on"}}
         ),
         RenderConfig(duration=0.25),
@@ -874,8 +875,11 @@ def _edited_params(path, edit) -> Path:
          "osc.amp = 'loud' is not a number"),
         (lambda p: p["connections"][0].update(on=False),
          "connection (0,0) -> (0,1) is not optional; it cannot be switched off"),
+        (lambda p: p["params"].pop("0,1"), "cell (0,1) (mix): no parameters assigned"),
+        (lambda p: p["connections"].pop(), "connection (0,2) -> (0,3) not listed"),
     ],
-    ids=["null", "list", "extra-cell", "string-on", "switched-off-osc", "required-off"],
+    ids=["null", "list", "extra-cell", "string-on", "switched-off-osc", "required-off",
+         "no-mix-cell", "unlisted-connection"],
 )
 def test_render_rejects_a_malformed_params_file(tmp_path, basic_chain, caplog, edit, fragment):
     params = _edited_params(tmp_path / "p.json", edit)
@@ -919,7 +923,7 @@ def test_commands_at_8khz_render_a_cutoff_above_nyquist(tmp_path, lowpass_cutoff
     seed = next(
         s for s in range(100)
         if sample_assignment(chain, np.random.default_rng(s), RenderConfig(sample_rate=8000))
-        .values[CellAddress(0, 3)]["cutoff"] > 4000.0
+        .params[CellAddress(0, 3), "cutoff"] > 4000.0
     )
     target = str(tmp_path / "t8.wav")
     assert main(["-q", "render", basic, "--random", "--seed", "3", *at_8k, "--duration", "0.25",

@@ -31,11 +31,12 @@ from gradsynth.datasets import (
     sample_record,
 )
 from gradsynth.losses import LossConfig, chain_features, signal_chain_loss
-from gradsynth.modules import CATALOG, resolve_range
+from gradsynth.modules import ContinuousParam, resolve_range
 
 CFG = RenderConfig(duration=0.125)
 
-OSC_CHAIN = ChainSpec("single", (Cell(CellAddress(0, 0), "osc"),), ())
+A00 = CellAddress(0, 0)
+OSC_CHAIN = ChainSpec("single", (Cell(A00, "osc"),), ())
 
 MIX_CHAIN = parse_chain_file(
     """chain pair
@@ -79,22 +80,21 @@ def all_values(chain, n, seed, pick):
 
 
 def test_sampled_values_within_ranges():
-    cmap = KITCHEN_CHAIN.cell_map()
     for index in range(300):
         assignment = sample_assignment(KITCHEN_CHAIN, record_rng(5, index), CFG)
-        for address, params in assignment.values.items():
-            cat = CATALOG[cmap[address]]
-            for spec in cat.continuous:
+        assert assignment.params.keys() == KITCHEN_CHAIN.params.keys()
+        for key, spec in KITCHEN_CHAIN.params.items():
+            if isinstance(spec, ContinuousParam):
                 low, high = resolve_range(spec, CFG)
-                assert low <= params[spec.name] <= high
-            for spec in cat.categorical:
-                assert params[spec.name] in spec.choices
+                assert low <= assignment.params[key] <= high
+            else:
+                assert assignment.params[key] in spec.choices
 
 
 def test_log_uniform_freq_below_geometric_midpoint():
     midpoint = math.sqrt(20.0 * 20000.0)  # 632.455 Hz
     freqs = all_values(
-        OSC_CHAIN, 10_000, 11, lambda a: a.values[CellAddress(0, 0)]["freq"]
+        OSC_CHAIN, 10_000, 11, lambda a: a.params[A00, "freq"]
     )
     fraction = np.mean(np.asarray(freqs) < midpoint)
     assert 0.47 <= fraction <= 0.53
@@ -104,7 +104,7 @@ def test_log_uniform_freq_below_geometric_midpoint():
 
 def test_uniform_params_stay_uniform():
     amps = np.asarray(
-        all_values(OSC_CHAIN, 4_000, 13, lambda a: a.values[CellAddress(0, 0)]["amp"])
+        all_values(OSC_CHAIN, 4_000, 13, lambda a: a.params[A00, "amp"])
     )
     assert 0.45 <= np.mean(amps < 0.5) <= 0.55
 
@@ -137,7 +137,7 @@ def test_sampled_assignments_equal_recorded_values():
 def test_categorical_draws_cover_choices():
     waveforms = set(
         all_values(
-            OSC_CHAIN, 200, 17, lambda a: a.values[CellAddress(0, 0)]["waveform"]
+            OSC_CHAIN, 200, 17, lambda a: a.params[A00, "waveform"]
         )
     )
     assert waveforms == {"sine", "square", "saw"}
@@ -147,8 +147,9 @@ def test_categorical_draws_cover_choices():
 @settings(max_examples=60, deadline=None)
 def test_adsr_triple_fits_duration(index):
     assignment = sample_assignment(MIX_CHAIN, record_rng(23, index), CFG)
-    params = assignment.values[CellAddress(0, 2)]
-    assert params["attack"] + params["decay"] + params["release"] <= CFG.duration
+    params = assignment.params
+    adsr = CellAddress(0, 2)
+    assert params[adsr, "attack"] + params[adsr, "decay"] + params[adsr, "release"] <= CFG.duration
 
 
 BASIC_CHAIN = parse_chain_file((CHAINS / "basic.chain").read_text())
@@ -160,8 +161,8 @@ SEGMENTS = ("attack", "decay", "release")
 def envelope_draws():
     """(attack, decay, release) of basic.chain's first 20,000 records at T = 1 s."""
     records = (sample_record(BASIC_CHAIN, 0, i, ONE_SECOND) for i in range(20_000))
-    cells = [record.assignment.values[CellAddress(0, 2)] for record in records]
-    return np.array([[cell[name] for name in SEGMENTS] for cell in cells])
+    adsr = CellAddress(0, 2)
+    return np.array([[r.assignment.params[adsr, name] for name in SEGMENTS] for r in records])
 
 
 def test_envelope_segments_fit_the_duration_on_every_draw(envelope_draws):
@@ -224,7 +225,7 @@ def test_dropped_modulator_forces_fm_bypass():
         on = assignment.connection_on(modulator)
         seen[on] += 1
         if not on:
-            assert assignment.values[CellAddress(0, 1)]["fm_active"] == "off"
+            assert assignment.params[CellAddress(0, 1), "fm_active"] == "off"
     assert seen[True] > 0 and seen[False] > 0
 
 
@@ -384,11 +385,11 @@ def test_optional_connections_switched_off_load_and_render():
     payload = assignment_payload(KITCHEN_CHAIN, sample_record(KITCHEN_CHAIN, 3, 0, CFG).assignment)
     for entry in payload["connections"]:
         entry["on"] = not entry["optional"]
+    payload["params"]["0,1"]["fm_active"] = "off"  # its modulator is off
     assignment = parse_assignment(KITCHEN_CHAIN, payload)
     assert [assignment.connection_on(c) for c in KITCHEN_CHAIN.connections] == [
         not c.optional for c in KITCHEN_CHAIN.connections
     ]
-    assignment.values[CellAddress(0, 1)]["fm_active"] = "off"  # its modulator is off
     assert np.all(np.isfinite(generate_signal(KITCHEN_CHAIN, assignment, CFG).output.values))
 
 
@@ -396,3 +397,53 @@ def test_record_connections_on_exposed():
     record = sample_record(KITCHEN_CHAIN, 71, 0, CFG)
     assert isinstance(record.assignment.connections_on, dict)
     assert isinstance(record, DatasetRecord)
+
+
+def _kitchen_payload():
+    return assignment_payload(KITCHEN_CHAIN, sample_record(KITCHEN_CHAIN, 3, 0, CFG).assignment)
+
+
+@pytest.mark.parametrize("keep", [lambda e: e["source"] != [0, 0] or e["dest"] != [0, 1],
+                                  lambda e: False], ids=["one-left-out", "empty-list"])
+def test_parse_assignment_rejects_a_connections_list_that_leaves_one_out(keep):
+    # left out, the optional modulator connection would silently read as off
+    payload = _kitchen_payload()
+    payload["connections"] = [e for e in payload["connections"] if keep(e)]
+    with pytest.raises(DatasetFormatError) as err:
+        parse_assignment(KITCHEN_CHAIN, payload)
+    assert str(err.value) == "connection (0,0) -> (0,1) not listed"
+
+
+def test_parse_assignment_rejects_a_connection_listed_twice():
+    payload = _kitchen_payload()
+    (entry,) = [e for e in payload["connections"] if e["source"] == [0, 1]]
+    payload["connections"].append(dict(entry, on=not entry["on"]))
+    with pytest.raises(DatasetFormatError) as err:
+        parse_assignment(KITCHEN_CHAIN, payload)
+    assert str(err.value) == "connection (0,1) -> (0,3) listed twice"
+
+
+def _drop_attack(params):
+    del params["0,2"]["attack"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_attack, "chain 'basic': missing parameter(s) (0,2).attack"),
+        (lambda params: params.update({"9,9": {"amp": 0.5}}),
+         "parameters assigned to (9,9), where the chain has no module cell"),
+        (lambda params: params["0,3"].update(q=0.7), "chain 'basic': unknown parameter(s) (0,3).q"),
+    ],
+    ids=["missing-key", "extra-cell", "unknown-key"],
+)
+def test_load_records_rejects_a_line_that_does_not_cover_the_chain(tmp_path, edit, message):
+    generate_dataset(BASIC_CHAIN, 2, seed=5, out_dir=tmp_path, render_config=CFG)
+    path = tmp_path / "metadata.jsonl"
+    first, second = path.read_text().splitlines()
+    payload = json.loads(second)
+    edit(payload["params"])
+    path.write_text(first + "\n" + json.dumps(payload) + "\n")
+    with pytest.raises(DatasetFormatError) as err:
+        load_records(BASIC_CHAIN, path)
+    assert str(err.value) == f"metadata line 2: {message}"

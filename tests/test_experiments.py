@@ -13,7 +13,6 @@ from gradsynth.chains import (
     CellAddress,
     ChainSpec,
     ChainValidationError,
-    ParameterAssignment,
     generate_signal,
     parse_chain_file,
 )
@@ -32,18 +31,19 @@ from gradsynth.experiments import (
 from gradsynth.losses import LossConfig
 from gradsynth.modules import render_oscillator
 from gradsynth.spectral import process, stft_magnitude
+from assignments import from_cells
 
 CFG = RenderConfig(duration=0.25)
 
 OSC_CHAIN = parse_chain_file("chain o\ncell 0 0 osc\n")
-OSC_TARGET = ParameterAssignment(
+OSC_TARGET = from_cells(
     {CellAddress(0, 0): {"amp": 0.55, "freq": 440.0, "waveform": "sine", "active": "on"}}
 )
 
 FM_CHAIN = parse_chain_file(
     "chain fm\ncell 0 0 osc\ncell 0 1 fm_osc\nconnect 0,0 -> 0,1\n"
 )
-FM_TARGET = ParameterAssignment(
+FM_TARGET = from_cells(
     {
         CellAddress(0, 0): {"amp": 1.0, "freq": 220.0, "waveform": "sine", "active": "on"},
         CellAddress(0, 1): {
@@ -75,7 +75,7 @@ def test_an_invalid_chain_never_reaches_loss_surface_sweep():
     with pytest.raises(ChainValidationError, match="unknown kind 'warp'"):
         loss_surface_sweep(
             ChainSpec("w", (Cell(warp, "warp"),), ()),
-            ParameterAssignment({warp: {"amount": 0.5}}),
+            from_cells({warp: {"amount": 0.5}}),
             (warp, "amount"),
             [0.25, 0.5],
             ID_L2,

@@ -1,5 +1,6 @@
 import gc
 import math
+import re
 import weakref
 from pathlib import Path
 
@@ -35,6 +36,7 @@ from gradsynth.losses import (
     spectral_features,
 )
 from gradsynth.spectral import PROCESSINGS, mel_spectrogram, stft_magnitude
+from assignments import from_cells
 
 CFG = RenderConfig(duration=0.25)
 
@@ -55,13 +57,13 @@ MIX_CHAIN = ChainSpec(
 
 
 def osc_assignment(amp, freq, waveform="sine"):
-    return ParameterAssignment(
+    return from_cells(
         {CellAddress(0, 0): {"amp": amp, "freq": freq, "waveform": waveform, "active": "on"}}
     )
 
 
 def mix_assignment(freq0, freq1):
-    assignment = ParameterAssignment(
+    assignment = from_cells(
         {
             CellAddress(0, 0): {
                 "amp": 0.6,
@@ -126,13 +128,13 @@ def test_parameter_loss_categorical_mismatch():
 
 def test_parameter_loss_shape_mismatch():
     pred = osc_assignment(0.5, 440.0)
-    bad = ParameterAssignment({CellAddress(1, 1): {}})
+    bad = from_cells({CellAddress(1, 1): {}})
     with pytest.raises(AssignmentError):
         parameter_loss(OSC_CHAIN, pred, bad, "L1", CFG)
 
 
 def test_parameter_loss_unknown_cell():
-    bad = ParameterAssignment(
+    bad = from_cells(
         {CellAddress(3, 3): {"amp": 0.5, "freq": 440.0, "waveform": "sine", "active": "on"}}
     )
     with pytest.raises(AssignmentError):
@@ -143,12 +145,12 @@ def test_parameter_loss_rejects_a_cell_both_assignments_leave_out():
     chain = parse_chain_file((Path(__file__).parents[1] / "chains" / "basic.chain").read_text())
 
     def without_first_oscillator(seed):
-        values = dict(sample_assignment(chain, np.random.default_rng(seed)).values)
-        del values[CellAddress(0, 0)]
-        return ParameterAssignment(values)
+        params = sample_assignment(chain, np.random.default_rng(seed)).params
+        return ParameterAssignment({k: v for k, v in params.items() if k[0] != CellAddress(0, 0)})
 
     pred, targ = without_first_oscillator(0), without_first_oscillator(1)
-    with pytest.raises(AssignmentError, match=r"cell \(0,0\) \(osc\): no parameters"):
+    names = ", ".join(f"(0,0).{n}" for n in ("active", "amp", "freq", "waveform"))
+    with pytest.raises(AssignmentError, match=re.escape(f"missing parameter(s) {names}") + "$"):
         parameter_loss(chain, pred, targ, "L1", CFG)
 
 
@@ -162,7 +164,7 @@ def test_parameter_loss_differentiable():
     targ = osc_assignment(0.5, 440.0)
     tape = Tape()
     amp = tape.parameter(0.2, "amp")
-    pred = ParameterAssignment(
+    pred = from_cells(
         {CellAddress(0, 0): {"amp": amp, "freq": 440.0, "waveform": "sine", "active": "on"}}
     )
     loss = parameter_loss(OSC_CHAIN, pred, targ, "L1", CFG)
@@ -327,7 +329,7 @@ def test_chain_loss_gradient_matches_fd():
     cfg = LossConfig(cells="output", windows=(512,), processings=("identity",))
 
     def build(vals):
-        pred = ParameterAssignment(
+        pred = from_cells(
             {
                 CellAddress(0, 0): {
                     "amp": vals["amp"],
@@ -369,7 +371,7 @@ def test_combined_loss_gradient_matches_fd():
     cfg = LossConfig(cells="output", windows=(512,), processings=("log",))
 
     def build(vals):
-        pred = ParameterAssignment(
+        pred = from_cells(
             {
                 CellAddress(0, 0): {
                     "amp": vals["amp"],
@@ -426,16 +428,12 @@ def test_combined_rejects_negative_beta():
 def _one_taped_step(chain, target, cfg, prediction):
     """Loss and backward of one match step; returns a weak reference to its tape."""
     tape = Tape()
-    values = {}
-    for address, params in prediction.values.items():
-        tracked = {
-            name: tape.parameter(v, (address, name)) if isinstance(v, float) else v
-            for name, v in params.items()
-        }
-        if "active" in tracked:
-            tracked["active"] = "on"
-        values[address] = tracked
-    trace = generate_signal(chain, ParameterAssignment(values), CFG)
+    params = {
+        key: tape.parameter(v, key) if isinstance(v, float) else v
+        for key, v in prediction.params.items()
+    }
+    params.update((key, "on") for key in params if key[1] == "active")
+    trace = generate_signal(chain, ParameterAssignment(params), CFG)
     grads = tape.backward(signal_chain_loss(trace, target, cfg))
     assert any(g != 0.0 for g in grads.values())
     return weakref.ref(tape)

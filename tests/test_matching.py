@@ -37,6 +37,7 @@ from gradsynth.modules import (
     resolve_range,
     unit_scale,
 )
+from assignments import from_cells
 
 CFG = RenderConfig(duration=0.25)
 
@@ -63,7 +64,7 @@ FULL_CHAIN = ChainSpec(
     ),
 )
 
-FULL_TARGET = ParameterAssignment(
+FULL_TARGET = from_cells(
     {
         CellAddress(0, 0): {"amp": 0.74, "freq": 330.0, "waveform": "saw", "active": "on"},
         CellAddress(1, 0): {"amp": 0.41, "freq": 552.0, "waveform": "square", "active": "on"},
@@ -105,7 +106,7 @@ def test_search_space_frees_the_tables_unfixed_continuous_keys():
 
 
 def sine_target(amp=0.63, freq=440.0):
-    assignment = ParameterAssignment(
+    assignment = from_cells(
         {A00: {"amp": amp, "freq": freq, "waveform": "sine", "active": "on"}}
     )
     return generate_signal(OSC_CHAIN, assignment, CFG).output
@@ -183,8 +184,8 @@ def _first_choices(chain):
 
 
 def _mapped(chain, theta, fixed=None, cfg=CFG):
-    """``matching._assignment``'s values, each categorical at its first choice."""
-    return matching._assignment(chain, theta, _first_choices(chain), fixed or {}, cfg).values
+    """``matching._assignment``'s parameters, each categorical at its first choice."""
+    return matching._assignment(chain, theta, _first_choices(chain), fixed or {}, cfg).params
 
 
 def test_reparam_stays_inside_ranges():
@@ -196,14 +197,13 @@ def test_reparam_stays_inside_ranges():
                 continue
             for p in CATALOG[cell.kind].continuous:
                 theta[(cell.address, p.name)] = DiffValue(rng.uniform(-30.0, 30.0))
-        values = _mapped(FULL_CHAIN, theta)
+        params = _mapped(FULL_CHAIN, theta)
         for cell in FULL_CHAIN.cells:
             for p in CATALOG[cell.kind].continuous:
                 low, high = resolve_range(p, CFG)
-                v = values[cell.address][p.name].value
+                v = params[cell.address, p.name].value
                 assert low < v < high, f"{cell.kind}.{p.name} = {v} not in ({low},{high})"
-        adsr = values[CellAddress(0, 2)]
-        total = sum(adsr[n].value for n in ("attack", "decay", "release"))
+        total = sum(params[CellAddress(0, 2), n].value for n in ("attack", "decay", "release"))
         assert total <= CFG.duration + 1e-12
 
 
@@ -220,17 +220,17 @@ def test_assignment_gates_every_parameter_at_the_render_in_use(cfg):
     rng = np.random.default_rng(11)
     kinds = set()
     for chain in (FULL_CHAIN, FM_CHAIN, TREMOLO_CHAIN):
-        kinds.update(chain.cell_map().values())
+        kinds.update(chain.module_cells.values())
         for _ in range(20):
             theta = {key: DiffValue(rng.uniform(-30.0, 30.0)) for key in _theta(chain, 0.0)}
-            values = _mapped(chain, theta, cfg=cfg)
+            params = _mapped(chain, theta, cfg=cfg)
             for (address, name), p in chain.params.items():
                 if isinstance(p, ContinuousParam) and p.high is not None:
                     expected = sigmoid_gate(theta[address, name], *unit_scale(p, cfg)).value
-                    assert values[address][name].value == expected, f"{address}.{name}"
-            for address, kind in chain.cell_map().items():
+                    assert params[address, name].value == expected, f"{address}.{name}"
+            for address, kind in chain.module_cells.items():
                 if SHARED_DURATION[kind]:
-                    segments = [values[address][n].value for n in SHARED_DURATION[kind]]
+                    segments = [params[address, n].value for n in SHARED_DURATION[kind]]
                     assert all(s >= 0.0 for s in segments)
                     # a saturated gate may round one ulp past the duration
                     assert sum(segments) <= cfg.duration + 1e-12, segments
@@ -245,13 +245,12 @@ def test_assignment_values_pass_the_chains_assignment_check():
     adsr = CellAddress(0, 2)
     fixed = {(adsr, "decay"): 0.125}
     theta = {key: DiffValue(1.5) for key in _theta(chain, 0.0) if key not in fixed}
-    values = _mapped(chain, theta, fixed)
-    chain.check_assignment(ParameterAssignment(values))
-    # one dict per module cell, in declaration order; the mix cell's is empty
-    assert list(values) == [A00, A10, CellAddress(0, 1), adsr]
-    assert values[CellAddress(0, 1)] == {}
-    assert values[adsr]["decay"] == 0.125
-    left = sum(values[adsr][n].value for n in ("attack", "release"))
+    params = _mapped(chain, theta, fixed)
+    chain.check_assignment(ParameterAssignment(params))
+    # one value per key of the table, in its order; the mix cell has none
+    assert list(params) == list(chain.params)
+    assert params[adsr, "decay"] == 0.125
+    left = sum(params[adsr, n].value for n in ("attack", "release"))
     assert left <= CFG.duration - 0.125
 
 
@@ -259,16 +258,17 @@ def test_reparam_respects_fixed_time_budget():
     fixed = {(CellAddress(0, 2), "attack"): 0.2}
     theta = _theta(FULL_CHAIN, 30.0)
     del theta[(CellAddress(0, 2), "attack")]
-    adsr = _mapped(FULL_CHAIN, theta, fixed)[CellAddress(0, 2)]
-    assert adsr["attack"] == 0.2
-    assert adsr["decay"].value + adsr["release"].value <= CFG.duration - 0.2 + 1e-12
+    adsr = CellAddress(0, 2)
+    params = _mapped(FULL_CHAIN, theta, fixed)
+    assert params[adsr, "attack"] == 0.2
+    assert params[adsr, "decay"].value + params[adsr, "release"].value <= CFG.duration - 0.2 + 1e-12
 
 
 def test_log_scale_params_span_range():
     lo = _mapped(OSC_CHAIN, _theta(OSC_CHAIN, -30.0))
     hi = _mapped(OSC_CHAIN, _theta(OSC_CHAIN, 30.0))
-    assert lo[A00]["freq"].value == pytest.approx(20.0, rel=1e-6)
-    assert hi[A00]["freq"].value == pytest.approx(20000.0, rel=1e-6)
+    assert lo[A00, "freq"].value == pytest.approx(20.0, rel=1e-6)
+    assert hi[A00, "freq"].value == pytest.approx(20000.0, rel=1e-6)
 
 
 def test_saturated_log_scale_gate_stays_in_range():
@@ -276,9 +276,9 @@ def test_saturated_log_scale_gate_stays_in_range():
     # to 19.999999999999996, which the low-pass rejects
     theta = _theta(FULL_CHAIN, 0.0)
     theta[(CellAddress(0, 3), "cutoff")] = theta[(A00, "freq")] = DiffValue(-40.0)
-    values = _mapped(FULL_CHAIN, theta)
-    assert values[CellAddress(0, 3)]["cutoff"].value == 20.0
-    assert values[A00]["freq"].value == 20.0
+    params = _mapped(FULL_CHAIN, theta)
+    assert params[CellAddress(0, 3), "cutoff"].value == 20.0
+    assert params[A00, "freq"].value == 20.0
 
 
 # -- matching behavior ------------------------------------------------------
@@ -288,7 +288,7 @@ def test_amplitude_recovery_within_one_percent():
     target = sine_target(amp=0.63)
     opt = OptimizerConfig(steps=300, learning_rate=0.1, restarts=2, seed=5)
     res = match(target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=AMP_FIXED, render_config=CFG)
-    amp = res.best.values[A00]["amp"]
+    amp = res.best.params[A00, "amp"]
     assert abs(amp - 0.63) < 0.01  # amp range is [0, 1]
 
 
@@ -308,7 +308,7 @@ def test_determinism_bit_identical():
     a = match(target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=AMP_FIXED, render_config=CFG)
     b = match(target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=AMP_FIXED, render_config=CFG)
     assert [x.trajectory for x in a.branches] == [x.trajectory for x in b.branches]
-    assert a.best.values[A00]["amp"] == b.best.values[A00]["amp"]
+    assert a.best.params[A00, "amp"] == b.best.params[A00, "amp"]
 
 
 def test_zero_learning_rate_limit_freezes_parameters():
@@ -318,7 +318,7 @@ def test_zero_learning_rate_limit_freezes_parameters():
     a = match(target, OSC_CHAIN, SPECTRAL_L2, short, fixed_params=AMP_FIXED, render_config=CFG)
     b = match(target, OSC_CHAIN, SPECTRAL_L2, long, fixed_params=AMP_FIXED, render_config=CFG)
     # amp range is [0, 1], so the raw difference is the range fraction
-    assert abs(a.best.values[A00]["amp"] - b.best.values[A00]["amp"]) < 1e-8
+    assert abs(a.best.params[A00, "amp"] - b.best.params[A00, "amp"]) < 1e-8
 
 
 def test_loss_decreases_on_amplitude_problem():
@@ -349,13 +349,12 @@ def test_parameter_loss_only_recovers_full_chain():
         fixed_params=FULL_CATEGORICALS,
         render_config=CFG,
     )
-    for address, params in FULL_TARGET.values.items():
-        kind = FULL_CHAIN.cell_map()[address]
-        for p in CATALOG[kind].continuous:
+    for (address, name), p in FULL_CHAIN.params.items():
+        if isinstance(p, ContinuousParam):
             low, high = resolve_range(p, CFG)
-            got = res.best.values[address][p.name]
-            want = params[p.name]
-            assert abs(got - want) / (high - low) < 0.01, f"{kind}.{p.name}"
+            got = res.best.params[address, name]
+            want = FULL_TARGET.params[address, name]
+            assert abs(got - want) / (high - low) < 0.01, f"{address}.{name}"
 
 
 def test_match_keeps_an_optional_connection_on():
@@ -372,14 +371,14 @@ def test_match_keeps_an_optional_connection_on():
 
 
 def test_categorical_enumeration_picks_right_waveform():
-    assignment = ParameterAssignment(
+    assignment = from_cells(
         {A00: {"amp": 0.8, "freq": 300.0, "waveform": "saw", "active": "on"}}
     )
     target = generate_signal(OSC_CHAIN, assignment, CFG).output
     fixed = {(A00, "amp"): 0.8, (A00, "freq"): 300.0, (A00, "active"): "on"}
     opt = OptimizerConfig(steps=5, learning_rate=0.1, restarts=1, seed=0)
     res = match(target, OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=fixed, render_config=CFG)
-    assert res.best.values[A00]["waveform"] == "saw"
+    assert res.best.params[A00, "waveform"] == "saw"
     assert len(res.branches) == 3  # sine, square, saw
 
 
@@ -465,7 +464,7 @@ def test_frozen_branch_renders_its_spectral_part_when_a_later_beta_is_positive(m
     calls = _count_renders(monkeypatch)
     params = {"amp": 0.5, "freq": 300.0, "waveform": "sine", "active": "on"}
     fixed = {(A00, name): value for name, value in params.items()}
-    target_params = ParameterAssignment({A00: params})
+    target_params = from_cells({A00: params})
     opt = OptimizerConfig(
         steps=3, learning_rate=0.1, restarts=1, seed=0, beta_schedule=((0, 0.0), (2, 1.0))
     )
@@ -571,15 +570,15 @@ def test_match_returns_parameters_inside_their_ranges(target_index, seed, learni
     opt = OptimizerConfig(steps=2, learning_rate=learning_rate, restarts=1, seed=seed)
     loss_cfg = LossConfig(cells="output", windows=(256,))
     res = match(target, BASIC_CHAIN, loss_cfg, opt, fixed_params=fixed, render_config=SHORT)
-    cell_map = BASIC_CHAIN.cell_map()
-    for address, params in res.best.values.items():
-        for p in CATALOG[cell_map[address]].continuous:
+    for (address, name), p in BASIC_CHAIN.params.items():
+        if isinstance(p, ContinuousParam):
             low, high = resolve_range(p, SHORT)
-            assert low <= params[p.name] <= high, f"{cell_map[address]}.{p.name}"
-    adsr = next(params for a, params in res.best.values.items() if cell_map[a] == "adsr")
+            assert low <= res.best.params[address, name] <= high, f"{address}.{name}"
+    (adsr,) = [a for a, kind in BASIC_CHAIN.module_cells.items() if kind == "adsr"]
     # a saturated gate can round the sum one ulp past the duration, which
     # the envelope's own 1e-12 budget check accepts
-    assert adsr["attack"] + adsr["decay"] + adsr["release"] <= SHORT.duration + 1e-12
+    segments = [res.best.params[adsr, n] for n in ("attack", "decay", "release")]
+    assert sum(segments) <= SHORT.duration + 1e-12
 
 
 # -- configuration errors ---------------------------------------------------
@@ -671,7 +670,7 @@ def test_an_overflowing_update_marks_the_branch_diverged(algorithm):
     cfg = RenderConfig(duration=0.05)
     target = generate_signal(
         OSC_CHAIN,
-        ParameterAssignment({A00: {"amp": 0.63, "freq": 440.0, "waveform": "sine", "active": "on"}}),
+        from_cells({A00: {"amp": 0.63, "freq": 440.0, "waveform": "sine", "active": "on"}}),
         cfg,
     ).output
     opt = OptimizerConfig(steps=4, learning_rate=1e308, restarts=1, seed=0, algorithm=algorithm)
@@ -687,13 +686,13 @@ def test_an_overflowing_update_marks_the_branch_diverged(algorithm):
             assert len(branch.trajectory) == 1 and math.isnan(branch.final_loss)
         else:
             assert branch.trajectory == (branch.final_loss,) * 4
-    assert res.best.values[A00]["active"] == "off"
+    assert res.best.params[A00, "active"] == "off"
     assert res.final_loss == res.branches[1].final_loss
 
 
 def test_all_branches_diverging_raises():
     target = sine_target()
-    bad_target_params = ParameterAssignment(
+    bad_target_params = from_cells(
         {A00: {"amp": float("nan"), "freq": 440.0, "waveform": "sine", "active": "on"}}
     )
     opt = OptimizerConfig(
