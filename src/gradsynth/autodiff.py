@@ -132,7 +132,8 @@ class Tape:
             raise TapeError("loss is not recorded on this tape")
         adjoints: dict[int, Union[float, np.ndarray]] = {loss.node.index: 1.0}
         for node in reversed(self._nodes[: loss.node.index + 1]):
-            adj = adjoints.get(node.index)
+            # final once reached (consumers come later); parameters keep theirs
+            adj = adjoints.pop(node.index, None) if node.parents else None
             if adj is None:
                 continue
             for parent, vjp in zip(node.parents, node.vjps):
@@ -210,7 +211,7 @@ class DiffValue:
         return absolute(self)
 
 
-Operand = Union[DiffValue, float, int, np.ndarray]
+Operand = "Union[DiffValue, float, int, np.ndarray]"
 
 
 def _unwrap(x: Operand):
@@ -405,7 +406,7 @@ def clamp(x, lo: float, hi: float):
     return _unary(
         x,
         lambda v: np.clip(v, lo, hi),
-        lambda v: ((v >= lo) & (v <= hi)) * 1.0,
+        lambda v: (v >= lo) & (v <= hi),
     )
 
 
@@ -417,7 +418,7 @@ def frac(x):
     out = v - np.floor(v)
     if n is None:
         return DiffValue(out)
-    return _record_op(tape, out, [(n, _scaled_vjp((out != 0.0) * 1.0, _shape_of(v)))])
+    return _record_op(tape, out, [(n, _scaled_vjp(out != 0.0, _shape_of(v)))])
 
 
 # slope of the tanh surrogate behind sign_surrogate's backward pass
@@ -509,6 +510,7 @@ def rfft_magnitude(x, window: np.ndarray, index: np.ndarray) -> DiffValue:
     frames = v[index]
     frames *= window
     spectrum = np.fft.rfft(frames, axis=1)
+    del frames
     mag = np.abs(spectrum)
     if n is None:
         return DiffValue(mag.T)
@@ -520,11 +522,12 @@ def rfft_magnitude(x, window: np.ndarray, index: np.ndarray) -> DiffValue:
     scale[1 : (size + 1) // 2] *= 0.5
 
     def vjp(adj):
-        u = np.divide(adj.T, safe, out=np.empty(mag.shape))
+        u = np.divide(adj.T, safe, out=np.empty_like(safe))
         u *= scale
-        grad_frames = np.fft.irfft(u * spectrum, n=size, axis=1)
-        grad_frames *= window
-        return np.bincount(flat_index, weights=grad_frames.ravel(), minlength=length)
+        u = u * spectrum
+        u = np.fft.irfft(u, n=size, axis=1)
+        u *= window
+        return np.bincount(flat_index, weights=u.ravel(), minlength=length)
 
     return _record_op(tape, mag.T, [(n, vjp)])
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -184,14 +185,14 @@ class ParameterAssignment:
     params: Mapping
     connections_on: Optional[Mapping] = None
 
-    @functools.cached_property
-    def values(self) -> dict:
-        """``CellAddress`` -> ``{name: value}`` of every cell that has
-        parameters: the per-cell dicts module renderers read.  Read-only."""
+    @property
+    def values(self) -> Mapping:
+        """``CellAddress`` -> read-only ``{name: value}`` of every cell that
+        has parameters, for the module renderers; built on each read."""
         cells: dict = {}
         for (address, name), value in self.params.items():
             cells.setdefault(address, {})[name] = value
-        return cells
+        return MappingProxyType({a: MappingProxyType(p) for a, p in cells.items()})
 
     def connection_on(self, conn: Connection) -> bool:
         return self.connections_on is None or self.connections_on[conn]
@@ -417,6 +418,7 @@ def generate_signal(
     """
     chain.check_assignment(assignment)
     kinds = chain.module_cells
+    values = assignment.values
     outputs: dict = {}
     active: dict = {}
     for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
@@ -424,7 +426,7 @@ def generate_signal(
         if kind == "empty":
             outputs[addr], active[addr] = zeros(config), False
             continue
-        params = assignment.values.get(addr, {})
+        params = values.get(addr, {})
         live = [c.source for c in chain.incoming(addr) if assignment.connection_on(c)]
         audio = live
         if kind == "tremolo":

@@ -161,7 +161,11 @@ def parse_assignment(chain: ChainSpec, payload: Mapping) -> ParameterAssignment:
     connection exactly once, and only an optional one may be off.
     """
     try:
-        cells = {CellAddress.parse(key): dict(p) for key, p in payload["params"].items()}
+        keys: dict = {}
+        for key in payload["params"]:
+            if (first := keys.setdefault(CellAddress.parse(key), key)) != key:
+                raise DatasetFormatError(f"params keys {first!r} and {key!r} name the same cell")
+        cells = {a: dict(payload["params"][k]) for a, k in keys.items()}
         kinds = chain.module_cells
         extra = cells.keys() - kinds.keys()
         if extra:

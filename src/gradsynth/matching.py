@@ -44,7 +44,7 @@ __all__ = [
     "match",
 ]
 
-FixedParams = Mapping[tuple[CellAddress, str], Union[float, str]]
+FixedParams = "Mapping[tuple[CellAddress, str], Union[float, str]]"
 
 
 class MatcherConfigError(ValueError):
@@ -247,6 +247,7 @@ def _run_branch(
         if frozen is not None:
             continue
         grads = tape.backward(total)
+        del tape, tracked, parts, total  # so the next step's forward does not overlap this tape
         g = np.array([grads[key] for key in free_keys])
         # an update that overflows marks the branch diverged just below
         with np.errstate(over="ignore", invalid="ignore"):

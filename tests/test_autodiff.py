@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -165,6 +166,27 @@ def test_frac_is_bitwise_np_mod_one():
     np.testing.assert_array_equal(out.node.vjps[0](adj), adj * ((want[:-3] != 0.0) * 1.0))
 
 
+def test_clamp_and_frac_adjoints_are_the_float_mask_products():
+    rng = np.random.default_rng(30)
+    ends = [-1.0, 1.0, np.nextafter(-1.0, -2.0), np.nextafter(1.0, 2.0), -3.0, -2.0, 0.0, 2.0, 3.0,
+            np.nextafter(2.0, 0.0), np.nextafter(-2.0, 0.0)]
+    x = np.concatenate([rng.uniform(-3.0, 3.0, size=10_000), ends])
+    adj = rng.normal(size=x.shape)
+    adj[:4] = [np.inf, -np.inf, np.nan, -0.0]
+    adj[-len(ends):] *= -1.0  # negative adjoints give -0.0 against a 0 mask entry
+    tape = Tape()
+    s = tape.parameter(1.0, "s")
+    band = ad.clamp(DiffValue(x) * s, -1.0, 1.0)
+    wrapped = ad.frac(DiffValue(x) * s)
+    with np.errstate(invalid="ignore"):  # inf * 0 in both products
+        got = [band.node.vjps[0](adj), wrapped.node.vjps[0](adj)]
+        want = [adj * (((x >= -1.0) & (x <= 1.0)) * 1.0), adj * ((wrapped.value != 0.0) * 1.0)]
+    for g, w in zip(got, want):
+        assert g.dtype == np.float64
+        assert np.array_equal(g.view(np.int64), w.view(np.int64))
+    assert np.count_nonzero(wrapped.value == 0.0) >= 5
+
+
 def test_abs_and_sqrt_subgradients_at_kink():
     tape = Tape()
     p = tape.parameter(0.0, "p")
@@ -295,6 +317,29 @@ def test_used_tape_is_freed_without_the_cycle_collector():
         assert alive() is None
     finally:
         gc.enable()
+
+
+def test_backward_frees_each_adjoint_once_passed_on():
+    n = 100_000
+    tape = Tape()
+    x = DiffValue(np.ones(n)) * tape.parameter(1.0, "p")
+    scale = DiffValue(np.full(n, 1.01))
+    for _ in range(20):
+        x = x * scale
+    loss = ad.bsum(x)
+    del x
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        grads = tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert grads["p"] == pytest.approx(n * 1.01**20)
+    # the adjoint in hand and the one it hands on: 2 buffers; keeping every
+    # adjoint to the end of the sweep would reach 21
+    assert peak <= 4 * 8 * n
 
 
 def test_mixing_tapes_in_one_op_rejected():
@@ -506,6 +551,19 @@ def test_rfft_magnitude_zero_bin_subgradient_is_zero():
     index = np.arange(8)[None, :]
     grads = tape.backward(ad.bsum(ad.rfft_magnitude(x, np.ones(8), index)))
     assert np.isfinite(grads["s"]) and grads["s"] == 0.0
+
+
+def test_rfft_magnitude_tape_does_not_keep_its_output():
+    rng = np.random.default_rng(30)
+    tape = Tape()
+    s = tape.parameter(1.0, "s")
+    x = DiffValue(rng.normal(size=600)) * s
+    out = ad.rfft_magnitude(x, np.hanning(32), _frame_index(600, 32, 8))
+    mag = weakref.ref(out.value.base)
+    loss = ad.bsum(out)
+    del out
+    assert mag() is None
+    assert tape.backward(loss)["s"] == pytest.approx(loss.value)
 
 
 def test_rfft_magnitude_rejects_mismatched_window():

@@ -530,6 +530,19 @@ def test_params_table_travels_with_a_pickled_chain():
     assert vars(copy)["params"] == table
 
 
+def test_per_cell_values_are_a_read_only_view_of_params():
+    assignment = basic_assignment()
+    view = assignment.values
+    with pytest.raises(TypeError):
+        view[addr(0, 0)]["amp"] = 0.0
+    with pytest.raises(TypeError):
+        view[addr(0, 0)] = {}
+    assert view[addr(0, 0)]["amp"] == assignment.params[addr(0, 0), "amp"]
+    assert dict(view[addr(0, 0)]) == {
+        name: v for (a, name), v in assignment.params.items() if a == addr(0, 0)
+    }
+
+
 def test_fm_chain_with_lfo_modulator():
     chain = ChainSpec(
         "c",

@@ -1,5 +1,6 @@
 import json
 import math
+import pickle
 from pathlib import Path
 
 import numpy as np
@@ -391,6 +392,28 @@ def test_optional_connections_switched_off_load_and_render():
         not c.optional for c in KITCHEN_CHAIN.connections
     ]
     assert np.all(np.isfinite(generate_signal(KITCHEN_CHAIN, assignment, CFG).output.values))
+
+
+def test_a_rendered_record_pickles_to_the_same_bytes():
+    # a worker returns its records pickled; rendering one adds nothing to it
+    config = RenderConfig(duration=0.25)
+    record = sample_record(BASIC_CHAIN, 5, 0, config)
+    before = pickle.dumps(record)
+    render_record(BASIC_CHAIN, record, config)
+    assert pickle.dumps(record) == before
+
+
+def test_parse_assignment_rejects_two_keys_for_one_cell(tmp_path):
+    record = sample_record(BASIC_CHAIN, 3, 0, CFG)
+    payload = assignment_payload(BASIC_CHAIN, record.assignment)
+    payload["params"]["00,0"] = dict(payload["params"]["0,0"], amp=0.999)
+    with pytest.raises(DatasetFormatError) as err:
+        parse_assignment(BASIC_CHAIN, payload)
+    assert str(err.value) == "params keys '0,0' and '00,0' name the same cell"
+    payload.update(index=0, seed=3, wav=record.wav_name)
+    (tmp_path / "metadata.jsonl").write_text(json.dumps(payload) + "\n")
+    with pytest.raises(DatasetFormatError, match="^metadata line 1: params keys '0,0' and '00,0'"):
+        load_records(BASIC_CHAIN, tmp_path / "metadata.jsonl")
 
 
 def test_record_connections_on_exposed():

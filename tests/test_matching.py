@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -409,6 +410,22 @@ def test_target_spectra_computed_once_per_match(monkeypatch, steps):
     # one per window for the loss features, plus the final log-spectral
     # distance's own at the largest window; none per step or branch
     assert sorted(target_calls) == [512, 1024, 1024]
+
+
+def test_a_step_tape_is_freed_before_the_next_step_records(monkeypatch):
+    tapes = []
+
+    class Watched(Tape):
+        def __init__(self):
+            # every earlier step's tape is gone before this step records
+            assert [ref() for ref in tapes] == [None] * len(tapes)
+            super().__init__()
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(matching, "Tape", Watched)
+    opt = OptimizerConfig(steps=4, learning_rate=0.1, restarts=2, seed=1)
+    match(sine_target(), OSC_CHAIN, SPECTRAL_L2, opt, fixed_params=AMP_FIXED, render_config=CFG)
+    assert len(tapes) == 8
 
 
 def _count_renders(monkeypatch):
