@@ -22,7 +22,9 @@ Usage, from anywhere:
 
 ``--quick`` runs every area at a reduced size (its digests differ from the
 full run's).  ``--jobs`` sets the worker processes of match, dataset and
-perturb; the digests do not depend on it.
+perturb; the digests do not depend on it.  One line on stderr names the
+machine that made them: its CPU count, any ``*_NUM_THREADS`` setting, and
+the BLAS library numpy reports.
 """
 
 import argparse
@@ -30,6 +32,7 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import sys
 import tempfile
 import types
@@ -164,11 +167,23 @@ AREAS = {
 }
 
 
+def machine() -> dict:
+    """What besides the code decides a run's bytes: the CPU count, any
+    ``*_NUM_THREADS`` setting and the BLAS library numpy reports."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "cpu_count": os.cpu_count(),
+        "num_threads": {k: v for k, v in sorted(os.environ.items()) if k.endswith("_NUM_THREADS")},
+        "blas": f"{blas['name']} {blas['version']}",
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--quick", action="store_true", help="reduced size of every area")
     parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     args = parser.parse_args(argv)
+    print(json.dumps(machine()), file=sys.stderr)
     digests = {}
     for area, (run, size_key) in AREAS.items():
         digest = hashlib.sha256()

@@ -101,8 +101,9 @@ def zeros(config: RenderConfig) -> Signal:
     return Signal.from_values(np.zeros(config.num_samples), config.sample_rate)
 
 
-def write_wav(signal: Signal, path) -> None:
-    """Write a mono 32-bit float WAV, clipping to [-1, 1] with a warning."""
+def write_wav(signal: Signal, path) -> int:
+    """Write a mono 32-bit float WAV, clipping to [-1, 1] with a warning;
+    returns how many samples were clipped."""
     values = np.asarray(signal.values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         raise AudioIOError(f"refusing to write non-finite samples to {path}")
@@ -111,6 +112,7 @@ def write_wav(signal: Signal, path) -> None:
         log.warning("clipping %d samples outside [-1, 1] in %s", n_clipped, path)
         values = np.clip(values, -1.0, 1.0)
     wavfile.write(path, signal.sample_rate, values.astype(np.float32))
+    return n_clipped
 
 
 def read_wav(path) -> Signal:

@@ -532,6 +532,12 @@ def rfft_magnitude(x, window: np.ndarray, index: np.ndarray) -> DiffValue:
     return _record_op(tape, mag.T, [(n, vjp)])
 
 
+# The longest dot product convolve_same's kernel adjoint hands to BLAS.  OpenBLAS
+# splits a longer one (over 10,000 elements on x86-64) across its threads, and
+# the bits of the sum would follow the thread count.
+DOT_CHUNK = 8192
+
+
 def convolve_same(x, kernel) -> DiffValue:
     """'Same' zero-padded convolution of a 1-D buffer with a short kernel.
 
@@ -539,8 +545,9 @@ def convolve_same(x, kernel) -> DiffValue:
     Direct convolution: for the 101-tap low-pass on a second of audio it
     is cheaper than an FFT of the whole buffer.  The signal adjoint
     convolves with the reversed kernel; the kernel adjoint correlates the
-    zero-padded signal with the output adjoint.  Odd and even kernels
-    share numpy's 'same' alignment (offset (m - 1) // 2).
+    zero-padded signal with the output adjoint, in equal chunks of at most
+    DOT_CHUNK samples added left to right.  Odd and even kernels share
+    numpy's 'same' alignment (offset (m - 1) // 2).
     """
     vx, nx, tx = _unwrap(x)
     vk, nk, tk = _unwrap(kernel)
@@ -557,8 +564,14 @@ def convolve_same(x, kernel) -> DiffValue:
         m = vk.shape[0]
 
         def vjp_kernel(adj):
-            padded = np.pad(vx, (m // 2, (m - 1) // 2))
-            return np.correlate(padded, np.asarray(adj), "valid")[::-1]
+            padded, adj = np.pad(vx, (m // 2, (m - 1) // 2)), np.asarray(adj)
+            n = adj.shape[0]
+            chunks = -(-n // DOT_CHUNK)
+            edges = [n * i // chunks for i in range(chunks + 1)]
+            out = np.correlate(padded[: edges[1] + m - 1], adj[: edges[1]], "valid")
+            for lo, hi in zip(edges[1:], edges[2:]):
+                out += np.correlate(padded[lo : hi + m - 1], adj[lo:hi], "valid")
+            return out[::-1]
 
         specs.append((nk, vjp_kernel))
     return _record_op(tape, out, specs)

@@ -5,9 +5,10 @@ A chain is a 2-D matrix of cells addressed by (channel, layer).  Cells
 host at most one module; connections only run from lower to strictly
 higher layers.  A :class:`ChainSpec` checks this when it is built, so
 every chain that exists is valid, and lists its parameters once, in
-:attr:`ChainSpec.params`; an assignment covers exactly that table.
-Generation walks layers in ascending order and averages the final
-layer's cell outputs across channels.
+:attr:`ChainSpec.params`, and its render order once, in
+:attr:`ChainSpec.inputs`; an assignment covers exactly the table.
+Generation walks cells in that (layer, channel) order and averages the
+final layer's cell outputs across channels.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "Connection",
     "ParameterAssignment",
     "RenderTrace",
-    "Resolution",
     "Violation",
     "format_chain",
     "generate_signal",
@@ -155,14 +155,20 @@ class ChainSpec:
         ]
         raise AssignmentError(f"chain {self.name!r}: {'; '.join(wrong)}")
 
-    def max_layer(self) -> int:
-        return max(c.address.layer for c in self.cells)
+    @functools.cached_property
+    def inputs(self) -> dict:
+        """``CellAddress`` -> tuple of the connections into it, for every
+        cell; the cells, and each cell's sources, in (layer, channel)
+        order, the render order.  Read-only, like ``params``."""
 
-    def incoming(self, address: CellAddress) -> tuple:
-        """Connections into a cell, ordered by source (layer, channel)."""
-        found = [c for c in self.connections if c.dest == address]
-        found.sort(key=lambda c: (c.source.layer, c.source.channel))
-        return tuple(found)
+        def order(address: CellAddress) -> tuple:
+            return address.layer, address.channel
+
+        inputs: dict = {a: [] for a in sorted((c.address for c in self.cells), key=order)}
+        for conn in sorted(self.connections, key=lambda c: order(c.source)):
+            if conn.dest in inputs:
+                inputs[conn.dest].append(conn)
+        return {a: tuple(conns) for a, conns in inputs.items()}
 
 
 @dataclass(frozen=True)
@@ -196,14 +202,6 @@ class ParameterAssignment:
 
     def connection_on(self, conn: Connection) -> bool:
         return self.connections_on is None or self.connections_on[conn]
-
-
-@dataclass(frozen=True)
-class Resolution:
-    """Concrete draw of optional connections + forced activation states."""
-
-    connections_on: Mapping
-    forced_activations: Mapping  # (CellAddress, param name) -> label
 
 
 @dataclass(frozen=True)
@@ -347,11 +345,12 @@ def _validate(chain: ChainSpec) -> list:
         if key in seen_conns:
             flag("duplicate_connection", f"{where} declared twice")
         seen_conns.add(key)
-    for cell in chain.cells:
-        if cell.kind == "empty" or cell.kind not in CATALOG:
+    for address, incoming in chain.inputs.items():
+        kind = cmap[address]
+        if kind not in CATALOG:  # empty, or an unknown kind flagged above
             continue
-        cat = CATALOG[cell.kind]
-        sources = [c.source for c in chain.incoming(cell.address) if c.source in cmap]
+        cat = CATALOG[kind]
+        sources = [c.source for c in incoming if c.source in cmap]
         count = len(sources)
         if count < cat.min_inputs or (cat.max_inputs is not None and count > cat.max_inputs):
             if cat.max_inputs == 0:
@@ -362,21 +361,22 @@ def _validate(chain: ChainSpec) -> list:
                 detail = f"requires exactly {cat.min_inputs} input(s)"
             else:
                 detail = f"requires {cat.min_inputs}..{cat.max_inputs} input(s)"
-            flag("arity", f"{cell.kind} cell {cell.address} {detail}, got {count}")
-        if cell.kind == "tremolo" and count == 2:
+            flag("arity", f"{kind} cell {address} {detail}, got {count}")
+        if kind == "tremolo" and count == 2:
             lfo_inputs = sum(1 for s in sources if cmap.get(s) == "lfo")
             if lfo_inputs != 1:
                 flag(
                     "missing_required_input",
-                    f"tremolo cell {cell.address} requires exactly one LFO input "
+                    f"tremolo cell {address} requires exactly one LFO input "
                     f"and one audio input, got {lfo_inputs} LFO input(s)",
                 )
     return violations
 
 
-def resolve_optional(chain: ChainSpec, rng: np.random.Generator) -> Resolution:
+def resolve_optional(chain: ChainSpec, rng: np.random.Generator) -> tuple:
     """Draw optional connections on/off (p = 0.5 each) and force consistent
-    activation states.
+    activation states: ``(connections_on, forced)``, every connection's
+    state and the ``(CellAddress, name)`` -> label overrides.
 
     Draws that would strand a cell below its minimum input arity are
     repaired by re-enabling the dropped optional connections in source
@@ -385,23 +385,19 @@ def resolve_optional(chain: ChainSpec, rng: np.random.Generator) -> Resolution:
     A generator whose modulator connection resolved off is forced to
     bypass (fm_active = "off").
     """
-    states: dict = {}
-    for conn in chain.connections:
-        states[conn] = True if not conn.optional else bool(rng.random() < 0.5)
-    for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
-        if cell.kind == "empty":
+    states = {c: not c.optional or bool(rng.random() < 0.5) for c in chain.connections}
+    kinds, forced = chain.module_cells, {}
+    for address, incoming in chain.inputs.items():
+        kind = kinds.get(address)
+        if kind is None:  # an empty cell
             continue
-        incoming = chain.incoming(cell.address)
         for conn in incoming:
-            if sum(states[c] for c in incoming) >= CATALOG[cell.kind].min_inputs:
+            if sum(states[c] for c in incoming) >= CATALOG[kind].min_inputs:
                 break
             states[conn] = True
-    forced = {
-        (cell.address, "fm_active"): "off"
-        for cell in chain.cells
-        if cell.kind == "fm_osc" and not any(states[c] for c in chain.incoming(cell.address))
-    }
-    return Resolution(states, forced)
+        if kind == "fm_osc" and not any(states[c] for c in incoming):
+            forced[(address, "fm_active")] = "off"
+    return states, forced
 
 
 def generate_signal(
@@ -421,13 +417,13 @@ def generate_signal(
     values = assignment.values
     outputs: dict = {}
     active: dict = {}
-    for cell in sorted(chain.cells, key=lambda c: (c.address.layer, c.address.channel)):
-        addr, kind = cell.address, cell.kind
-        if kind == "empty":
+    for addr, incoming in chain.inputs.items():
+        kind = kinds.get(addr)
+        if kind is None:  # an empty cell
             outputs[addr], active[addr] = zeros(config), False
             continue
         params = values.get(addr, {})
-        live = [c.source for c in chain.incoming(addr) if assignment.connection_on(c)]
+        live = [c.source for c in incoming if assignment.connection_on(c)]
         audio = live
         if kind == "tremolo":
             audio = [s for s in live if kinds.get(s) != "lfo"]
@@ -457,9 +453,6 @@ def generate_signal(
         outputs[addr] = out
         # only osc and lfo carry an on/off switch
         active[addr] = params.get("active", "on") == "on"
-    last = chain.max_layer()
-    finals = [c.address for c in chain.cells if c.address.layer == last]
-    finals.sort(key=lambda a: a.channel)
-    final = mix([outputs[a] for a in finals])
-    non_empty = {c.address: outputs[c.address] for c in chain.cells if c.kind != "empty"}
-    return RenderTrace(non_empty, final)
+    last = next(reversed(outputs)).layer  # the walk ends in the final layer
+    final = mix([outputs[a] for a in outputs if a.layer == last])
+    return RenderTrace({a: outputs[a] for a in kinds}, final)

@@ -368,19 +368,21 @@ def _gradcheck_assignment(chain, seed, render_config) -> ParameterAssignment:
     """
     rng = np.random.default_rng(seed)
     params = dict(sample_assignment(chain, rng, render_config).params)
+    kinds = chain.module_cells
     for key, spec in chain.params.items():
+        address, name = key
         if isinstance(spec, ContinuousParam):
             low, high = resolve_range(spec, render_config)
             margin = max((high - low) * GRADCHECK_REL_STEPS[0] * 10, 1e-12)
             params[key] = min(max(params[key], low + margin), high - margin)
-        elif spec.name == "waveform":
+        elif name == "waveform":
             params[key] = "sine"
         elif spec.choices == ("on", "off"):
             params[key] = "on"
-    for address, kind in chain.module_cells.items():
-        segments = [(address, name) for name in SHARED_DURATION[kind]]
-        if segments:
+        shared = SHARED_DURATION[kinds[address]]
+        if shared and name == shared[-1]:  # the cell's last segment: all are clamped
             # keep the finite-difference steps inside apply_adsr's check
+            segments = [(address, n) for n in shared]
             slack = 10 * GRADCHECK_REL_STEPS[0] * render_config.duration * len(segments)
             total = duration_used(params[k] for k in segments)
             limit = render_config.duration - slack

@@ -19,7 +19,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping
 
@@ -65,12 +65,14 @@ class DatasetRecord:
 
     ``(seed, index)`` replays the record exactly: they rebuild the
     per-record generator, which redraws the same connections and values.
+    ``clipped`` counts the samples its WAV clipped to [-1, 1].
     """
 
     index: int
     seed: int
     assignment: ParameterAssignment
     wav_name: str
+    clipped: int = 0
 
 
 def record_rng(seed: int, index: int) -> np.random.Generator:
@@ -95,7 +97,7 @@ def sample_assignment(
     the duration: one draw, uniform over every set of times that fits it.
     Forced activation states override the sampled labels.
     """
-    resolution = resolve_optional(chain, rng)
+    connections_on, forced = resolve_optional(chain, rng)
     kinds = chain.module_cells
     params: dict = {}
     for key, spec in chain.params.items():
@@ -111,8 +113,8 @@ def sample_assignment(
             params.update(((address, n), t) for n, t in zip(shared, segments))
         else:
             params[key] = float(from_unit(spec, rng.random(), render_config))
-    params.update(resolution.forced_activations)
-    return ParameterAssignment(params, resolution.connections_on)
+    params.update(forced)
+    return ParameterAssignment(params, connections_on)
 
 
 def sample_record(
@@ -210,6 +212,8 @@ def parse_assignment(chain: ChainSpec, payload: Mapping) -> ParameterAssignment:
 def _record_to_json(chain: ChainSpec, record: DatasetRecord) -> str:
     payload = assignment_payload(chain, record.assignment)
     payload.update(index=record.index, seed=record.seed, wav=record.wav_name)
+    if record.clipped:
+        payload["clipped"] = record.clipped
     return json.dumps(payload, sort_keys=True)
 
 
@@ -221,6 +225,7 @@ def _record_from_json(chain: ChainSpec, line: str, lineno: int) -> DatasetRecord
             int(payload["seed"]),
             parse_assignment(chain, payload),
             str(payload["wav"]),
+            int(payload.get("clipped", 0)),
         )
     except (KeyError, TypeError, ValueError) as exc:  # DatasetFormatError among them
         raise DatasetFormatError(f"metadata line {lineno}: {exc}") from exc
@@ -240,8 +245,9 @@ def _make_record(
     index: int, *, chain: ChainSpec, seed: int, render_config: RenderConfig, out_dir: str
 ) -> DatasetRecord:
     record = sample_record(chain, seed, index, render_config)
-    write_wav(render_record(chain, record, render_config), Path(out_dir) / record.wav_name)
-    return record
+    audio = render_record(chain, record, render_config)
+    clipped = write_wav(audio, Path(out_dir) / record.wav_name)
+    return replace(record, clipped=clipped) if clipped else record
 
 
 def generate_dataset(
@@ -255,7 +261,8 @@ def generate_dataset(
     """Sample and render ``n`` records into ``out_dir``.
 
     Writes ``chain.txt``, one WAV per record, and ``metadata.jsonl`` (in
-    index order).  Failures partway through leave the files already
+    index order); the line of a record whose WAV clipped gives the count
+    as ``clipped``.  Failures partway through leave the files already
     written; the warning log line says which directory to clean up.
     """
     if any(cell.kind == "lowpass" for cell in chain.cells):

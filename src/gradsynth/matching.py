@@ -155,21 +155,20 @@ def _assignment(
     """
     kinds = chain.module_cells
     params: dict = {}
-    remaining = {}  # per ADSR cell, the time still left
-    for address, kind in kinds.items():
-        if SHARED_DURATION[kind]:
-            segments = [(address, n) for n in SHARED_DURATION[kind]]
-            left = duration_left((fixed[k] for k in segments if k in fixed), render_config)
-            remaining[address] = DiffValue(max(left, 0.0))
     for key, p in chain.params.items():
         address, name = key
+        shared = SHARED_DURATION[kinds[address]]
+        if shared and name == shared[0]:  # the cell's first segment: its time budget
+            segments = [(address, n) for n in shared]
+            left = duration_left((fixed[k] for k in segments if k in fixed), render_config)
+            remaining = DiffValue(max(left, 0.0))  # the time still left
         if not isinstance(p, ContinuousParam):
             value = combo[key]
         elif key in fixed:
             value = fixed[key]
-        elif name in SHARED_DURATION[kinds[address]]:
-            value = remaining[address] * sigmoid(theta[key])
-            remaining[address] = remaining[address] - value
+        elif name in shared:
+            value = remaining * sigmoid(theta[key])
+            remaining = remaining - value
         else:
             value = sigmoid_gate(theta[key], *unit_scale(p, render_config))
         params[key] = value

@@ -82,7 +82,7 @@ def test_write_clips_and_warns(tmp_path, caplog):
     s = Signal.from_values([0.0, 2.0, -3.0], 16000)
     path = tmp_path / "hot.wav"
     with caplog.at_level("WARNING", logger="gradsynth.audio"):
-        write_wav(s, path)
+        assert write_wav(s, path) == 2
     assert any("clipping" in r.message for r in caplog.records)
     back = read_wav(path)
     np.testing.assert_allclose(back.values, [0.0, 1.0, -1.0], atol=1e-7)

@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import gc
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +18,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.signal import fftconvolve
 
+import gradsynth
 from gradsynth import autodiff as ad
 from gradsynth.autodiff import DiffValue, Tape
 from gradsynth.spectral import WINDOW_SIZES
@@ -623,6 +628,40 @@ def test_convolve_same_equals_fftconvolve_formulas(klen):
     for got, want in pairs:
         assert got.shape == want.shape
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+KERNEL_ADJOINT_SCRIPT = """
+import hashlib
+import numpy as np
+from gradsynth import autodiff as ad
+
+for n in (16000, 22050, 44100):
+    rng = np.random.default_rng(n)
+    x, adj = rng.normal(size=n), rng.normal(size=n)
+    s = ad.Tape().parameter(1.0, "s")
+    out = ad.convolve_same(ad.DiffValue(x), ad.DiffValue(rng.normal(size=101)) * s)
+    (kernel_vjp,) = out.node.vjps
+    print(n, hashlib.sha256(kernel_vjp(adj).tobytes()).hexdigest())
+"""
+
+
+def test_convolve_same_kernel_adjoint_bytes_do_not_follow_blas_threads():
+    # A BLAS dot over more than 10,000 elements is split across OpenBLAS's
+    # threads, and the partial sums' order follows the thread count.  On a
+    # one-core machine OpenBLAS runs one thread whatever is asked, so there
+    # this test passes even with a single long dot.
+    src = Path(gradsynth.__file__).resolve().parent.parent
+    printed = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-c", KERNEL_ADJOINT_SCRIPT],
+            env={**os.environ, "PYTHONPATH": str(src), "OPENBLAS_NUM_THREADS": threads},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        printed.append(done.stdout)
+    assert printed[0].count("\n") == 3
+    assert printed[0] == printed[1]
 
 
 def test_buffer_node_count_is_per_operation():

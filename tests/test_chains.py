@@ -530,6 +530,37 @@ def test_params_table_travels_with_a_pickled_chain():
     assert vars(copy)["params"] == table
 
 
+# declared out of render order, with an empty cell in the last layer
+SHUFFLED_CHAIN = """chain shuffled
+cell 1 2 empty
+cell 0 2 mix
+cell 0 1 mix
+cell 1 0 osc
+cell 0 0 osc
+connect 1,0 -> 0,1
+connect 0,0 -> 0,1
+connect 0,1 -> 0,2
+connect 1,0 -> 0,2
+"""
+
+
+def test_inputs_list_cells_and_their_sources_in_layer_then_channel_order():
+    chain = parse_chain_file(SHUFFLED_CHAIN)
+    assert list(chain.inputs) == [addr(0, 0), addr(1, 0), addr(0, 1), addr(0, 2), addr(1, 2)]
+    sources = {a: [c.source for c in conns] for a, conns in chain.inputs.items()}
+    assert sources[addr(0, 1)] == [addr(0, 0), addr(1, 0)]
+    assert sources[addr(0, 2)] == [addr(1, 0), addr(0, 1)]
+    assert sources[addr(0, 0)] == sources[addr(1, 0)] == sources[addr(1, 2)] == []
+    assert chain.inputs is chain.inputs  # built once per chain
+    cells = {addr(0, 0): dict(OSC), addr(1, 0): dict(OSC2), addr(0, 1): {}, addr(0, 2): {}}
+    trace = generate_signal(chain, from_cells(cells), CFG)
+    assert set(trace.cell_outputs) == set(cells)
+    # the final layer's empty cell is averaged in as silence
+    mixed = trace.cell_outputs[addr(0, 2)].values
+    np.testing.assert_array_equal(trace.output.values, mixed * 0.5)
+    assert np.abs(mixed).max() > 0.1
+
+
 def test_per_cell_values_are_a_read_only_view_of_params():
     assignment = basic_assignment()
     view = assignment.values
@@ -665,9 +696,9 @@ def _optional_fm_chain():
 
 def test_resolve_without_optional_is_identity():
     chain = parse_chain_file(BASIC_CHAIN)
-    res = resolve_optional(chain, np.random.default_rng(0))
-    assert all(res.connections_on.values())
-    assert res.forced_activations == {}
+    connections_on, forced = resolve_optional(chain, np.random.default_rng(0))
+    assert all(connections_on.values())
+    assert forced == {}
 
 
 def test_resolve_deterministic_per_seed():
@@ -681,7 +712,7 @@ def test_resolve_probability_near_half():
     chain = _optional_fm_chain()
     conn = chain.connections[0]
     on = sum(
-        resolve_optional(chain, np.random.default_rng(i)).connections_on[conn]
+        resolve_optional(chain, np.random.default_rng(i))[0][conn]
         for i in range(1000)
     )
     assert 450 <= on <= 550
@@ -692,10 +723,12 @@ def test_resolve_forces_fm_bypass_when_modulator_dropped():
     conn = chain.connections[0]
     saw_off = False
     for i in range(50):
-        res = resolve_optional(chain, np.random.default_rng(i))
-        if not res.connections_on[conn]:
+        connections_on, forced = resolve_optional(chain, np.random.default_rng(i))
+        if not connections_on[conn]:
             saw_off = True
-            assert res.forced_activations == {(addr(0, 1), "fm_active"): "off"}
+            assert forced == {(addr(0, 1), "fm_active"): "off"}
+        else:
+            assert forced == {}
     assert saw_off
 
 
@@ -707,8 +740,8 @@ def test_resolve_keeps_arity_critical_connection():
     )
     conn = chain.connections[0]
     for i in range(30):
-        res = resolve_optional(chain, np.random.default_rng(i))
-        assert res.connections_on[conn]
+        connections_on, _ = resolve_optional(chain, np.random.default_rng(i))
+        assert connections_on[conn]
 
 
 def test_resolve_turns_both_optional_tremolo_inputs_on():
@@ -728,10 +761,10 @@ def test_resolve_turns_both_optional_tremolo_inputs_on():
         addr(0, 1): {"depth": 0.5},
     }
     for i in range(50):
-        res = resolve_optional(chain, np.random.default_rng(i))
-        assert all(res.connections_on[c] for c in chain.connections)
-        assert res.forced_activations == {}
-    trace = generate_signal(chain, from_cells(values, res.connections_on), CFG)
+        connections_on, forced = resolve_optional(chain, np.random.default_rng(i))
+        assert all(connections_on[c] for c in chain.connections)
+        assert forced == {}
+    trace = generate_signal(chain, from_cells(values, connections_on), CFG)
     assert np.abs(trace.output.values).max() > 0.1
 
 

@@ -19,6 +19,7 @@ from gradsynth.chains import (
     generate_signal,
     parse_chain_file,
 )
+from gradsynth import datasets
 from gradsynth.datasets import (
     DatasetFormatError,
     DatasetRecord,
@@ -277,6 +278,22 @@ def test_metadata_roundtrip_rerenders_stored_audio(tmp_path):
 def test_loaded_records_equal_returned_records(tmp_path):
     records = generate_dataset(KITCHEN_CHAIN, 4, seed=53, out_dir=tmp_path, render_config=CFG)
     assert load_records(KITCHEN_CHAIN, tmp_path / "metadata.jsonl") == records
+
+
+def test_a_clipped_record_says_so_on_its_metadata_line(tmp_path):
+    # basic.chain's low-pass rings past 1: record 1256 of seed 0 peaks at
+    # 1.0013 at 1 s, and its WAV clips one sample; record 0 clips none
+    made = {
+        i: datasets._make_record(
+            i, chain=BASIC_CHAIN, seed=0, render_config=ONE_SECOND, out_dir=str(tmp_path)
+        )
+        for i in (0, 1256)
+    }
+    lines = [datasets._record_to_json(BASIC_CHAIN, made[i]) for i in (0, 1256)]
+    assert made[1256].clipped == 1 and json.loads(lines[1])["clipped"] == 1
+    assert made[0].clipped == 0 and "clipped" not in json.loads(lines[0])
+    (tmp_path / "metadata.jsonl").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert load_records(BASIC_CHAIN, tmp_path / "metadata.jsonl") == [made[0], made[1256]]
 
 
 def test_parallel_jobs_match_sequential(tmp_path):
