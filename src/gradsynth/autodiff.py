@@ -581,20 +581,20 @@ def convolve_same(x, kernel) -> DiffValue:
 
 
 def finite_difference_check(
-    f: Callable[[Mapping[str, DiffValue]], DiffValue],
-    params: Mapping[str, float],
-    step: Union[float, Mapping[str, Union[float, Sequence[float]]]],
-) -> dict[str, float]:
+    f: Callable[[Mapping[Hashable, DiffValue]], DiffValue],
+    params: Mapping[Hashable, float],
+    step: Union[float, Mapping[Hashable, Union[float, Sequence[float]]]],
+) -> dict[Hashable, float]:
     """Relative error between autodiff and central differences, per parameter.
 
-    ``f`` maps a dict of named scalars to a scalar loss and must be
-    deterministic; one taped evaluation gives every gradient.  ``step`` is
-    one positive step for every parameter or a mapping from each name to
-    its step or sequence of steps; each parameter reports its smallest
-    error over its steps.  Relative error is the part of |fd - grad|
-    above the central difference's rounding bound
-    eps * (|f(x+h)| + |f(x-h)|) / (2h), divided by |grad| + 1e-8; the
-    bound keeps the rounding of fd from reading as error where the
+    ``f`` maps a dict of scalars, named by any hashable keys, to a scalar
+    loss and must be deterministic; one taped evaluation gives every
+    gradient.  ``step`` is one positive step for every parameter or a
+    mapping from each name to its step or sequence of steps; each
+    parameter reports its smallest error over its steps.  Relative error
+    is the part of |fd - grad| above the central difference's rounding
+    bound eps * (|f(x+h)| + |f(x-h)|) / (2h), divided by |grad| + 1e-8;
+    the bound keeps the rounding of fd from reading as error where the
     gradient is 0.  A non-finite gradient or central difference reads
     as an infinite error.
     """
@@ -604,7 +604,7 @@ def finite_difference_check(
     tracked = {k: tape.parameter(v, k) for k, v in params.items()}
     grads = tape.backward(f(tracked))
 
-    def eval_at(name: str, value: float) -> float:
+    def eval_at(name: Hashable, value: float) -> float:
         values = {**params, name: value}
         return f({k: DiffValue(v) for k, v in values.items()}).value
 

@@ -127,8 +127,8 @@ class ChainSpec:
     @functools.cached_property
     def module_cells(self) -> dict:
         """``CellAddress`` -> kind of every module (not ``empty``) cell, in
-        ``cells`` order.  Read-only, like ``params``."""
-        return {c.address: c.kind for c in self.cells if c.kind != "empty"}
+        address order, which every per-cell listing follows.  Read-only."""
+        return dict(sorted((c.address, c.kind) for c in self.cells if c.kind != "empty"))
 
     @functools.cached_property
     def params(self) -> dict:
@@ -138,7 +138,7 @@ class ChainSpec:
         so it travels with the chain to worker processes."""
         return {
             (address, param.name): param
-            for address, kind in sorted(self.module_cells.items())
+            for address, kind in self.module_cells.items()
             for param in CATALOG[kind].continuous + CATALOG[kind].categorical
         }
 
@@ -206,7 +206,7 @@ class ParameterAssignment:
 
 @dataclass(frozen=True)
 class RenderTrace:
-    """Output of every non-empty cell plus the averaged final signal."""
+    """Output of every non-empty cell, in address order, and the final mix."""
 
     cell_outputs: Mapping
     output: Signal

@@ -217,7 +217,7 @@ def cmd_render(args) -> int:
     write_wav(trace.output, out)
     log.info("wrote %s (%d samples at %d Hz)", out, len(trace.output), render_config.sample_rate)
     if args.trace:
-        for address, signal in sorted(trace.cell_outputs.items()):
+        for address, signal in trace.cell_outputs.items():
             cell_path = out.parent / f"cell_{address.channel}_{address.layer}.wav"
             write_wav(signal, cell_path)
             log.info("wrote %s", cell_path)
@@ -258,7 +258,7 @@ def cmd_match(args) -> int:
     out_dir = Path(args.out_dir if args.out_dir is not None else run.paths.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     matched = generate_signal(chain, result.best, render_config)
-    write_wav(matched.output, out_dir / "match.wav")
+    clipped = write_wav(matched.output, out_dir / "match.wav")
     report = {
         "best": assignment_payload(chain, result.best),
         "final_loss": result.final_loss,
@@ -268,6 +268,8 @@ def cmd_match(args) -> int:
         "branches": len(result.branches),
         "diverged_branches": list(result.diverged_branches),
     }
+    if clipped:
+        report["clipped"] = clipped
     (out_dir / "result.json").write_text(
         json.dumps(report, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -403,13 +405,11 @@ def cmd_gradcheck(args) -> int:
     target_trace = generate_signal(chain, target, render_config)
     target_features = chain_features(target_trace, SINGLE_WINDOW_LOSS)
 
-    fields, bases, steps = {}, {}, {}
-    for (address, name), spec in chain.params.items():
+    bases, steps = {}, {}
+    for key, spec in chain.params.items():
         if not isinstance(spec, ContinuousParam):
             continue
-        key = f"{address.channel},{address.layer}.{name}"
-        fields[key] = (address, name)
-        bases[key] = prediction.params[(address, name)]
+        bases[key] = prediction.params[key]
         low, high = resolve_range(spec, render_config)
         # Log-scaled parameters get a step relative to the value: the
         # loss wiggles on a cents scale, so a span-relative step is
@@ -418,17 +418,17 @@ def cmd_gradcheck(args) -> int:
         steps[key] = tuple(max(scale * rel, 1e-12) for rel in GRADCHECK_REL_STEPS)
 
     def loss(tracked):
-        changes = {fields[key]: value for key, value in tracked.items()}
-        assignment = replace(prediction, params={**prediction.params, **changes})
+        assignment = replace(prediction, params={**prediction.params, **tracked})
         trace = generate_signal(chain, assignment, render_config)
         return signal_chain_loss(trace, target_features, SINGLE_WINDOW_LOSS)
 
     errors = finite_difference_check(loss, bases, steps)
     worst = max(errors.values(), default=0.0)
-    width = max(map(len, errors), default=9)
+    labels = {(a, n): f"{a.channel},{a.layer}.{n}" for a, n in errors}
+    width = max(map(len, labels.values()), default=9)
     print(f"{'parameter':<{width}}  {'value':>12}  {'max rel err':>12}")
     for key, error in errors.items():
-        print(f"{key:<{width}}  {bases[key]:>12.6g}  {error:>12.3e}")
+        print(f"{labels[key]:<{width}}  {bases[key]:>12.6g}  {error:>12.3e}")
     print(f"worst: {worst:.3e} (tolerance {args.tolerance:g})")
     if worst > args.tolerance:
         log.error("gradient check failed: %.3e > %g", worst, args.tolerance)

@@ -137,7 +137,8 @@ def render_record(
 
 
 def assignment_payload(chain: ChainSpec, assignment: ParameterAssignment) -> dict:
-    """JSON-ready dict with ``connections`` and ``params`` keys."""
+    """JSON-ready dict with ``connections`` and ``params`` keys; ``params``
+    lists the values of the chain's parameter table in the table's order."""
     connections = [
         {
             "source": [c.source.channel, c.source.layer],
@@ -147,9 +148,9 @@ def assignment_payload(chain: ChainSpec, assignment: ParameterAssignment) -> dic
         }
         for c in chain.connections
     ]
-    params = {f"{a.channel},{a.layer}": {} for a in sorted(chain.module_cells)}
-    for (address, name), value in sorted(assignment.params.items()):
-        params[f"{address.channel},{address.layer}"][name] = value
+    params = {f"{a.channel},{a.layer}": {} for a in chain.module_cells}
+    for address, name in chain.params:
+        params[f"{address.channel},{address.layer}"][name] = assignment.params[address, name]
     return {"connections": connections, "params": params}
 
 
@@ -175,7 +176,7 @@ def parse_assignment(chain: ChainSpec, payload: Mapping) -> ParameterAssignment:
                 f"parameters assigned to {', '.join(sorted(map(str, extra)))}, "
                 "where the chain has no module cell"
             )
-        missing = sorted(kinds.keys() - cells.keys())
+        missing = [a for a in kinds if a not in cells]
         if missing:
             where = ", ".join(f"cell {a} ({kinds[a]})" for a in missing)
             raise DatasetFormatError(f"{where}: no parameters assigned")
@@ -220,13 +221,14 @@ def _record_to_json(chain: ChainSpec, record: DatasetRecord) -> str:
 def _record_from_json(chain: ChainSpec, line: str, lineno: int) -> DatasetRecord:
     try:
         payload = json.loads(line)
-        return DatasetRecord(
-            int(payload["index"]),
-            int(payload["seed"]),
-            parse_assignment(chain, payload),
-            str(payload["wav"]),
-            int(payload.get("clipped", 0)),
-        )
+        index, seed, wav = payload["index"], payload["seed"], payload["wav"]
+        clipped = payload.get("clipped", 0)
+        for key, value in (("index", index), ("seed", seed), ("clipped", clipped)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DatasetFormatError(f"{key!r} must be an integer, got {value!r}")
+        if not isinstance(wav, str):
+            raise DatasetFormatError(f"'wav' must be a string, got {wav!r}")
+        return DatasetRecord(index, seed, parse_assignment(chain, payload), wav, clipped)
     except (KeyError, TypeError, ValueError) as exc:  # DatasetFormatError among them
         raise DatasetFormatError(f"metadata line {lineno}: {exc}") from exc
 

@@ -159,7 +159,7 @@ def chain_features(trace: RenderTrace, cfg: LossConfig) -> dict:
     """
     if cfg.cells == "output":
         return {"output": spectral_features(trace.output, cfg)}
-    return {a: spectral_features(trace.cell_outputs[a], cfg) for a in sorted(trace.cell_outputs)}
+    return {a: spectral_features(s, cfg) for a, s in trace.cell_outputs.items()}
 
 
 def signal_chain_loss(trace: RenderTrace, target: Mapping, cfg: LossConfig) -> DiffValue:

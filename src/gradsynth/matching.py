@@ -12,7 +12,7 @@ import itertools
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
 import numpy as np
 
@@ -175,10 +175,8 @@ def _assignment(
     return ParameterAssignment(params)
 
 
-def _loss_parts(
-    theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]],
-    combo_map: Mapping[tuple[CellAddress, str], str],
-    render: bool,
+def _run_branch(
+    branch: tuple[int, tuple, int],
     *,
     chain: ChainSpec,
     fixed: FixedParams,
@@ -186,26 +184,6 @@ def _loss_parts(
     target_params: Optional[ParameterAssignment],
     loss_cfg: LossConfig,
     render_config: RenderConfig,
-) -> tuple[DiffValue, DiffValue]:
-    """The parameter and spectral parts of the loss at ``theta``; the
-    spectral part is 0 unless ``render``."""
-    assignment = _assignment(chain, theta, combo_map, fixed, render_config)
-    param_part = DiffValue(0.0)
-    if target_params is not None:
-        param_part = parameter_loss(
-            chain, assignment, target_params, loss_cfg.regression_kind, render_config
-        )
-    spectral_part = DiffValue(0.0)
-    if render:
-        trace = generate_signal(chain, assignment, render_config)
-        spectral_part = signal_chain_loss(trace, target_features, loss_cfg)
-    return param_part, spectral_part
-
-
-def _run_branch(
-    branch: tuple[int, tuple, int],
-    *,
-    loss_parts: Callable[..., tuple[DiffValue, DiffValue]],
     free_keys: list[tuple[CellAddress, str]],
     betas: tuple[float, ...],
     opt_cfg: OptimizerConfig,
@@ -214,6 +192,24 @@ def _run_branch(
     the spectral weight of each step."""
     combo_index, combo, restart = branch
     combo_map = dict(combo)
+
+    def loss_parts(
+        theta: Mapping[tuple[CellAddress, str], Union[DiffValue, float]], render: bool
+    ) -> tuple[DiffValue, DiffValue]:
+        """The parameter and spectral parts of the loss at ``theta``; the
+        spectral part is 0 unless ``render``."""
+        assignment = _assignment(chain, theta, combo_map, fixed, render_config)
+        param_part = DiffValue(0.0)
+        if target_params is not None:
+            param_part = parameter_loss(
+                chain, assignment, target_params, loss_cfg.regression_kind, render_config
+            )
+        spectral_part = DiffValue(0.0)
+        if render:
+            trace = generate_signal(chain, assignment, render_config)
+            spectral_part = signal_chain_loss(trace, target_features, loss_cfg)
+        return param_part, spectral_part
+
     rng = np.random.default_rng(
         np.random.SeedSequence(opt_cfg.seed, spawn_key=(combo_index, restart))
     )
@@ -221,34 +217,32 @@ def _run_branch(
     adam_m = np.zeros_like(theta)
     adam_v = np.zeros_like(theta)
     trajectory: list[float] = []
-    diverged = False
     frozen = None  # the loss parts once theta can no longer move
     for step, beta in enumerate(betas):
         if frozen is None:
             tape = Tape()
             tracked = {key: tape.parameter(t, key) for key, t in zip(free_keys, theta)}
-            parts = loss_parts(tracked, combo_map, beta > 0.0)
+            parts = loss_parts(tracked, beta > 0.0)
             total = combined_loss(*parts, beta)
             if total.node is None:
                 # nothing differentiable (a silent combination, or every
                 # parameter fixed): theta cannot move, so every step's loss
                 # is these two parts at its own beta
                 if beta == 0.0 and max(betas) > 0.0:  # the spectral part is still untaken
-                    parts = loss_parts(tracked, combo_map, True)
+                    parts = loss_parts(tracked, True)
                 frozen = parts
         if frozen is not None:
             total = combined_loss(frozen[0], frozen[1] if beta > 0.0 else DiffValue(0.0), beta)
         value = total.value
         trajectory.append(value)
         if not np.isfinite(value):
-            diverged = True
             break
         if frozen is not None:
             continue
         grads = tape.backward(total)
         del tape, tracked, parts, total  # so the next step's forward does not overlap this tape
         g = np.array([grads[key] for key in free_keys])
-        # an update that overflows marks the branch diverged just below
+        # an update that overflows ends the branch below, as diverged
         with np.errstate(over="ignore", invalid="ignore"):
             if opt_cfg.algorithm == "sgd":
                 theta -= opt_cfg.learning_rate * g
@@ -259,8 +253,8 @@ def _run_branch(
                 v_hat = adam_v / (1.0 - 0.999 ** (step + 1))
                 theta -= opt_cfg.learning_rate * m_hat / (np.sqrt(v_hat) + 1e-8)
         if not np.isfinite(theta).all():
-            diverged = True
             break
+    diverged = not (np.isfinite(trajectory[-1]) and np.isfinite(theta).all())
     final_theta = dict(zip(free_keys, theta.tolist()))
     if diverged:
         final_loss = float("nan")
@@ -269,7 +263,7 @@ def _run_branch(
     else:
         # loss at the post-update parameters, so branch comparison sees
         # the point the assignment is actually built from
-        parts = loss_parts(final_theta, combo_map, betas[-1] > 0.0)
+        parts = loss_parts(final_theta, betas[-1] > 0.0)
         final_loss = combined_loss(*parts, betas[-1]).value
     return BranchResult(
         combo=combo,
@@ -326,18 +320,18 @@ def match(
         )
     # the target is constant, so its features are taken once per call
     target_features = chain_features(RenderTrace({}, target), loss_cfg)
-    loss_parts = functools.partial(
-        _loss_parts,
+    free_keys, combos = _search_space(chain, fixed)
+    run_branch = functools.partial(
+        _run_branch,
         chain=chain,
         fixed=fixed,
         target_features=target_features,
         target_params=target_params,
         loss_cfg=loss_cfg,
         render_config=render_config,
-    )
-    free_keys, combos = _search_space(chain, fixed)
-    run_branch = functools.partial(
-        _run_branch, loss_parts=loss_parts, free_keys=free_keys, betas=betas, opt_cfg=opt_cfg
+        free_keys=free_keys,
+        betas=betas,
+        opt_cfg=opt_cfg,
     )
     runs = [(i, combo, r) for i, combo in enumerate(combos) for r in range(opt_cfg.restarts)]
     branches = fan_out(run_branch, runs, opt_cfg.jobs)

@@ -10,6 +10,7 @@ every parameter its catalog entry lists, in one pass.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -200,17 +201,20 @@ def from_unit(param: ContinuousParam, u, config: RenderConfig):
 
 def _read(kind: str, params: Mapping, config: Optional[RenderConfig]) -> dict:
     """Every catalog parameter of ``kind`` from ``params``, checked:
-    continuous ones as scalar DiffValues inside their range, categorical
-    ones as labels among their choices.  ``config`` may be None for a kind
-    with no shared-duration parameter."""
+    continuous ones as scalar DiffValues inside their range (any other
+    value must be a real number, not a bool), categorical ones as labels
+    among their choices.  ``config`` may be None for a kind with no
+    shared-duration parameter."""
     catalog = CATALOG[kind]
     read = {}
     for param in catalog.continuous:
         scalar = params[param.name]
         if not isinstance(scalar, DiffValue):
             try:
+                if isinstance(scalar, bool) or not isinstance(scalar, numbers.Real):
+                    raise TypeError
                 scalar = DiffValue(float(scalar))
-            except (TypeError, ValueError, OverflowError):
+            except (TypeError, OverflowError):
                 raise ParameterRangeError(
                     f"{kind}.{param.name} = {scalar!r} is not a number"
                 ) from None

@@ -27,6 +27,8 @@ from gradsynth.chains import (
     parse_chain_file,
     resolve_optional,
 )
+from gradsynth.datasets import assignment_payload
+from gradsynth.losses import LossConfig, chain_features
 from gradsynth.modules import CATALOG, MissingInputError, render_oscillator
 from assignments import from_cells
 
@@ -100,6 +102,8 @@ def test_format_chain_round_trips():
     )
     assert "optional" in format_chain(optional)
     assert parse_chain_file(format_chain(optional)) == optional
+    # cells declared out of address order are written back in file order
+    assert format_chain(parse_chain_file(SHUFFLED_CHAIN)) == SHUFFLED_CHAIN
 
 
 def _chain_text(name, cells, connections) -> str:
@@ -559,6 +563,26 @@ def test_inputs_list_cells_and_their_sources_in_layer_then_channel_order():
     mixed = trace.cell_outputs[addr(0, 2)].values
     np.testing.assert_array_equal(trace.output.values, mixed * 0.5)
     assert np.abs(mixed).max() > 0.1
+
+
+def test_every_per_cell_listing_follows_address_order():
+    chain = parse_chain_file(SHUFFLED_CHAIN)
+    in_order = [addr(0, 0), addr(0, 1), addr(0, 2), addr(1, 0)]
+    kinds = chain.module_cells
+    assert list(kinds) == in_order
+    catalog = {a: CATALOG[kinds[a]] for a in in_order}
+    assert list(chain.params) == [
+        (a, p.name) for a in in_order for p in catalog[a].continuous + catalog[a].categorical
+    ]
+    cells = {addr(1, 0): dict(OSC2), addr(0, 0): dict(OSC)}
+    trace = generate_signal(chain, from_cells(cells), CFG)
+    assert list(trace.cell_outputs) == in_order
+    assert list(chain_features(trace, LossConfig(cells="all", windows=(512,)))) == in_order
+    # the payload follows the table, not the order the assignment lists its values in
+    backwards = ParameterAssignment(dict(reversed(from_cells(cells).params.items())))
+    payload = assignment_payload(chain, backwards)["params"]
+    assert list(payload) == ["0,0", "0,1", "0,2", "1,0"]
+    assert list(payload["0,0"]) == list(payload["1,0"]) == ["amp", "freq", "waveform", "active"]
 
 
 def test_per_cell_values_are_a_read_only_view_of_params():

@@ -700,6 +700,30 @@ def test_match_out_dir_from_config_unless_flag_given(tmp_path, osc_chain):
     assert (from_config / "result.json").exists() and (from_config / "match.wav").exists()
 
 
+def test_match_report_gives_the_clipped_count_only_when_match_wav_clipped(
+    tmp_path, osc_chain, monkeypatch
+):
+    params = {"params": {"0,0": {"amp": 0.7, "freq": 440.0, "waveform": "sine", "active": "on"}}}
+    (tmp_path / "t.json").write_text(json.dumps(params))
+    assert main(["-q", "render", str(osc_chain), "--params", str(tmp_path / "t.json"),
+                 "--out", str(tmp_path / "target.wav"), "--duration", "0.25"]) == 0
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("loss.cells = output\nloss.windows = 1024\noptimizer.steps = 3\n"
+                   "optimizer.restarts = 1\n")
+    match = ["-q", "match", str(tmp_path / "target.wav"), str(osc_chain), "--config", str(cfg)]
+    assert main(match + ["--out-dir", str(tmp_path / "unclipped")]) == 0
+    unclipped = json.loads((tmp_path / "unclipped" / "result.json").read_text())
+    assert "clipped" not in unclipped
+    write_wav = cli.write_wav
+    monkeypatch.setattr(cli, "write_wav", lambda signal, path: write_wav(signal, path) or 7)
+    assert main(match + ["--out-dir", str(tmp_path / "clipped")]) == 0
+    clipped = json.loads((tmp_path / "clipped" / "result.json").read_text())
+    assert clipped.pop("clipped") == 7
+    for report in (clipped, unclipped):
+        del report["wall_time"]
+    assert clipped == unclipped
+
+
 def test_match_all_branches_diverged_exits_2(tmp_path, caplog):
     # fm_active = off bypasses the modulator, so every fm combination
     # sounds and a huge learning rate overflows theta in each of them; a
@@ -869,6 +893,8 @@ def _edited_params(path, edit) -> Path:
     [
         (lambda p: p["params"]["0,0"].update(amp=None), "osc.amp = None is not a number"),
         (lambda p: p["params"]["0,0"].update(amp=[0.5]), "osc.amp = [0.5] is not a number"),
+        (lambda p: p["params"]["0,0"].update(amp="0.5"), "osc.amp = '0.5' is not a number"),
+        (lambda p: p["params"]["0,0"].update(amp=True), "osc.amp = True is not a number"),
         (lambda p: p["params"].update({"5,5": {"cutoff": 1000.0}}), "assigned to (5,5)"),
         (lambda p: p["connections"][0].update(on="false"), "'on' must be true or false"),
         (lambda p: p["params"]["0,0"].update(amp="loud", active="off"),
@@ -878,8 +904,8 @@ def _edited_params(path, edit) -> Path:
         (lambda p: p["params"].pop("0,1"), "cell (0,1) (mix): no parameters assigned"),
         (lambda p: p["connections"].pop(), "connection (0,2) -> (0,3) not listed"),
     ],
-    ids=["null", "list", "extra-cell", "string-on", "switched-off-osc", "required-off",
-         "no-mix-cell", "unlisted-connection"],
+    ids=["null", "list", "numeric-string", "bool", "extra-cell", "string-on", "switched-off-osc",
+         "required-off", "no-mix-cell", "unlisted-connection"],
 )
 def test_render_rejects_a_malformed_params_file(tmp_path, basic_chain, caplog, edit, fragment):
     params = _edited_params(tmp_path / "p.json", edit)

@@ -349,6 +349,31 @@ def test_load_records_rejects_bad_json(tmp_path):
         load_records(MIX_CHAIN, path)
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("index", True, "'index' must be an integer, got True"),
+        ("seed", 2.9, "'seed' must be an integer, got 2.9"),
+        ("seed", 2.0, "'seed' must be an integer, got 2.0"),
+        ("clipped", 1.5, "'clipped' must be an integer, got 1.5"),
+        ("clipped", False, "'clipped' must be an integer, got False"),
+        ("wav", 7, "'wav' must be a string, got 7"),
+    ],
+    ids=["bool-index", "float-seed", "integral-float-seed", "float-clipped", "bool-clipped",
+         "number-wav"],
+)
+def test_load_records_takes_json_integers_and_a_string_wav(tmp_path, key, value, message):
+    generate_dataset(MIX_CHAIN, 2, seed=3, out_dir=tmp_path, render_config=CFG)
+    path = tmp_path / "metadata.jsonl"
+    first, second = path.read_text().splitlines()
+    payload = json.loads(second)
+    payload[key] = value
+    path.write_text(first + "\n" + json.dumps(payload) + "\n")
+    with pytest.raises(DatasetFormatError) as err:
+        load_records(MIX_CHAIN, path)
+    assert str(err.value) == f"metadata line 2: {message}"
+
+
 def test_load_records_rejects_unknown_connection(tmp_path):
     records = generate_dataset(MIX_CHAIN, 1, seed=3, out_dir=tmp_path, render_config=CFG)
     line = json.loads((tmp_path / "metadata.jsonl").read_text())

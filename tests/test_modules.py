@@ -420,7 +420,11 @@ def test_an_unknown_switch_label_is_rejected():
         render_fm_oscillator(fm_params(fm_active="maybe"), None, CFG)
 
 
-@pytest.mark.parametrize("value", [None, [0.5], "abc", 10**400], ids=["None", "list", "str", "huge"])
+@pytest.mark.parametrize(
+    "value",
+    [None, [0.5], "abc", "0.5", True, False, 10**400],
+    ids=["None", "list", "str", "numeric-str", "true", "false", "huge"],
+)
 def test_a_parameter_that_is_not_a_number_is_named(value):
     with pytest.raises(ParameterRangeError, match=r"osc\.amp = .* is not a number"):
         render_oscillator(osc_params(amp=value), CFG)
@@ -429,10 +433,10 @@ def test_a_parameter_that_is_not_a_number_is_named(value):
         apply_tremolo(sine_signal(), lfo, {"depth": value})
 
 
-def test_a_numeric_string_still_reads_as_its_number():
+def test_numpy_scalars_read_as_their_numbers():
     np.testing.assert_array_equal(
-        render_oscillator(osc_params(amp="0.5"), CFG).values,
-        render_oscillator(osc_params(amp=0.5), CFG).values,
+        render_oscillator(osc_params(amp=np.float32(0.5), freq=np.int64(440)), CFG).values,
+        render_oscillator(osc_params(amp=0.5, freq=440.0), CFG).values,
     )
 
 
